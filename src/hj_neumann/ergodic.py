@@ -39,18 +39,6 @@ class ErgodicPair:
     warning: str | None = None
 
 
-def _sweep_orders(grid: Grid) -> list[np.ndarray]:
-    idx = grid.lattice_index
-    if grid.dim == 1:
-        fwd = np.argsort(idx[:, 0], kind="stable")
-        return [fwd, fwd[::-1]]
-    orders = []
-    for sx in (1, -1):
-        for sy in (1, -1):
-            orders.append(np.lexsort((sy * idx[:, 1], sx * idx[:, 0])))
-    return orders
-
-
 def _solve_increasing(f, x0: float, slope_min: float) -> float:
     """Root of a scalar function that grows at least linearly at rate slope_min."""
     f0 = f(x0)
@@ -190,7 +178,7 @@ def discounted_solve(H: Hamiltonian, Bm: BoundaryOperator, epsilon: float,
     st = Stepper(grid, H, Bm, "cn" if kind == "e1" else "dbc", grad_bound=lip)
     gs = _GaussSeidel(st, epsilon)
     tol = epsilon * grid.h ** 2 if tol is None else tol
-    orders = _sweep_orders(grid)
+    orders = grid.sweep_orders()
     u = init.values.copy()
     history = []
     for it in range(max_sweeps):

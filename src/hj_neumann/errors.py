@@ -6,7 +6,8 @@ class HJError(Exception):
 
 
 class ConfigError(HJError):
-    """Bad experiment configuration (unknown keys, missing sections, bad values)."""
+    """A field expression string that fails to parse or uses a name or construct
+    outside the allowed set."""
 
 
 class NumericalError(HJError):

@@ -1,7 +1,7 @@
 """Tiny expression catalog for scalar/vector fields of the space variable.
 
-Config files refer to potentials, speeds, boundary data and custom defining
-functions by expression strings such as ``"0.5 - 0.5*cos(2*pi*(x-0.5))"``.
+Potentials, speeds and boundary data may be given as expression strings
+such as ``"0.5 - 0.5*cos(2*pi*(x-0.5))"``.
 Expressions are evaluated with numpy under a restricted namespace: the
 coordinates ``x`` (and ``y`` in 2-D), the constant ``pi`` and a short list of
 functions. Anything else is rejected up front.
@@ -41,9 +41,10 @@ def _check_names(expr: str) -> None:
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and node.id not in _ALLOWED_NAMES:
             raise ConfigError(f"expression {expr!r} uses unknown name {node.id!r}")
-        if isinstance(node, (ast.Attribute, ast.Call)) and isinstance(node, ast.Call):
-            if not isinstance(node.func, ast.Name):
-                raise ConfigError(f"expression {expr!r}: only plain function calls allowed")
+        if isinstance(node, ast.Attribute):
+            raise ConfigError(f"expression {expr!r}: attribute access is not allowed")
+        if isinstance(node, ast.Call) and not isinstance(node.func, ast.Name):
+            raise ConfigError(f"expression {expr!r}: only plain function calls allowed")
 
 
 def scalar_field(expr: str, dim: int):

@@ -4,11 +4,23 @@ Evaluators are vectorized: ``H(x, p)`` and ``B(x, p)`` take point arrays of
 shape (..., dim) and momentum arrays broadcastable against them, returning
 value arrays of shape (...).
 
-Conjugates (the running cost of the control representation and the boundary
-reflection cost) are computed by dense lattice search plus local refinement,
-never by analytic differentiation, so nonsmooth and nonconvex models are
-handled uniformly. Suprema that keep growing when the search radius doubles
-are reported as ``cap`` (the finite stand-in for +infinity, 1e9 by default).
+Both convex conjugates, the running cost L = H* of the control
+representation and the reflection cost G = B*, come from one engine over
+paired rows (x, xi): a dense lattice argmax per row, with plateaus broken
+toward the lattice center, then a vectorized axiswise polish that returns
+the value and the maximizer. Models are never differentiated analytically,
+so nonsmooth and nonconvex ones are handled uniformly. ``lagrangian`` and
+``boundary_conjugate`` are one-row calls, ``lagrangian_batch`` and
+``effective_velocity_bound`` batch calls, and ``moreau`` takes the
+conjugate of B(x, .) + |.|^2 / (2 delta). Every caller gets one
+certification rule:
+
+- a row whose argmax touches the lattice edge doubles its radius, at most
+  7 times;
+- a row still on the edge after the last doubling, having grown at every
+  doubling, is priced at ``cap`` (the finite stand-in for +infinity, 1e9 by
+  default);
+- a row on the edge that did not grow at a doubling raises RadiusError.
 """
 
 from __future__ import annotations
@@ -17,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import optimize
 
 from .errors import NumericalError, RadiusError
 from .expressions import scalar_field
@@ -261,8 +272,11 @@ def _directions(dim: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# convex conjugates by dense search + refinement
+# convex conjugates: one engine over paired rows
 # ---------------------------------------------------------------------------
+
+_INVPHI = (np.sqrt(5.0) - 1) / 2
+
 
 def _lattice(dim: int, radius: float, n_axis: int) -> np.ndarray:
     ax = np.linspace(-radius, radius, n_axis)
@@ -274,82 +288,127 @@ def _grid_axis_count(dim: int) -> int:
     return 257 if dim == 1 else 65
 
 
-def _conjugate_scalar(value_fn, xi: np.ndarray, radius: float, cap: float,
-                      max_doublings: int = 7, refine: bool = True):
-    """Maximize p -> xi . p - fun(p) with growth detection.
+def _conjugate(fun, X, XI, radius: float, cap: float, max_doublings: int = 7):
+    """sup_p (xi . p - fun(x, p)) over the paired rows (x, xi) of (X, XI).
 
-    value_fn(P) must be vectorized over momenta P of shape (..., dim).
-    Returns cap when the sampled sup keeps growing as the radius doubles;
-    raises RadiusError when the maximizer sticks to the lattice edge
-    without growth (sup not certified).
+    fun(X, P) broadcasts over points X and momenta P of shape (..., dim).
+    Returns the values and the maximizers (nan rows where the value is cap)
+    under the certification rule of the module docstring.
     """
-    xi = np.asarray(xi, float)
-    dim = xi.shape[-1]
+    X = np.asarray(X, float)
+    XI = np.asarray(XI, float)
+    m, dim = XI.shape
     n_axis = _grid_axis_count(dim)
-
-    def obj(P):
-        return np.sum(P * xi, axis=-1) - value_fn(P)
-
-    prev = None
+    val = np.full(m, float(cap))
+    arg = np.full((m, dim), np.nan)
+    cell = np.zeros(m)
+    rows, prev = np.arange(m), None
     for _ in range(max_doublings + 1):
-        lat = _lattice(dim, radius, n_axis)
-        vals = obj(lat)
-        best = float(np.max(vals))
-        # flat plateaus (e.g. affine B at xi = gamma) tie-break toward the center
-        ties = np.flatnonzero(vals >= best - 1e-12 * (1 + abs(best)))
-        k = int(ties[np.argmin(np.abs(lat[ties]).max(axis=-1))])
-        best, p0 = float(vals[k]), lat[k]
-        cell = 2 * radius / (n_axis - 1)
-        on_edge = bool(np.any(np.abs(np.abs(p0) - radius) < 0.5 * cell))
-        if on_edge:
-            # a plateau tilted by roundoff is not genuine growth: accept the
-            # best interior cell when the edge advantage is at noise level
-            interior = np.abs(lat).max(axis=-1) <= radius - 0.5 * cell
-            if np.any(interior):
-                best_int = float(np.max(vals[interior]))
-                if best - best_int <= 1e-9 * (1 + abs(best)):
-                    ki = int(np.flatnonzero(interior)[np.argmax(vals[interior])])
-                    best, p0, on_edge = float(vals[ki]), lat[ki], False
-        if not on_edge:
-            if not refine:
-                return best, p0
-            return _refine_max(obj, p0, cell), p0
-        if prev is not None and best <= prev + 1e-7 * (1 + abs(prev)):
+        best, p0, on_edge = _lattice_max(fun, X[rows], XI[rows], radius, n_axis)
+        fin = rows[~on_edge]
+        val[fin], arg[fin] = best[~on_edge], p0[~on_edge]
+        cell[fin] = 2 * radius / (n_axis - 1)
+        best = best[on_edge]
+        if prev is not None and np.any(best <= prev[on_edge] + 1e-7 * (1 + np.abs(prev[on_edge]))):
             raise RadiusError(
                 f"conjugate maximizer on the p-grid edge at radius {radius:g} "
                 "without growth; radius too small")
-        prev = best
+        rows, prev = rows[on_edge], best
+        if rows.size == 0:
+            break
         radius *= 2.0
-    return cap, None
+    fin = ~np.isnan(arg[:, 0])
+    if np.any(fin):
+        val[fin], arg[fin] = _polish(fun, X[fin], XI[fin], arg[fin], cell[fin])
+    return np.minimum(val, cap), arg
 
 
-def _refine_max(obj, p0: np.ndarray, cell: float, sweeps: int = 3) -> float:
-    """Axiswise parabolic + bounded-Brent polish around a lattice argmax."""
-    p = p0.astype(float).copy()
-    best = float(obj(p))
+def _lattice_max(fun, X, XI, radius, n_axis):
+    """Lattice argmax per row and whether it sits on the lattice edge.
+
+    Plateaus (e.g. affine B at xi = gamma) tie-break toward the center. An
+    edge argmax whose advantage over the best interior point is at noise
+    level is a plateau tilted by roundoff, not growth: the interior point
+    is taken instead.
+    """
+    lat = _lattice(XI.shape[-1], radius, n_axis)
+    cell = 2 * radius / (n_axis - 1)
+    norm = np.abs(lat).max(axis=-1)
+    inner = norm <= radius - 0.5 * cell
+    edge = np.any(np.abs(np.abs(lat) - radius) < 0.5 * cell, axis=-1)
+    k = np.empty(len(XI), dtype=np.int64)
+    best = np.empty(len(XI))
+    step = max(1, int(2e6 // len(lat)))
+    for s in range(0, len(XI), step):
+        sl = slice(s, s + step)
+        vals = np.einsum("sd,md->ms", lat, XI[sl])
+        vals -= fun(X[sl, None, :], lat[None, :, :])
+        r = np.arange(vals.shape[0])
+        top = vals.max(axis=1, keepdims=True)
+        kk = np.argmin(np.where(vals >= top - 1e-12 * (1 + np.abs(top)), norm, np.inf), axis=1)
+        bb = vals[r, kk]
+        vals[:, ~inner] = -np.inf
+        ki = np.argmax(vals, axis=1)
+        flat = edge[kk] & (bb - vals[r, ki] <= 1e-9 * (1 + np.abs(bb)))
+        k[sl] = np.where(flat, ki, kk)
+        best[sl] = np.where(flat, vals[r, ki], bb)
+    return best, lat[k], edge[k]
+
+
+def _polish(fun, X, XI, P, cell, sweeps: int = 3, xtol: float = 1e-13):
+    """Axiswise polish around lattice maximizers, vectorized over rows.
+
+    On each axis a row takes the parabolic step through (-cell, 0, +cell).
+    The step is kept when the objective there equals the parabola's value
+    to roundoff (quadratic objectives); other rows also run a golden-section
+    search of [-cell, cell] down to xtol, which wins only by more than
+    roundoff. The cell halves after each sweep. Returns the best value
+    seen and the point where it was seen.
+    """
+    def obj(r, ax, t):
+        Q = P[r].copy()
+        Q[:, ax] += t
+        return np.sum(Q * XI[r], axis=-1) - fun(X[r], Q)
+
+    P = P.copy()
+    every = np.arange(len(P))
+    cur = obj(every, 0, 0.0)
+    best, arg = cur.copy(), P.copy()
     for _ in range(sweeps):
-        for ax in range(p.shape[-1]):
-            def f1(t, ax=ax):
-                q = p.copy()
-                q[ax] += t
-                return -float(obj(q))
+        for ax in range(P.shape[-1]):
+            fm, fp = obj(every, ax, -cell), obj(every, ax, cell)
+            den = 2 * cur - fm - fp
+            t = np.clip(0.5 * cell * (fp - fm) / np.where(den > 0, den, np.inf), -cell, cell)
+            ft = obj(every, ax, t)
+            pred = cur + t * (fp - fm) / (2 * cell) - t ** 2 * den / (2 * cell ** 2)
+            exact = (den > 0) & (np.abs(ft - pred) <= 1e-12 * (1 + np.abs(cur)))
+            r = np.flatnonzero(~exact)
+            if r.size:
+                tg, fg = _golden(lambda s: obj(r, ax, s), cell[r], xtol)
+                win = fg > ft[r] + 4e-16 * (1 + np.abs(ft[r]))
+                t[r[win]], ft[r[win]] = tg[win], fg[win]
+            P[:, ax] += t
+            cur = ft
+            up = cur > best
+            best[up], arg[up] = cur[up], P[up]
+        cell = 0.5 * cell
+    return best, arg
 
-            # parabola through (-cell, 0, +cell): exact for quadratic objectives
-            fm, f0, fp = f1(-cell), f1(0.0), f1(cell)
-            den = fm - 2 * f0 + fp
-            if den > 0:
-                t_par = 0.5 * cell * (fm - fp) / den
-                t_par = float(np.clip(t_par, -cell, cell))
-            else:
-                t_par = 0.0
-            res = optimize.minimize_scalar(f1, bounds=(-cell, cell),
-                                           method="bounded",
-                                           options={"xatol": 1e-13})
-            t = t_par if f1(t_par) <= res.fun else float(res.x)
-            p[ax] += t
-            best = max(best, float(obj(p)))
-        cell *= 0.5
-    return best
+
+def _golden(f, half, xtol):
+    """Golden-section max of f on [-half, half] per row, to width xtol."""
+    lo, hi = -half, half
+    a, b = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
+    fa, fb = f(a), f(b)
+    for _ in range(int(np.ceil(np.log(xtol / (2 * half.max())) / np.log(_INVPHI)))):
+        left = fa >= fb
+        hi, lo = np.where(left, b, hi), np.where(left, lo, a)
+        t = np.where(left, hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo))
+        ft = f(t)
+        a, b, fa, fb = (np.where(left, t, b), np.where(left, a, t),
+                        np.where(left, ft, fb), np.where(left, fa, ft))
+    left = fa >= fb
+    return np.where(left, a, b), np.where(left, fa, fb)
 
 
 def lagrangian(H: Hamiltonian, x: np.ndarray, xi: np.ndarray,
@@ -360,96 +419,29 @@ def lagrangian(H: Hamiltonian, x: np.ndarray, xi: np.ndarray,
     grows under radius doubling); raises RadiusError when the maximizer
     sits on the lattice edge without growth.
     """
-    x = np.asarray(x, float)
-    val, _ = _conjugate_scalar(lambda P: H(x, P), np.asarray(xi, float), radius, cap)
-    return min(val, cap)
+    val, _ = _conjugate(H, np.asarray(x, float)[None], np.asarray(xi, float)[None],
+                        radius, cap)
+    return float(val[0])
 
 
 def boundary_conjugate(Bm: BoundaryOperator, x: np.ndarray, xi: np.ndarray,
                        radius: float | None = None, cap: float = CAP) -> float:
     """Reflection cost G(x, xi) = sup_p (xi . p - B(x, p)); cap outside dom G."""
-    x = np.asarray(x, float)
     if radius is None:
         radius = 4.0 * (1.0 + Bm.lip)
-    val, _ = _conjugate_scalar(lambda P: Bm(x, P), np.asarray(xi, float), radius, cap)
-    return min(val, cap)
+    val, _ = _conjugate(Bm, np.asarray(x, float)[None], np.asarray(xi, float)[None],
+                        radius, cap)
+    return float(val[0])
 
 
 def lagrangian_batch(H: Hamiltonian, X: np.ndarray, XI: np.ndarray,
-                     radius: float, cap: float = CAP,
-                     refine_iters: int = 30) -> np.ndarray:
-    """Vectorized L over paired (X, XI) rows; edge maximizers become cap.
+                     radius: float, cap: float = CAP) -> np.ndarray:
+    """Vectorized L over paired (X, XI) rows, under the rule of lagrangian.
 
     Used to build semi-Lagrangian stage-cost tables, where an uncertified
-    finite value would silently corrupt the control problem, so any pair
-    whose maximizer still grows at twice the radius is priced at cap.
+    finite value would silently corrupt the control problem.
     """
-    X = np.asarray(X, float)
-    XI = np.asarray(XI, float)
-    dim = X.shape[-1]
-    n_axis = _grid_axis_count(dim)
-    out = np.empty(X.shape[0])
-    chunk = max(1, int(4e6 // max(n_axis ** dim, 1)))
-    for s in range(0, X.shape[0], chunk):
-        sl = slice(s, min(s + chunk, X.shape[0]))
-        out[sl] = _batch_conjugate(lambda P, xs: H(xs, P), X[sl], XI[sl],
-                                   radius, cap, n_axis, refine_iters)
-    return out
-
-
-def _batch_conjugate(fun, X, XI, radius, cap, n_axis, refine_iters):
-    lat = _lattice(X.shape[-1], radius, n_axis)          # (S, dim)
-    vals = np.einsum("sd,md->ms", lat, XI) - fun(lat[None, :, :], X[:, None, :])
-    # tie-break plateaus toward the lattice center
-    pen = 1e-12 * np.abs(lat).max(axis=-1) / max(radius, 1e-300)
-    k = np.argmax(vals - (1 + np.abs(vals).max(axis=1, keepdims=True)) * pen, axis=1)
-    best = vals[np.arange(len(k)), k]
-    p0 = lat[k]
-    cell = 2 * radius / (n_axis - 1)
-    on_edge = np.any(np.abs(np.abs(p0) - radius) < 0.5 * cell, axis=-1)
-    if np.any(on_edge):
-        # one growth probe at twice the radius decides finite-vs-cap
-        lat2 = _lattice(X.shape[-1], 2 * radius, n_axis)
-        sub = np.flatnonzero(on_edge)
-        v2 = np.einsum("sd,md->ms", lat2, XI[sub]) \
-            - fun(lat2[None, :, :], X[sub, None, :])
-        grow = v2.max(axis=1) > best[sub] + 1e-7 * (1 + np.abs(best[sub]))
-        best[sub[grow]] = cap
-    todo = best < cap
-    if np.any(todo) and refine_iters > 0:
-        best[todo] = np.maximum(
-            best[todo],
-            _batch_refine(lambda P, xs: np.sum(P * XI[todo], axis=-1) - fun(P, xs),
-                          X[todo], p0[todo], cell, refine_iters))
-    return np.minimum(best, cap)
-
-
-def _batch_refine(obj, X, P0, cell, iters):
-    """Vectorized per-axis golden-section polish; returns best value seen."""
-    invphi = (np.sqrt(5.0) - 1) / 2
-    P = P0.copy()
-    best = obj(P, X)
-    for ax in range(P0.shape[-1]):
-        lo = P[:, ax] - cell
-        hi = P[:, ax] + cell
-        a = hi - invphi * (hi - lo)
-        b = lo + invphi * (hi - lo)
-        Pa, Pb = P.copy(), P.copy()
-        Pa[:, ax], Pb[:, ax] = a, b
-        fa, fb = obj(Pa, X), obj(Pb, X)
-        for _ in range(iters):
-            take_a = fa >= fb
-            hi = np.where(take_a, b, hi)
-            lo = np.where(take_a, lo, a)
-            a = hi - invphi * (hi - lo)
-            b = lo + invphi * (hi - lo)
-            Pa[:, ax], Pb[:, ax] = a, b
-            fa, fb = obj(Pa, X), obj(Pb, X)
-        mid = 0.5 * (lo + hi)
-        P[:, ax] = mid
-        Pm = P.copy()
-        best = np.maximum.reduce([best, fa, fb, obj(Pm, X)])
-    return best
+    return _conjugate(H, X, XI, radius, cap)[0]
 
 
 def effective_velocity_bound(H: Hamiltonian, points: np.ndarray, v_cap: float,
@@ -461,17 +453,15 @@ def effective_velocity_bound(H: Hamiltonian, points: np.ndarray, v_cap: float,
     is bisected to 1e-9.
     """
     xs = points[:: max(1, len(points) // 8)]
+    dirs = _directions(H.dim)
+    X = np.repeat(xs, len(dirs), axis=0)
+    D = np.tile(dirs, (len(xs), 1))
 
     def finite(v):
-        for x in xs:
-            for d in _directions(H.dim):
-                try:
-                    val = lagrangian(H, x, v * d, radius=4.0, cap=cap)
-                except RadiusError:
-                    return False
-                if val >= cap:
-                    return False
-        return True
+        try:
+            return bool(np.all(_conjugate(H, X, v * D, 4.0, cap)[0] < cap))
+        except RadiusError:
+            return False
 
     if finite(v_cap):
         return v_cap
@@ -489,52 +479,29 @@ def effective_velocity_bound(H: Hamiltonian, points: np.ndarray, v_cap: float,
 # Moreau regularization and the oblique selection
 # ---------------------------------------------------------------------------
 
-def moreau(Bm: BoundaryOperator, x: np.ndarray, p: np.ndarray, delta: float,
-           n_axis: int = 65):
+def moreau(Bm: BoundaryOperator, x: np.ndarray, p: np.ndarray, delta: float):
     """Moreau envelope of B(x, .) at p: (value, gradient).
 
-    value = min_q B(x, q) + |p - q|^2 / (2 delta), searched over the ball
-    |q - p| <= 1.5 delta M_B that must contain the minimizer; the gradient
-    (p - q*) / delta has norm at most M_B.
+    value = min_q B(x, q) + |p - q|^2 / (2 delta) = |p|^2 / (2 delta)
+    - f*(p / delta) with f = B(x, .) + |.|^2 / (2 delta); the gradient is
+    (p - q*) / delta, q* the maximizer of the conjugate, and has norm at
+    most M_B. The first lattice covers the ball |q - p| <= 1.5 delta M_B
+    that must contain q*.
     """
     if delta <= 0:
         raise NumericalError("moreau needs delta > 0")
     x = np.asarray(x, float)
     p = np.asarray(p, float)
-    dim = p.shape[-1]
-    r = 1.5 * delta * Bm.lip + 1e-9
 
-    def obj(Q):
-        return Bm(x, Q) + np.sum((Q - p) ** 2, axis=-1) / (2 * delta)
+    def f(X, Q):
+        return Bm(X, Q) + np.sum(Q ** 2, axis=-1) / (2 * delta)
 
-    lat = p + _lattice(dim, r, n_axis if dim == 1 else 33)
-    vals = obj(lat)
-    q = lat[int(np.argmin(vals))].astype(float)
-    cell = 2 * r / ((n_axis if dim == 1 else 33) - 1)
-    for _ in range(3):
-        for ax in range(dim):
-            def f1(t, ax=ax):
-                qq = q.copy()
-                qq[ax] += t
-                return float(obj(qq))
-
-            fm, f0, fp = f1(-cell), f1(0.0), f1(cell)
-            den = fm - 2 * f0 + fp
-            t_par = 0.0
-            if den > 0:
-                t_par = float(np.clip(0.5 * cell * (fm - fp) / den, -cell, cell))
-            res = optimize.minimize_scalar(f1, bounds=(-cell, cell),
-                                           method="bounded",
-                                           options={"xatol": 1e-14})
-            t = t_par if f1(t_par) <= res.fun else float(res.x)
-            q[ax] += t
-        cell *= 0.5
-    value = float(obj(q))
-    grad = (p - q) / delta
-    resid = abs(value - float(obj(q)))  # objective is exact at q by construction
-    if not np.isfinite(value):
-        raise NumericalError(f"moreau minimization failed at x={x} (residual {resid:g})")
-    return value, grad
+    radius = float(np.abs(p).max()) + 1.5 * delta * Bm.lip + 1e-9
+    val, q = _conjugate(f, x[None], p[None] / delta, radius, CAP)
+    value = float(p @ p) / (2 * delta) - float(val[0])
+    if not (np.isfinite(value) and val[0] < CAP):
+        raise NumericalError(f"moreau minimization failed at x={x}")
+    return value, (p - q[0]) / delta
 
 
 @dataclass(frozen=True)
@@ -605,10 +572,12 @@ def oblique_selection(Bm: BoundaryOperator, delta: float = 0.05,
         return ObliqueSelection(Bm, delta, psi, gam,
                                 lambda x: -float(Bm(x, np.zeros(Bm.dim))))
 
-    cache: dict[bytes, tuple[np.ndarray, float]] = {}
+    cache: dict[tuple, tuple[np.ndarray, float]] = {}
 
     def entry(x):
-        key = np.asarray(x, float).tobytes()
+        # points that differ by round-off (projected landing points) share
+        # one entry; + 0.0 folds -0.0 into 0.0
+        key = tuple(np.round(np.asarray(x, float), 12) + 0.0)
         if key not in cache:
             ps = psi(x)
             _, grad = moreau(Bm, x, ps, delta)

@@ -24,6 +24,9 @@ from .errors import CFLError, NumericalError, ObliquenessError
 from .geometry import Grid
 from .models import BoundaryOperator, Hamiltonian
 
+# dissipation refreshes evolve() allows before it calls the march unstable
+MAX_REFRESHES = 8
+
 
 @dataclass
 class GridField:
@@ -299,7 +302,12 @@ def evolve(u0: GridField, H: Hamiltonian, Bm: BoundaryOperator, kind: str,
 
     Snapshots are recorded at t = 0, then whenever a multiple of
     record_every is crossed, and at T. The dissipation range is refreshed
-    if discrete slopes outgrow the certified radius.
+    if discrete slopes outgrow the certified radius; when that lowers the
+    CFL bound below dt, a dt chosen here is re-chosen as 0.95 dt_max for
+    the rest of the horizon, and a dt given by the caller raises CFLError.
+    Each refresh at least doubles the radius; slopes that outgrow it more
+    than MAX_REFRESHES times are an unstable march, not a Lipschitz
+    solution, and raise NumericalError.
     """
     if T < 0:
         raise NumericalError("T must be nonnegative")
@@ -309,7 +317,8 @@ def evolve(u0: GridField, H: Hamiltonian, Bm: BoundaryOperator, kind: str,
     if T == 0:
         return SpaceTimeField(grid, np.array([0.0]), u0.values[None, :].copy(),
                               st.dt_max)
-    if dt is None:
+    chosen = dt is None
+    if chosen:
         n = int(np.ceil(T / (0.95 * st.dt_max)))
         dt = T / n
     else:
@@ -323,19 +332,31 @@ def evolve(u0: GridField, H: Hamiltonian, Bm: BoundaryOperator, kind: str,
     snaps = [u.copy()]
     next_mark = record_every
     t = 0.0
-    for k in range(n):
+    k = refreshes = 0
+    while k < n:
         step_dt = min(dt, T - t)
         u = st.step(u, step_dt)
         t += step_dt
-        if st.slope_max(u) > st.radius - 1.0:
-            st = Stepper(grid, H, Bm, kind, grad_bound=2.0 * st.slope_max(u))
+        slope = st.slope_max(u)
+        if slope > st.radius - 1.0:
+            refreshes += 1
+            if refreshes > MAX_REFRESHES:
+                raise NumericalError(
+                    f"discrete slopes keep growing ({slope:.3g} at t={t:g} after "
+                    f"{MAX_REFRESHES} dissipation refreshes): the march is unstable")
+            st = Stepper(grid, H, Bm, kind, grad_bound=2.0 * slope)
             if dt > st.dt_max:
-                raise CFLError(dt, st.dt_max)
+                if not chosen:
+                    raise CFLError(dt, st.dt_max)
+                if k < n - 1:
+                    rest = int(np.ceil((T - t) / (0.95 * st.dt_max)))
+                    dt, n = (T - t) / rest, k + 1 + rest
         if t + 1e-12 >= next_mark or k == n - 1:
             times.append(t)
             snaps.append(u.copy())
             while next_mark <= t + 1e-12:
                 next_mark += record_every
+        k += 1
     return SpaceTimeField(grid, np.array(times), np.stack(snaps), dt)
 
 

@@ -62,18 +62,6 @@ class MonotonicityTrace:
     C: float                     # sup of the normalized gap u - v_shifted
 
 
-def _sweep_orders(grid: Grid):
-    idx = grid.lattice_index
-    if grid.dim == 1:
-        fwd = np.argsort(idx[:, 0], kind="stable")
-        return [fwd, fwd[::-1]]
-    out = []
-    for sx in (1, -1):
-        for sy in (1, -1):
-            out.append(np.lexsort((sy * idx[:, 1], sx * idx[:, 0])))
-    return out
-
-
 def _sweep_to_fixed_point(tables: DPTables, pinned: int, tol: float,
                           max_sweeps: int) -> np.ndarray:
     grid = tables.grid
@@ -88,7 +76,7 @@ def _sweep_to_fixed_point(tables: DPTables, pinned: int, tol: float,
     big = 1e7
     d = np.full(grid.n_nodes, big)
     d[pinned] = 0.0
-    orders = _sweep_orders(grid)
+    orders = grid.sweep_orders()
     bset = {int(k): j for j, k in enumerate(tables.bnd_rows)}
     floor = -10.0 * (1.0 + grid.geom.diameter
                      * float(np.abs(tables.free_stage[np.isfinite(tables.free_stage)]).max())

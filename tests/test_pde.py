@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hj_neumann import geometry as G, models as M, pde as P
-from hj_neumann.errors import CFLError
+from hj_neumann.errors import CFLError, NumericalError
 
 IV = G.interval(0.0, 1.0)
 
@@ -121,6 +121,41 @@ def test_cfl_violation_rejected():
     with pytest.raises(CFLError) as exc:
         P.step_cn(u, M.quadratic(1), M.neumann(IV), dt=1.0)
     assert exc.value.dt_max > 0
+
+
+def test_evolve_rechooses_dt_after_refresh():
+    # slopes of u0 = 4x grow past the radius fixed from u0, and the refreshed
+    # CFL bound falls below the dt chosen from the first one
+    grid = G.build_grid(G.interval(-1.0, 1.0), 0.05)
+    H = M.quadratic(1, "-0.5*x**2")
+    Bn = M.neumann(grid.geom)
+    u0 = P.field_from(grid, lambda x: 4.0 * x[:, 0])
+    first = P.Stepper(grid, H, Bn, "cn", grad_bound=P.discrete_lipschitz(grid, u0.values))
+    dt0 = 1.0 / np.ceil(1.0 / (0.95 * first.dt_max))
+    stf = P.evolve(u0, H, Bn, "cn", T=1.0)
+    assert stf.times[-1] == pytest.approx(1.0, abs=1e-12)
+    assert stf.dt < dt0
+    assert np.all(np.isfinite(stf.values))
+    with pytest.raises(CFLError):
+        P.evolve(u0, H, Bn, "cn", T=1.0, dt=dt0)
+
+
+def test_evolve_oblique_disc_reports_growth_not_cfl():
+    # gamma = n + t/2 on the disc: evolve re-chooses its own dt instead of
+    # raising CFLError; the boundary flux is not monotone there, so the
+    # slopes keep doubling and the march is reported unstable
+    geom = G.disc(0.0, 0.0, 1.0)
+    grid = G.build_grid(geom, 0.1)
+    H = M.quadratic(2, "-0.5*(x**2 + y**2)")
+
+    def gamma(pts):
+        n = geom.unit_normal(pts)
+        return n + 0.5 * np.stack([-n[..., 1], n[..., 0]], axis=-1)
+
+    u0 = P.field_from(grid, lambda x: np.sin(np.pi * x[:, 0]) * np.cos(np.pi * x[:, 1] / 2))
+    with pytest.raises(NumericalError, match="slopes keep growing") as exc:
+        P.evolve(u0, H, M.affine(geom, gamma), "cn", T=10.0)
+    assert not isinstance(exc.value, CFLError)
 
 
 def random_lipschitz_field(grid, rng, lip=1.0):

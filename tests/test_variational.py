@@ -162,3 +162,22 @@ def test_stage_fenchel_young_chain():
         eta_dot = w - l * gam
         rhs = -float(eta_dot @ p) - float(H(xb, p)) - l * float(Bm(xb, p))
         assert lhs >= rhs - 1e-7
+
+
+def test_selection_solved_once_per_boundary_node(monkeypatch):
+    # projected landing points differ from the end points by round-off; the
+    # nonlinear selection memo must still hit
+    calls = []
+    moreau = M.moreau
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return moreau(*args, **kwargs)
+
+    monkeypatch.setattr(M, "moreau", counted)
+    grid = G.build_grid(IV, 0.05)
+    H = M.quadratic(1, "-cos(2*pi*x) - 1")
+    Bm = M.max_affine(IV, [(1.0, 0.2), (2.0, 0.5)])
+    ctl = V.build_control_set(H, Bm, grid, n_velocity=17, v_max=2.5)
+    V.build_tables(grid, H, Bm, ctl, grid.h / ctl.v_max)
+    assert 0 < len(calls) <= grid.boundary_idx.size

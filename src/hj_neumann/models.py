@@ -341,7 +341,9 @@ def _lattice_max(fun, X, XI, radius, n_axis):
     step = max(1, int(2e6 // len(lat)))
     for s in range(0, len(XI), step):
         sl = slice(s, s + step)
-        vals = np.einsum("sd,md->ms", lat, XI[sl])
+        vals = XI[sl, :1] * lat[:, 0]
+        for a in range(1, lat.shape[1]):
+            vals += XI[sl, a:a + 1] * lat[:, a]
         vals -= fun(X[sl, None, :], lat[None, :, :])
         r = np.arange(vals.shape[0])
         top = vals.max(axis=1, keepdims=True)

@@ -66,7 +66,8 @@ class SpaceTimeField:
     def at_time(self, t: float, tol: float | None = None) -> np.ndarray:
         k = int(np.argmin(np.abs(self.times - t)))
         gap = abs(self.times[k] - t)
-        lim = tol if tol is not None else 0.51 * float(np.min(np.diff(self.times)))
+        spacing = np.diff(self.times).min() if self.times.size > 1 else self.dt
+        lim = tol if tol is not None else 0.51 * float(spacing)
         if gap > lim:
             raise NumericalError(f"no snapshot near t={t:g} (closest {self.times[k]:g})")
         return self.values[k]

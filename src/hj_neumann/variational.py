@@ -10,8 +10,9 @@ the contact cost). Interpolation is multilinear with nonnegative weights,
 so one step is monotone and nonexpansive in the value array exactly.
 
 Stage costs and interpolation stencils are independent of the value being
-iterated; they are precomputed once into tables that the time-marching
-values here and the stationary sweeps of the weak-KAM module share.
+iterated; they are precomputed once into tables (stencils as sparse
+operators) whose DP step the time-marching values here and the stationary
+value iteration of the weak-KAM module share.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .errors import NumericalError
 from .geometry import Grid, project_to_closure
@@ -69,8 +71,8 @@ def build_control_set(H: Hamiltonian, Bm: BoundaryOperator, grid: Grid,
     return ControlSet(vel, ladder, sel, float(v_max))
 
 
-def _interp_weights(grid: Grid, pts: np.ndarray):
-    """Multilinear weights on the lattice cells (K = 2^dim corners).
+def _interp_weights(grid: Grid, pts: np.ndarray) -> sparse.csr_matrix:
+    """Multilinear interpolation operator, one row per point (K = 2^dim corners).
 
     Snapped boundary nodes are addressed at their original lattice slots;
     missing corners get their weight redistributed over the present ones,
@@ -105,7 +107,10 @@ def _interp_weights(grid: Grid, pts: np.ndarray):
             wgt[m, 0] = 1.0
         else:
             wgt[m] /= tot
-    return idx, wgt
+    op = sparse.csr_matrix((wgt.ravel(), idx.ravel(), np.arange(0, idx.size + 1, K)),
+                           shape=(pts.shape[0], grid.n_nodes))
+    op.eliminate_zeros()
+    return op
 
 
 def _land_and_cost(grid: Grid, sel: ObliqueSelection, pts: np.ndarray,
@@ -126,27 +131,33 @@ def _land_and_cost(grid: Grid, sel: ObliqueSelection, pts: np.ndarray,
 
 @dataclass
 class DPTables:
-    """Stage costs and interpolation stencils for one (grid, H, B, controls, dt)."""
+    """Stage costs and interpolation stencils for one (grid, H, B, controls, dt).
+
+    Operator row n*C + c interpolates at the landing point of control c
+    from node n; values of u (N,) or (N, S) come out as (n, C) or (n, C, S).
+    """
 
     grid: Grid
     controls: ControlSet
     dt: float
     free_stage: np.ndarray     # (N, Cv)
-    free_idx: np.ndarray       # (N, Cv, K)
-    free_wgt: np.ndarray
+    free_op: sparse.csr_matrix  # (N*Cv, N)
     bnd_rows: np.ndarray       # boundary node ids (Nb,)
     bnd_stage: np.ndarray      # (Nb, Cb)
-    bnd_idx: np.ndarray        # (Nb, Cb, K)
-    bnd_wgt: np.ndarray
+    bnd_op: sparse.csr_matrix  # (Nb*Cb, N)
     bnd_l: np.ndarray          # (Cb,) intensity of each boundary control
 
     def free_values(self, u: np.ndarray) -> np.ndarray:
-        land = np.einsum("nck,nck->nc", self.free_wgt, u[self.free_idx])
-        return self.free_stage + land
+        return _stage_plus(self.free_stage, self.free_op @ u)
 
     def boundary_values(self, u: np.ndarray) -> np.ndarray:
-        land = np.einsum("nck,nck->nc", self.bnd_wgt, u[self.bnd_idx])
-        return self.bnd_stage + land
+        return _stage_plus(self.bnd_stage, self.bnd_op @ u)
+
+
+def _stage_plus(stage: np.ndarray, land: np.ndarray) -> np.ndarray:
+    """stage (n, C) plus landing values (n*C,) or (n*C, S), reshaped to match."""
+    land = land.reshape(stage.shape + land.shape[1:])
+    return stage.reshape(stage.shape + (1,) * (land.ndim - 2)) + land
 
 
 def build_tables(grid: Grid, H: Hamiltonian, Bm: BoundaryOperator,
@@ -173,11 +184,9 @@ def build_tables(grid: Grid, H: Hamiltonian, Bm: BoundaryOperator,
 
     pts = (grid.nodes[:, None, :] + dt * W[None, :, :]).reshape(-1, grid.dim)
     pts, corr = _land_and_cost(grid, sel, pts, dt)
-    idx, wgt = _interp_weights(grid, pts)
+    free_op = _interp_weights(grid, pts)
     free_stage = dt * L + corr.reshape(N, Cv)
     free_stage[L >= STAGE_CAP] = np.inf
-    free_idx = idx.reshape(N, Cv, -1)
-    free_wgt = wgt.reshape(N, Cv, -1)
 
     rows = grid.boundary_idx
     Nb = rows.size
@@ -207,45 +216,20 @@ def build_tables(grid: Grid, H: Hamiltonian, Bm: BoundaryOperator,
             if Nb else np.zeros(0)
         bnd_pts[:, s0 + Cv] = grid.nodes[rows]
         bnd_stage[:, s0 + Cv] = dt * (Lp + lj * g_b)
-    if Nb:
-        flat = bnd_pts.reshape(-1, grid.dim)
-        flat, corr_b = _land_and_cost(grid, sel, flat, dt)
-        bidx, bwgt = _interp_weights(grid, flat)
-        bnd_stage = bnd_stage + corr_b.reshape(Nb, Cb)
-        bnd_stage[~np.isfinite(bnd_stage)] = np.inf
-        bnd_idx = bidx.reshape(Nb, Cb, -1)
-        bnd_wgt = bwgt.reshape(Nb, Cb, -1)
-    else:
-        bnd_idx = np.zeros((0, Cb, 2 ** grid.dim), dtype=np.int64)
-        bnd_wgt = np.zeros((0, Cb, 2 ** grid.dim))
+    flat, corr_b = _land_and_cost(grid, sel, bnd_pts.reshape(-1, grid.dim), dt)
+    bnd_op = _interp_weights(grid, flat)
+    bnd_stage = bnd_stage + corr_b.reshape(Nb, Cb)
+    bnd_stage[~np.isfinite(bnd_stage)] = np.inf
 
     if np.any(~np.isfinite(free_stage).any(axis=1)):
         raise NumericalError("a node has no admissible control; enlarge the "
                              "velocity lattice or reduce dt")
-    return DPTables(grid, controls, dt, free_stage, free_idx, free_wgt,
-                    rows, bnd_stage, bnd_idx, bnd_wgt, bnd_l)
-
-
-@dataclass
-class ValueTable:
-    """Stack of control-representation values on the time grid."""
-
-    grid: Grid
-    times: np.ndarray
-    values: np.ndarray        # (n_t, N)
-    dt: float
-    kind: str
-
-    def at_time(self, t: float, tol: float | None = None) -> np.ndarray:
-        k = int(np.argmin(np.abs(self.times - t)))
-        lim = tol if tol is not None else 0.51 * self.dt
-        if abs(self.times[k] - t) > lim:
-            raise NumericalError(f"no value slice near t={t:g}")
-        return self.values[k]
+    return DPTables(grid, controls, dt, free_stage, free_op, rows, bnd_stage,
+                    bnd_op, bnd_l)
 
 
 def dp_step_cn(u: np.ndarray, tables: DPTables) -> np.ndarray:
-    """One backward-horizon step of the Neumann value recursion."""
+    """One backward-horizon step of the Neumann recursion on u (N,) or (N, S)."""
     vals = tables.free_values(u)
     out = vals.min(axis=1)
     if tables.bnd_rows.size:
@@ -270,20 +254,20 @@ def dp_step_dbc(slices: list[np.ndarray], tables: DPTables) -> np.ndarray:
         k0 = np.clip(np.floor(back).astype(int), 0, len(slices) - 1)
         k1 = np.clip(k0 + 1, 0, len(slices) - 1)
         a = np.clip(back - k0, 0.0, 1.0)
-        stack = np.stack(slices, axis=0)
-        best = np.full(tables.bnd_rows.size, np.inf)
-        for c in range(tables.bnd_l.size):
-            uc = (1 - a[c]) * stack[k0[c]] + a[c] * stack[k1[c]]
-            land = np.einsum("nk,nk->n", tables.bnd_wgt[:, c],
-                             uc[tables.bnd_idx[:, c]])
-            best = np.minimum(best, tables.bnd_stage[:, c] + land)
+        # space-interpolate only the slices reached, then lerp per control
+        lo = int(k0.min())
+        land = (tables.bnd_op @ np.stack(slices[lo:], axis=1)).reshape(
+            tables.bnd_stage.shape + (-1,))
+        c = np.arange(tables.bnd_l.size)
+        lerp = (1 - a) * land[:, c, k0 - lo] + a * land[:, c, k1 - lo]
+        best = (tables.bnd_stage + lerp).min(axis=1)
         out[tables.bnd_rows] = np.minimum(out[tables.bnd_rows], best)
     return out
 
 
 def value(u0: GridField, H: Hamiltonian, Bm: BoundaryOperator, kind: str,
           T: float, dt: float | None = None,
-          controls: ControlSet | None = None) -> ValueTable:
+          controls: ControlSet | None = None) -> SpaceTimeField:
     """Control-representation value up to horizon T.
 
     Monotone and nonexpansive in u0 slice by slice. Requires a convex
@@ -308,7 +292,7 @@ def value(u0: GridField, H: Hamiltonian, Bm: BoundaryOperator, kind: str,
         else:
             slices.append(dp_step_dbc(slices, tables))
     times = dt * np.arange(n + 1)
-    return ValueTable(grid, times, np.stack(slices), dt, kind)
+    return SpaceTimeField(grid, times, np.stack(slices), dt)
 
 
 @dataclass
@@ -325,7 +309,7 @@ class CrosscheckReport:
                 for t, e in zip(self.times, self.sup_errors)]
 
 
-def crosscheck(table: ValueTable, evolution: SpaceTimeField,
+def crosscheck(table: SpaceTimeField, evolution: SpaceTimeField,
                times=None) -> CrosscheckReport:
     """Per-stamp sup distance between the control value and the marched field."""
     if table.grid is not evolution.grid:

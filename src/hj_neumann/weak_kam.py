@@ -2,11 +2,12 @@
 
 All quantities here presume models normalized so the additive eigenvalue is
 zero (stage costs of admissible loops are then nonnegative); a divergent
-sweep signals a missed normalization.
+iteration signals a missed normalization.
 
-The intrinsic distance d(., y) is the Gauss-Seidel fast-sweeping fixed
-point of the same control recursion the value module iterates in time,
-with d(y) pinned to zero: the discrete maximal subsolution vanishing at y.
+The intrinsic distance d(., y) is the fixed point of the same control
+recursion the value module iterates in time, with d(y) pinned to zero: the
+discrete maximal subsolution vanishing at y. It is reached by monotone
+value iteration of that module's DP step, on a batch of sources at once.
 A point y belongs to the Aubry mask when d(., y) also satisfies the
 recursion AT y within tolerance, i.e. pinning was not an active
 constraint. The asymptotic profile is the two-stage minimization of
@@ -36,8 +37,10 @@ class ActionMatrix:
     tables: DPTables
 
     def column(self, y: int) -> np.ndarray:
-        j = int(np.flatnonzero(self.sources == y)[0])
-        return self.d[:, j]
+        j = np.flatnonzero(self.sources == y)
+        if j.size == 0:
+            raise NumericalError(f"node {y} is not a source of the action matrix")
+        return self.d[:, j[0]]
 
 
 @dataclass
@@ -62,8 +65,16 @@ class MonotonicityTrace:
     C: float                     # sup of the normalized gap u - v_shifted
 
 
-def _sweep_to_fixed_point(tables: DPTables, pinned: int, tol: float,
-                          max_sweeps: int) -> np.ndarray:
+def _chunks(tables: DPTables, S: int) -> list[slice]:
+    """Column slices of an (N, S) stack so that each DP product holds ~2e6 entries."""
+    step = max(1, int(2e6 // max(tables.free_stage.size, tables.bnd_stage.size)))
+    return [slice(s, s + step) for s in range(0, S, step)]
+
+
+def _distances(tables: DPTables, sources: np.ndarray, tol: float,
+               max_sweeps: int) -> np.ndarray:
+    """Columns d(., y), y in sources: monotone value iteration d <- min(d, T d)
+    from big with d(y) = 0, until max (d - T d)/dt <= tol off the pins."""
     grid = tables.grid
     # a negative stay-put stage means inf_p H(x, p) > 0 somewhere: the
     # eigenvalue is positive and the fixed point is -infinity
@@ -74,56 +85,55 @@ def _sweep_to_fixed_point(tables: DPTables, pinned: int, tol: float,
             "zero-velocity stage cost is negative at some node: the models "
             "are not normalized to eigenvalue zero; re-run the ergodic solver")
     big = 1e7
-    d = np.full(grid.n_nodes, big)
-    d[pinned] = 0.0
-    orders = grid.sweep_orders()
-    bset = {int(k): j for j, k in enumerate(tables.bnd_rows)}
     floor = -10.0 * (1.0 + grid.geom.diameter
                      * float(np.abs(tables.free_stage[np.isfinite(tables.free_stage)]).max())
                      / tables.dt)
-    for it in range(max_sweeps):
-        change = 0.0
-        for i in orders[it % len(orders)]:
-            i = int(i)
-            if i == pinned:
-                continue
-            land = np.einsum("ck,ck->c", tables.free_wgt[i], d[tables.free_idx[i]])
-            cand = float(np.min(tables.free_stage[i] + land))
-            if i in bset:
-                j = bset[i]
-                lb = np.einsum("ck,ck->c", tables.bnd_wgt[j], d[tables.bnd_idx[j]])
-                cand = min(cand, float(np.min(tables.bnd_stage[j] + lb)))
-            if cand < d[i] - 1e-15:
-                change = max(change, d[i] - cand)
-                d[i] = cand
-        if np.min(d) < floor:
-            raise NormalizationError(
-                "distance sweep diverges to -inf: the models are not "
-                "normalized to eigenvalue zero; re-run the ergodic solver")
-        if change <= tol and np.max(d) < big:
-            return d
-    raise NumericalError(f"fast sweeping did not settle in {max_sweeps} sweeps")
+    out = np.empty((grid.n_nodes, sources.size))
+    for sl in _chunks(tables, sources.size):
+        pins = (sources[sl], np.arange(sources[sl].size))
+        d = np.full((grid.n_nodes, pins[1].size), big)
+        d[pins] = 0.0
+        for _ in range(max_sweeps):
+            Td = np.minimum(d, dp_step_cn(d, tables))
+            Td[pins] = 0.0
+            if np.min(Td) < floor:
+                raise NormalizationError(
+                    "distance iteration diverges to -inf: the models are not "
+                    "normalized to eigenvalue zero; re-run the ergodic solver")
+            if np.max(d - Td) <= tol * tables.dt and np.max(d) < big:
+                break
+            d = Td
+        else:
+            raise NumericalError(
+                f"value iteration did not settle in {max_sweeps} steps")
+        out[:, sl] = d
+    return out
 
 
 def distance_from(grid: Grid, H: Hamiltonian, Bm: BoundaryOperator, y: int,
                   controls: ControlSet | None = None, dt: float | None = None,
                   tables: DPTables | None = None, tol: float | None = None,
                   max_sweeps: int = 2000) -> GridField:
-    """Distance column d(., y): maximal discrete subsolution vanishing at y."""
+    """Distance column d(., y): maximal discrete subsolution vanishing at y.
+
+    Stops once the `dp_residual` (d - T d)/dt is <= tol (default h^2) away
+    from y; max_sweeps caps the value-iteration steps.
+    """
     tables = tables if tables is not None else distance_tables(grid, H, Bm, controls, dt)
     tol = grid.h ** 2 if tol is None else tol
-    return GridField(grid, _sweep_to_fixed_point(tables, int(y), tol, max_sweeps))
+    return GridField(grid, _distances(tables, np.array([int(y)]), tol, max_sweeps)[:, 0])
 
 
 def distance_to(grid: Grid, H: Hamiltonian, Bm: BoundaryOperator, x: int,
                 controls: ControlSet | None = None, dt: float | None = None,
                 tables: DPTables | None = None, tol: float | None = None,
                 max_sweeps: int = 2000) -> GridField:
-    """Distance row d(x, .): sweeps the time-reversed tables."""
+    """Distance row d(x, .): `distance_from` on the time-reversed tables,
+    with tol in the same `dp_residual` units."""
     tables = tables if tables is not None else distance_tables(grid, H, Bm, controls,
                                                                dt, reverse=True)
     tol = grid.h ** 2 if tol is None else tol
-    return GridField(grid, _sweep_to_fixed_point(tables, int(x), tol, max_sweeps))
+    return GridField(grid, _distances(tables, np.array([int(x)]), tol, max_sweeps)[:, 0])
 
 
 def distance_tables(grid: Grid, H: Hamiltonian, Bm: BoundaryOperator,
@@ -153,9 +163,8 @@ def action_matrix(grid: Grid, H: Hamiltonian, Bm: BoundaryOperator,
         sources = np.arange(grid.n_nodes)
     sources = np.asarray(sources, dtype=np.int64)
     tables = distance_tables(grid, H, Bm, controls, dt)
-    cols = [_sweep_to_fixed_point(tables, int(y), grid.h ** 2, 2000)
-            for y in sources]
-    return ActionMatrix(grid, sources, np.stack(cols, axis=1), tables)
+    return ActionMatrix(grid, sources, _distances(tables, sources, grid.h ** 2, 2000),
+                        tables)
 
 
 def dp_residual(tables: DPTables, u: np.ndarray) -> np.ndarray:
@@ -167,7 +176,7 @@ def aubry_set(action: ActionMatrix, aubry_tol: float | None = None) -> AubryMask
     """Sources where pinning was inactive: d(., y) solves the recursion at y.
 
     residual_margin = (d(y,y) - DP right-hand side at y) / dt, a
-    supersolution residual in equation units: <= 0 up to sweep tolerance
+    supersolution residual in equation units: <= 0 up to iteration tolerance
     everywhere, == 0 on the discrete Aubry set. The default tolerance
     5*(h + dt) tracks the discretization inflation of the exact set.
     """
@@ -176,9 +185,9 @@ def aubry_set(action: ActionMatrix, aubry_tol: float | None = None) -> AubryMask
     if aubry_tol is None:
         aubry_tol = 5.0 * (grid.h + tables.dt)
     margins = np.empty(action.sources.size)
-    for j, y in enumerate(action.sources):
-        stepped = dp_step_cn(action.d[:, j], tables)
-        margins[j] = -float(stepped[int(y)]) / tables.dt   # d(y,y) = 0
+    for sl in _chunks(tables, action.sources.size):
+        stepped = dp_step_cn(action.d[:, sl], tables)
+        margins[sl] = -np.diag(stepped[action.sources[sl]]) / tables.dt   # d(y,y) = 0
     mask = margins >= -aubry_tol
     if not np.any(mask):
         raise NumericalError("empty Aubry mask: the eigenvalue normalization "
@@ -191,14 +200,16 @@ def asymptotic_profile(u0: GridField, action: ActionMatrix,
     """Large-time profile: two nested minimizations through the Aubry mask.
 
     u0_minus(y) = min_z d(y, z) + u0(z) needs distance rows at the mask
-    nodes; with the full action matrix these are just its rows.
+    nodes; with the full action matrix these are just its rows. The sources
+    may come in any order.
     """
-    if action.d.shape[1] != action.grid.n_nodes:
-        raise NumericalError("asymptotic_profile needs the full action matrix")
+    if not np.array_equal(np.sort(action.sources), np.arange(action.grid.n_nodes)):
+        raise NumericalError("asymptotic_profile needs every node once as a source")
+    D = action.d[:, np.argsort(action.sources)]     # D[:, y] = d(., y)
     sel = mask.nodes
-    rows = action.d[sel, :]                          # d(y, z), y in mask
+    rows = D[sel, :]                                 # d(y, z), y in mask
     u0_minus = (rows + u0.values[None, :]).min(axis=1)
-    cols = action.d[:, np.searchsorted(action.sources, sel)]
+    cols = D[:, sel]
     prof = (cols + u0_minus[None, :]).min(axis=1)
     return GridField(action.grid, prof)
 

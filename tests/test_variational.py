@@ -87,7 +87,7 @@ def test_crosscheck_identical_inputs_zero():
     u0 = P.field_from(grid, lambda x: np.sin(3 * x[:, 0]))
     stf = P.evolve(u0, M.quadratic(1), M.neumann(IV), "cn", T=0.2,
                    record_every=0.1)
-    tab = V.ValueTable(grid, stf.times, stf.values, float(stf.dt), "cn")
+    tab = P.SpaceTimeField(grid, stf.times, stf.values, float(stf.dt))
     rep = V.crosscheck(tab, stf)
     assert rep.sup_errors.max() == 0.0
 
@@ -97,8 +97,9 @@ def test_crosscheck_misaligned_stamps_error():
     u0 = P.constant_field(grid, 0.0)
     stf = P.evolve(u0, M.quadratic(1), M.neumann(IV), "cn", T=0.2,
                    record_every=0.1)
-    tab = V.ValueTable(grid, np.array([0.0371]), np.zeros((1, grid.n_nodes)),
-                       0.0002, "cn")
+    tab = P.SpaceTimeField(grid, np.array([0.0371]), np.zeros((1, grid.n_nodes)),
+                           0.0002)
+    assert np.array_equal(tab.at_time(0.0372), tab.values[0])   # one stamp: 0.51 dt
     with pytest.raises(NumericalError):
         V.crosscheck(tab, stf)
 
@@ -181,3 +182,44 @@ def test_selection_solved_once_per_boundary_node(monkeypatch):
     ctl = V.build_control_set(H, Bm, grid, n_velocity=17, v_max=2.5)
     V.build_tables(grid, H, Bm, ctl, grid.h / ctl.v_max)
     assert 0 < len(calls) <= grid.boundary_idx.size
+
+
+def _dbc_per_control(slices, tables):
+    # the boundary recursion one control at a time: time interpolation
+    # first, then the spatial stencil rows of that control
+    Cb = tables.bnd_l.size
+    n = len(slices)
+    back = n - (1.0 + tables.bnd_l)
+    k0 = np.clip(np.floor(back).astype(int), 0, n - 1)
+    k1 = np.minimum(k0 + 1, n - 1)
+    a = np.clip(back - k0, 0.0, 1.0)
+    best = np.full(tables.bnd_rows.size, np.inf)
+    for c in range(Cb):
+        uc = (1 - a[c]) * slices[k0[c]] + a[c] * slices[k1[c]]
+        best = np.minimum(best, tables.bnd_stage[:, c] + tables.bnd_op[c::Cb] @ uc)
+    out = tables.free_values(slices[-1]).min(axis=1)
+    out[tables.bnd_rows] = np.minimum(out[tables.bnd_rows], best)
+    return out
+
+
+def test_dp_steps_match_column_and_control_references():
+    # a stack of columns steps exactly as its columns one at a time
+    grid = G.build_grid(IV, 0.05)
+    H = M.quadratic(1)
+    Bm = M.max_affine(IV, [(1.0, 0.5), (2.0, 2.0)])
+    ctrl = V.build_control_set(H, Bm, grid)
+    tables = V.build_tables(grid, H, Bm, ctrl, dt=grid.h / ctrl.v_max)
+    U = np.random.default_rng(7).uniform(-1, 1, (grid.n_nodes, 5))
+    stacked = V.dp_step_cn(U, tables)
+    for s in range(U.shape[1]):
+        assert np.array_equal(stacked[:, s], V.dp_step_cn(U[:, s], tables))
+    # the slow-clock step equals the per-control loop on the affine fixture
+    grid = G.build_grid(IV, 0.01)
+    H, Ba = M.quadratic(1), M.affine(IV, g=-0.3)
+    ctrl = V.build_control_set(H, Ba, grid)
+    tables = V.build_tables(grid, H, Ba, ctrl, dt=grid.h / ctrl.v_max)
+    slices = [0.5 - np.abs(grid.nodes[:, 0] - 0.5)]
+    for _ in range(60):
+        ref = _dbc_per_control(slices, tables)
+        slices.append(V.dp_step_dbc(slices, tables))
+        assert np.abs(slices[-1] - ref).max() <= 1e-14

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from hj_neumann import ergodic as E, geometry as G, models as M, pde as P
 from hj_neumann import variational as V, weak_kam as W
-from hj_neumann.errors import NormalizationError
+from hj_neumann.errors import NormalizationError, NumericalError
 
 IV = G.interval(0.0, 1.0)
 
@@ -108,6 +108,63 @@ def test_asymptotic_profile_solves_stationary_recursion():
     resid = W.dp_residual(act.tables, prof.values)
     assert resid.max() <= grid.h               # subsolution side
     assert resid.min() >= -5 * (grid.h + act.tables.dt)
+
+
+def test_asymptotic_profile_independent_of_source_order():
+    grid, H, Bm, ctrl = cosine_setup(0.05, nv=33)
+    N = grid.n_nodes
+    u0 = P.field_from(grid, lambda x: x[:, 0])
+    act = W.action_matrix(grid, H, Bm, controls=ctrl)
+    ref = W.asymptotic_profile(u0, act, W.aubry_set(act))
+    for perm in (np.random.default_rng(0).permutation(N), np.arange(N)[::-1]):
+        a = W.action_matrix(grid, H, Bm, controls=ctrl, sources=perm)
+        prof = W.asymptotic_profile(u0, a, W.aubry_set(a))
+        assert np.abs(prof.values - ref.values).max() <= 1e-12
+    part = W.action_matrix(grid, H, Bm, controls=ctrl, sources=np.arange(N - 1))
+    with pytest.raises(NumericalError):
+        part.column(N - 1)
+    with pytest.raises(NumericalError):
+        W.asymptotic_profile(u0, part, W.aubry_set(part))
+
+
+def gauss_seidel_distance(tables, pinned, tol, max_sweeps=20000):
+    # per-node Gauss-Seidel fast sweeping, the distance engine that value
+    # iteration replaced; a reference for the fixed point
+    grid = tables.grid
+    Cv, Cb = tables.free_stage.shape[1], tables.bnd_stage.shape[1]
+    free = [tables.free_op[i * Cv:(i + 1) * Cv] for i in range(grid.n_nodes)]
+    bnd = {int(k): (tables.bnd_stage[j], tables.bnd_op[j * Cb:(j + 1) * Cb])
+           for j, k in enumerate(tables.bnd_rows)}
+    d = np.full(grid.n_nodes, 1e7)
+    d[pinned] = 0.0
+    orders = grid.sweep_orders()
+    for it in range(max_sweeps):
+        change = 0.0
+        for i in orders[it % len(orders)]:
+            if i == pinned:
+                continue
+            cand = np.min(tables.free_stage[i] + free[i] @ d)
+            if i in bnd:
+                cand = min(cand, np.min(bnd[i][0] + bnd[i][1] @ d))
+            if cand < d[i] - 1e-15:
+                change = max(change, d[i] - cand)
+                d[i] = cand
+        if change <= tol and d.max() < 1e7:
+            return d
+    raise AssertionError("reference sweep did not settle")
+
+
+def test_value_iteration_matches_gauss_seidel_reference():
+    grid = G.build_grid(IV, 0.05)
+    H = M.quadratic(1, potential=COSINE)
+    Bm = M.max_affine(IV, [(1.0, 0.2), (2.0, 0.5)])
+    ctrl = V.build_control_set(H, Bm, grid, n_velocity=17, v_max=2.5)
+    for reverse, dist in ((False, W.distance_from), (True, W.distance_to)):
+        tables = W.distance_tables(grid, H, Bm, controls=ctrl, reverse=reverse)
+        for y in (0, grid.centroid_node(), grid.n_nodes - 1):
+            d = dist(grid, H, Bm, y, tables=tables, tol=1e-12)
+            ref = gauss_seidel_distance(tables, y, 1e-12)
+            assert np.abs(d.values - ref).max() <= 1e-9
 
 
 def test_liminf_spot_check():

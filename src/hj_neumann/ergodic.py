@@ -141,10 +141,7 @@ class _GaussSeidel:
 
     def _lam(self, x, qt, n):
         from .pde import _ghost_solve_many
-        bracket = abs(float(self.st.Bm(x, qt))) / max(self.st.Bm.theta, 1e-9) + 1.0
-        lam = _ghost_solve_many(self.st.Bm, x[None, :], qt[None, :], n[None, :],
-                                bracket, tol=1e-12)
-        return float(lam[0])
+        return float(_ghost_solve_many(self.st.Bm, x[None], qt[None], n[None], 1e-12)[0])
 
     def _solve_dbc_boundary(self, u, i):
         st, eps = self.st, self.eps

@@ -88,7 +88,12 @@ class Hamiltonian:
 
 @dataclass(frozen=True)
 class BoundaryOperator:
-    """Boundary operator B(x, p) with obliqueness theta and Lipschitz bound M_B."""
+    """Boundary operator B(x, p) with obliqueness theta and Lipschitz bound M_B.
+
+    forms holds the affine pieces ((gamma_k, g_k), ...) of a catalog model,
+    B = max_k (gamma_k(x) . p - g_k(x)), as callables on point arrays; it is
+    None for custom models.
+    """
 
     name: str
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -98,6 +103,7 @@ class BoundaryOperator:
     convex: bool
     params: dict = field(default_factory=dict)
     geom: DomainGeometry | None = None
+    forms: tuple | None = None
 
     def __call__(self, x: np.ndarray, p: np.ndarray) -> np.ndarray:
         return self.fn(np.asarray(x, float), np.asarray(p, float))
@@ -157,45 +163,35 @@ def shift_hamiltonian(H: Hamiltonian, c: float) -> Hamiltonian:
 
 def neumann(geom: DomainGeometry) -> BoundaryOperator:
     """Homogeneous Neumann condition B(x, p) = p . n(x)."""
-
-    def fn(x, p):
-        n = geom.unit_normal(x)
-        return np.sum(np.asarray(p, float) * n, axis=-1)
-
-    theta = estimate_obliqueness(geom, geom.unit_normal)
-    return BoundaryOperator("neumann", fn, geom.dim, theta, 1.0, True, {}, geom)
+    return _affine_forms("neumann", geom, [(None, 0.0)], {}, lip=1.0)
 
 
 def affine(geom: DomainGeometry, gamma: Callable | np.ndarray | None = None,
            g: Callable | str | float = 0.0) -> BoundaryOperator:
     """Linear oblique condition B(x, p) = gamma(x) . p - g(x)."""
-    gam = _as_direction(gamma, geom)
     gfun = _as_field(g, geom.dim)
-
-    def fn(x, p):
-        return np.sum(np.asarray(p, float) * gam(x), axis=-1) - gfun(x)
-
-    theta = estimate_obliqueness(geom, gam)
-    lip = float(np.linalg.norm(gam(_boundary_samples(geom)), axis=-1).max())
-    return BoundaryOperator("affine", fn, geom.dim, theta, lip, True,
-                            {"g": getattr(gfun, "expr", g)}, geom)
+    return _affine_forms("affine", geom, [(gamma, gfun)],
+                         {"g": getattr(gfun, "expr", g)})
 
 
 def max_affine(geom: DomainGeometry, forms) -> BoundaryOperator:
     """Control-type condition B(x, p) = max_k (gamma_k(x) . p - g_k(x))."""
-    gams = [_as_direction(gm, geom) for gm, _ in forms]
-    gs = [_as_field(gv, geom.dim) for _, gv in forms]
+    return _affine_forms("max_affine", geom, forms, {"n_forms": len(forms)})
+
+
+def _affine_forms(name, geom, forms, params, lip=None) -> BoundaryOperator:
+    """max_k (gamma_k . p - g_k) kept as forms; M_B defaults to max |gamma_k|."""
+    forms = tuple((_as_direction(gm, geom), _as_field(gv, geom.dim)) for gm, gv in forms)
+    theta = min(estimate_obliqueness(geom, gm) for gm, _ in forms)
+    if lip is None:
+        bpts = _boundary_samples(geom)
+        lip = max(float(np.linalg.norm(gm(bpts), axis=-1).max()) for gm, _ in forms)
 
     def fn(x, p):
-        p = np.asarray(p, float)
-        vals = [np.sum(p * gm(x), axis=-1) - gf(x) for gm, gf in zip(gams, gs)]
-        return np.max(np.stack(vals, axis=0), axis=0)
+        vals = [np.sum(p * gm(x), axis=-1) - gf(x) for gm, gf in forms]
+        return vals[0] if len(vals) == 1 else np.max(np.stack(vals, axis=0), axis=0)
 
-    theta = min(estimate_obliqueness(geom, gm) for gm in gams)
-    bpts = _boundary_samples(geom)
-    lip = max(float(np.linalg.norm(gm(bpts), axis=-1).max()) for gm in gams)
-    return BoundaryOperator("max_affine", fn, geom.dim, theta, lip, True,
-                            {"n_forms": len(forms)}, geom)
+    return BoundaryOperator(name, fn, geom.dim, theta, lip, True, params, geom, forms)
 
 
 def custom_boundary(geom: DomainGeometry, fn, theta: float, lip: float,
@@ -206,10 +202,12 @@ def custom_boundary(geom: DomainGeometry, fn, theta: float, lip: float,
 def shift_boundary(Bm: BoundaryOperator, c: float) -> BoundaryOperator:
     if c == 0.0:
         return Bm
+    forms = None if Bm.forms is None else tuple(
+        (gm, lambda x, gf=gf: gf(x) + c) for gm, gf in Bm.forms)
     return BoundaryOperator(Bm.name, lambda x, p: Bm.fn(x, p) - c, Bm.dim,
                             Bm.theta, Bm.lip, Bm.convex,
                             {**Bm.params, "shift": Bm.params.get("shift", 0.0) + c},
-                            Bm.geom)
+                            Bm.geom, forms)
 
 
 def _as_field(v, dim):
@@ -510,9 +508,10 @@ def moreau(Bm: BoundaryOperator, x: np.ndarray, p: np.ndarray, delta: float):
 class ObliqueSelection:
     """Continuous selection (gamma, g) with B(x, p) >= gamma(x).p - g(x).
 
-    gamma comes from the Moreau gradient at psi(x); g is the boundary
-    conjugate G(x, gamma(x)), the smallest admissible offset, which makes
-    linear models reproduce their own (gamma, g) exactly.
+    For a single affine form, B(x, p) = gamma(x) . p - g(x), (gamma, g) is
+    the form itself. Otherwise gamma comes from the Moreau gradient at
+    psi(x) and g is the boundary conjugate G(x, gamma(x)), the smallest
+    admissible offset.
     """
 
     Bm: BoundaryOperator
@@ -525,7 +524,7 @@ class ObliqueSelection:
         return self._gamma_fn(np.asarray(x, float))
 
     def g(self, x: np.ndarray) -> float:
-        return self._g_fn(np.asarray(x, float))
+        return float(self._g_fn(np.asarray(x, float)))
 
     def tightness_gap(self, points: np.ndarray) -> float:
         """Worst B(x, psi) - (gamma.psi - g) over sample points (>= 0, small)."""
@@ -551,28 +550,17 @@ def oblique_selection(Bm: BoundaryOperator, delta: float = 0.05,
                       psi: Callable | None = None) -> ObliqueSelection:
     """Continuous (gamma, g) in the admissible reflection set, near-tight at psi.
 
-    Linear models (neumann / affine) short-circuit to their exact fields;
-    nonlinear ones go through the Moreau gradient with per-point memoization.
+    A boundary with a single affine form (neumann, affine, and their shifts)
+    returns that form, exact and tight at every p. Other boundaries
+    (max_affine, custom) go through the Moreau gradient at psi(x) and the
+    boundary conjugate, memoized per point.
     """
     if psi is None:
         psi = lambda x: np.zeros(np.asarray(x, float).shape)  # noqa: E731
 
-    if Bm.name == "neumann" and Bm.geom is not None:
-        return ObliqueSelection(Bm, delta, psi,
-                                lambda x: Bm.geom.unit_normal(x),
-                                lambda x: 0.0)
-    if Bm.name == "affine" and Bm.geom is not None:
-        eps = 0.5  # exact for linear B, avoids cancellation
-
-        def gam(x):
-            x = np.asarray(x, float)
-            e = np.eye(Bm.dim)
-            return np.array([(Bm(x, eps * e[i]) - Bm(x, -eps * e[i])) / (2 * eps)
-                             for i in range(Bm.dim)])
-
-        # for affine B, g(x) = -B(x, 0) exactly
-        return ObliqueSelection(Bm, delta, psi, gam,
-                                lambda x: -float(Bm(x, np.zeros(Bm.dim))))
+    if Bm.forms is not None and len(Bm.forms) == 1:
+        (gam, gfun), = Bm.forms
+        return ObliqueSelection(Bm, delta, psi, gam, gfun)
 
     cache: dict[tuple, tuple[np.ndarray, float]] = {}
 

@@ -1,17 +1,16 @@
-"""Monotone finite-difference marching for the Neumann and dynamical problems.
+"""Finite-difference marching for the Neumann and dynamical problems.
 
 Interior nodes use the Lax-Friedrichs numerical Hamiltonian on one-sided
 slopes with the exact post-snap stencil gaps. Boundary nodes under the
 Neumann condition reconstruct the inward one-sided gradient, replace its
-normal component by the unique root of the boundary operator along the
-outward normal (strong ghost sense; the root is unique by the obliqueness
-assumption), and add Lax-Friedrichs dissipation along the normal so the
-boundary update stays monotone. Under the dynamical condition the boundary
+normal component by the root of the boundary operator along the outward
+normal (strong ghost sense; unique by obliqueness), and add Lax-Friedrichs
+dissipation along the normal. Under the dynamical condition the boundary
 carries its own explicit update with the inward reconstruction.
 
-All updates are affine in neighbor values with nonnegative coefficients
-whenever the time step respects the returned CFL bound, which is computed
-from the actual stencil gaps.
+The root is closed for the catalog models and bisected for custom ones
+(``_ghost_solve_many``). The CFL bound comes from the actual stencil gaps;
+it does not make the scheme monotone at curved boundaries (ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -94,29 +93,36 @@ def numerical_hamiltonian(H: Hamiltonian, x, p_minus, p_plus, sigma) -> float:
                  - float(np.sum(s * (pp - pm))) * 0.5)
 
 
-def boundary_ghost_solve(Bm: BoundaryOperator, x, tangential_grad,
-                         lambda_bracket: float = 1.0, tol: float = 1e-12) -> float:
-    """Root lambda* of B(x, q_T + lambda n(x)) = 0 along the unit outward normal.
+def _ghost_solve_many(Bm: BoundaryOperator, X, QT, N, tol: float) -> np.ndarray:
+    """Roots lambda of B(x, q_T + lambda n) = 0 for the rows of (X, QT, N).
 
-    The bracket expands geometrically until it straddles the root, which
-    exists and is unique by the obliqueness assumption; expansion beyond
-    2^10 * lambda_bracket reports an obliqueness failure.
+    With forms, lambda = min_k (g_k - gamma_k . q_T) / (gamma_k . n), since
+    each form increases along n; one call of B certifies it to within tol
+    times 1 + |q_T + lambda n|_inf. Custom models bisect from the bracket
+    |B(x, q_T)| / theta + 1, expanded geometrically at most 10 times.
     """
-    x = np.asarray(x, float)
-    qt = np.asarray(tangential_grad, float)
-    n = Bm.geom.unit_normal(x)
-    lam = _ghost_solve_many(Bm, x[None, :], qt[None, :], n[None, :],
-                            lambda_bracket, tol)
-    return float(lam[0])
+    if Bm.forms is not None:
+        lam = np.full(X.shape[0], np.inf)
+        for gm, gf in Bm.forms:
+            gam = gm(X)
+            slope = np.sum(gam * N, axis=-1)
+            if np.any(slope <= 0):
+                raise ObliquenessError(f"boundary form with gamma.n = {slope.min():g} <= 0")
+            lam = np.minimum(lam, (gf(X) - np.sum(gam * QT, axis=-1)) / slope)
+        ghost = QT + lam[:, None] * N
+        res = np.abs(np.asarray(Bm(X, ghost), dtype=float))
+        if not np.all(res <= tol * (1.0 + np.abs(ghost).max(axis=-1))):
+            raise NumericalError(
+                f"closed-form boundary root misses B = 0 by {res.max():.3g}; "
+                "the forms do not match B")
+        return lam
 
-
-def _ghost_solve_many(Bm, X, QT, N, lambda_bracket, tol):
     def bval(lam):
         return np.asarray(Bm(X, QT + lam[:, None] * N), dtype=float)
 
-    m = X.shape[0]
-    lo = np.full(m, -abs(lambda_bracket))
-    hi = np.full(m, +abs(lambda_bracket))
+    bracket = float(np.abs(Bm(X, QT)).max()) / max(Bm.theta, 1e-9) + 1.0
+    lo = np.full(X.shape[0], -bracket)
+    hi = np.full(X.shape[0], +bracket)
     flo, fhi = bval(lo), bval(hi)
     for _ in range(10):
         bad_lo = flo > 0
@@ -129,7 +135,7 @@ def _ghost_solve_many(Bm, X, QT, N, lambda_bracket, tol):
         fhi[bad_hi] = bval(hi)[bad_hi]
     else:
         raise ObliquenessError(
-            "boundary root bracket expansion exceeded 2^10 * lambda_bracket; "
+            "boundary root bracket expansion exceeded 2^10 times the bracket; "
             "the model violates obliqueness numerically")
     for _ in range(90):
         mid = 0.5 * (lo + hi)
@@ -248,8 +254,7 @@ class Stepper:
             if self.kind == "cn":
                 qn = np.sum(q * self.bn, axis=-1)
                 qt = q - qn[:, None] * self.bn
-                bracket = float(np.abs(self.Bm(xb, qt)).max()) / max(self.Bm.theta, 1e-9) + 1.0
-                lam = _ghost_solve_many(self.Bm, xb, qt, self.bn, bracket,
+                lam = _ghost_solve_many(self.Bm, xb, qt, self.bn,
                                         tol=min(1e-12, self.Bm.theta * grid.h ** 2))
                 gstar = qt + lam[:, None] * self.bn
                 phi[self.bidx] = (np.asarray(self.H(xb, gstar), dtype=float)

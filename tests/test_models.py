@@ -154,6 +154,26 @@ def test_selection_duality_pairing():
         assert sel.membership_gap(np.stack([XL, XR])) <= 1e-9
 
 
+def test_selection_of_shifted_single_form_is_the_shifted_form():
+    # B - c = gamma.p - (g + c): the selection must carry the shift in g
+    disc = G.disc(0.0, 0.0, 1.0)
+
+    def tilted(pts):
+        n = disc.unit_normal(pts)
+        return n + 0.5 * np.stack([-n[..., 1], n[..., 0]], axis=-1)
+
+    dgrid = G.build_grid(disc, 0.2)
+    for Bm, pts in ((M.neumann(IV), np.stack([XL, XR])),
+                    (M.affine(IV, g=0.4), np.stack([XL, XR])),
+                    (M.neumann(disc), dgrid.nodes[dgrid.boundary]),
+                    (M.affine(disc, tilted, "0.2*x - 0.1"), dgrid.nodes[dgrid.boundary])):
+        sel = M.oblique_selection(M.shift_boundary(Bm, 0.3))
+        assert sel.membership_gap(pts) <= 1e-12
+        assert sel.tightness_gap(pts) <= 1e-12
+        assert sel.g(pts[0]) == pytest.approx(M.oblique_selection(Bm).g(pts[0]) + 0.3,
+                                              abs=1e-14)
+
+
 # -- Fenchel-Young sweeps -----------------------------------------------------
 
 def test_fenchel_young_sampled():

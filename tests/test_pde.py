@@ -2,11 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hj_neumann import geometry as G, models as M, pde as P
 from hj_neumann.errors import CFLError, NumericalError
 
 IV = G.interval(0.0, 1.0)
+DISC = G.disc(0.0, 0.0, 1.0)
+
+
+def tilted(s):
+    """gamma(x) = n(x) + s t(x) on DISC, t the counterclockwise tangent."""
+    def gamma(pts):
+        n = DISC.unit_normal(pts)
+        return n + s * np.stack([-n[..., 1], n[..., 0]], axis=-1)
+    return gamma
 
 
 def hopf_lax_neumann(grid, u0_vals, t):
@@ -49,21 +59,102 @@ def test_numerical_hamiltonian_monotone_sweep():
         assert dn >= base - 1e-12      # nondecreasing in p-
 
 
+def ghost_root(Bm, x, qt, tol=1e-12):
+    """Boundary root at one point, along the unit outward normal there."""
+    X = np.atleast_2d(np.asarray(x, float))
+    lam = P._ghost_solve_many(Bm, X, np.atleast_2d(qt), Bm.geom.unit_normal(X), tol)
+    return float(lam[0])
+
+
 def test_ghost_solve_examples():
     xr = np.array([1.0])
-    assert P.boundary_ghost_solve(M.neumann(IV), xr, np.zeros(1)) == pytest.approx(0.0, abs=1e-10)
-    assert P.boundary_ghost_solve(M.affine(IV, g=1.0), xr, np.zeros(1)) == pytest.approx(1.0, abs=1e-10)
+    assert ghost_root(M.neumann(IV), xr, np.zeros(1)) == pytest.approx(0.0, abs=1e-10)
+    assert ghost_root(M.affine(IV, g=1.0), xr, np.zeros(1)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_ghost_solve_max_affine_matches_scan():
     # root of max(p - 2, 2 p - 3) at the right endpoint, against a dense scan
     Bk = M.max_affine(IV, [(1.0, 2.0), (2.0, 3.0)])
     xr = np.array([1.0])
-    lam = P.boundary_ghost_solve(Bk, xr, np.zeros(1))
+    lam = ghost_root(Bk, xr, np.zeros(1))
     ls = np.linspace(-5, 5, 2_000_001)
     scan = ls[np.argmin(np.abs(Bk(xr, ls[:, None])))]
     assert lam == pytest.approx(scan, abs=1e-5)
     assert abs(float(Bk(xr, np.array([lam])))) <= 1e-10
+
+
+def catalog_boundaries():
+    """(grid, H, B, u): the 1-D fixtures of CASES and the h=0.1 disc with a
+    tangential gamma, each boundary unshifted and shifted by 0.3."""
+    iv = G.build_grid(IV, 0.04)
+    disc = G.build_grid(DISC, 0.1)
+    u_iv = 0.4 * np.sin(2 * np.pi * iv.nodes[:, 0]) + 0.3 * iv.nodes[:, 0]
+    u_disc = 0.3 * np.sin(3 * disc.nodes[:, 0]) * np.cos(2 * disc.nodes[:, 1])
+    out = []
+    for grid, H, u, Bs in (
+            (iv, M.quadratic(1), u_iv,
+             [M.neumann(IV), M.affine(IV, g=0.3),
+              M.max_affine(IV, [(1.0, 0.5), (2.0, 2.0)])]),
+            (disc, M.quadratic(2, "-0.5*(x**2 + y**2)"), u_disc,
+             [M.neumann(DISC), M.affine(DISC, tilted(0.5), "0.2*x"),
+              M.max_affine(DISC, [(tilted(0.5), 0.0), (tilted(-0.5), 0.0)])])):
+        for Bm in Bs:
+            for c in (0.0, 0.3):
+                out.append((grid, H, M.shift_boundary(Bm, c), u))
+    return out
+
+
+def test_closed_form_root_matches_custom_bisection():
+    # the same B known only through fn takes the bisection path
+    rng = np.random.default_rng(31)
+    for grid, H, Bm, u in catalog_boundaries():
+        Bc = M.custom_boundary(Bm.geom, Bm.fn, Bm.theta, Bm.lip)
+        assert Bm.forms is not None and Bc.forms is None
+        X = grid.nodes[grid.boundary]
+        N = grid.normals[grid.boundary]
+        QT = rng.uniform(-3, 3, X.shape)
+        np.testing.assert_allclose(P._ghost_solve_many(Bm, X, QT, N, 1e-12),
+                                   P._ghost_solve_many(Bc, X, QT, N, 1e-12),
+                                   rtol=0, atol=1e-11)
+        rhs = P.Stepper(grid, H, Bm, "cn", grad_bound=2.0).rhs(u)
+        ref = P.Stepper(grid, H, Bc, "cn", grad_bound=2.0).rhs(u)
+        np.testing.assert_allclose(rhs, ref, rtol=0, atol=1e-11)
+
+
+def test_rhs_calls_catalog_boundary_once(monkeypatch):
+    # the closed-form root costs one call of B, its residual check; a
+    # return of the bisection would show here as dozens
+    for grid, H, Bm, u in catalog_boundaries():
+        stp = P.Stepper(grid, H, Bm, "cn", grad_bound=2.0)
+        calls = []
+        call = M.BoundaryOperator.__call__
+        monkeypatch.setattr(M.BoundaryOperator, "__call__",
+                            lambda self, x, p: calls.append(1) or call(self, x, p))
+        stp.rhs(u)
+        monkeypatch.undo()
+        assert len(calls) == 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.2, 2.0), st.floats(-1.0, 1.0), st.floats(-2.0, 2.0)),
+                min_size=1, max_size=3),
+       st.lists(st.tuples(st.floats(0.0, 2 * np.pi), st.floats(-3.0, 3.0)),
+                min_size=1, max_size=4))
+def test_closed_form_root_is_the_sign_change(forms, points):
+    # gamma_k = a (n + r t), oblique for |r| <= 1; q_T = s t
+    def gamma(a, r):
+        return lambda pts: a * tilted(r)(pts)
+
+    Bm = M.max_affine(DISC, [(gamma(a, r), g) for a, r, g in forms])
+    ang = np.array([a for a, _ in points])
+    X = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    N = DISC.unit_normal(X)
+    QT = np.array([s for _, s in points])[:, None] * np.stack([-N[:, 1], N[:, 0]], axis=-1)
+    lam = P._ghost_solve_many(Bm, X, QT, N, 1e-12)
+    assert np.abs(Bm(X, QT + lam[:, None] * N)).max() <= 1e-12
+    delta = 1e-9
+    assert np.all(Bm(X, QT + (lam - delta)[:, None] * N) < 0)
+    assert np.all(Bm(X, QT + (lam + delta)[:, None] * N) > 0)
 
 
 def test_step_cn_constants():

@@ -1,4 +1,4 @@
-"""Tiny expression catalog for scalar/vector fields of the space variable.
+"""Tiny expression catalog for scalar fields of the space variable.
 
 Potentials, speeds and boundary data may be given as expression strings
 such as ``"0.5 - 0.5*cos(2*pi*(x-0.5))"``.
@@ -61,18 +61,4 @@ def scalar_field(expr: str, dim: int):
         return np.broadcast_to(np.asarray(out, dtype=float), pts.shape[:-1]).copy()
 
     fn.expr = expr
-    return fn
-
-
-def vector_field(exprs: list[str], dim: int):
-    """Compile one expression per component into a callable (..., dim) -> (..., dim)."""
-    if len(exprs) != dim:
-        raise ConfigError(f"vector field needs {dim} components, got {len(exprs)}")
-    parts = [scalar_field(e, dim) for e in exprs]
-
-    def fn(pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        return np.stack([p(pts) for p in parts], axis=-1)
-
-    fn.exprs = list(exprs)
     return fn

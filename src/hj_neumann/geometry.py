@@ -126,31 +126,49 @@ def custom(dim: int, rho, grad_rho, bounds, params=None) -> DomainGeometry:
 
 def project_to_closure(geom: DomainGeometry, x, tol: float = 1e-12,
                        max_iter: int = 60):
-    """Project a point onto the closure of the domain.
+    """Project points of shape (..., dim) onto the closure of the domain.
 
     Interior points are returned unchanged. Exterior points are moved by
     Newton steps on rho along grad_rho, which follows the gradient line
     exactly for the catalog geometries (radial for the disc, axiswise for
-    boxes). Fails with the last iterate if rho does not reach zero.
+    boxes); each point stops as soon as |rho| <= tol. Raises for an exterior
+    point more than two diameters outside the bounding box, and with the
+    last iterate if some point does not reach rho = 0.
     """
-    x = np.asarray(x, dtype=float).copy()
-    r = float(geom.rho(x))
-    if r <= tol:
-        return x
+    x = np.array(x, dtype=float)
+    pts = x.reshape(-1, geom.dim)
+    out = np.flatnonzero(np.asarray(geom.rho(pts), dtype=float) > tol)
     lo, hi = np.asarray(geom.bounds[0]), np.asarray(geom.bounds[1])
     band = 2.0 * geom.diameter
-    if np.any(x < lo - band) or np.any(x > hi + band):
-        raise GeometryError(f"point {x} too far from the domain to project")
-    for _ in range(max_iter):
-        g = np.asarray(geom.grad_rho(x), dtype=float)
-        gg = float(g @ g)
-        if gg <= 0:
-            raise GeometryError(f"grad_rho vanished during projection at {x}")
-        x = x - (r / gg) * g
-        r = float(geom.rho(x))
-        if abs(r) <= tol:
-            return x
-    raise GeometryError(f"projection did not converge; last iterate {x}, rho={r:g}")
+    far = np.any((pts[out] < lo - band) | (pts[out] > hi + band), axis=-1)
+    if np.any(far):
+        raise GeometryError(f"point {pts[out[far][0]]} too far from the domain to project")
+    _newton_to_boundary(geom, pts, out, tol, max_iter, "projection")
+    return x
+
+
+def _newton_to_boundary(geom: DomainGeometry, pts: np.ndarray, rows: np.ndarray,
+                        tol: float, max_iter: int, what: str) -> None:
+    """Move pts[rows] onto rho = 0 in place by Newton steps along grad_rho.
+
+    A row stops at its first iterate with |rho| <= tol (possibly the start).
+    """
+    r = np.asarray(geom.rho(pts[rows]), dtype=float)
+    for it in range(max_iter + 1):
+        left = np.abs(r) > tol
+        rows, r = rows[left], r[left]
+        if not rows.size:
+            return
+        if it == max_iter:
+            raise GeometryError(f"{what} did not converge; last iterate {pts[rows[0]]}, "
+                                f"rho={r[0]:g}")
+        g = np.asarray(geom.grad_rho(pts[rows]), dtype=float)
+        gg = (g[:, None, :] @ g[:, :, None])[:, 0, 0]   # rounds as g @ g per row
+        if np.any(gg <= 0):
+            raise GeometryError(f"grad_rho vanished during {what} at "
+                                f"{pts[rows[np.argmax(gg <= 0)]]}")
+        pts[rows] -= (r / gg)[:, None] * g
+        r = np.asarray(geom.rho(pts[rows]), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -161,7 +179,9 @@ class Grid:
     boundary: (N,) bool flags. normals: (N, dim), unit outward normal on
     boundary nodes, zero elsewhere. neighbors[side][axis]: (N,) index of
     the lattice neighbor on that side (-1 if absent) and gaps[side][axis]
-    the corresponding positive axis gap after snapping.
+    the corresponding positive axis gap after snapping. node_at maps every
+    slot of the lattice box (axis counts as in build_grid) to the node
+    addressed there, -1 where there is none.
     """
 
     geom: DomainGeometry
@@ -173,6 +193,7 @@ class Grid:
     neighbors: np.ndarray          # (2, dim, N) int, -1 when missing
     gaps: np.ndarray               # (2, dim, N) float, inf when missing
     band: float
+    node_at: np.ndarray            # lattice box shape, int, -1 when missing
 
     @property
     def n_nodes(self) -> int:
@@ -240,8 +261,8 @@ def build_grid(geom: DomainGeometry, h: float, band: float = DEFAULT_BAND) -> Gr
     boundary = sdist > -band * h
 
     nodes = pts.copy()
-    for k in np.flatnonzero(boundary):
-        nodes[k] = _snap(geom, nodes[k])
+    _newton_to_boundary(geom, nodes, np.flatnonzero(boundary), 1e-12, 60,
+                        "boundary snap")
 
     # two band layers can snap onto near-identical boundary points (poles of
     # curved boundaries); keep the one coming from the nearer lattice point
@@ -261,60 +282,18 @@ def build_grid(geom: DomainGeometry, h: float, band: float = DEFAULT_BAND) -> Gr
             else:
                 accepted[o] = True
         if np.any(drop):
-            keep2 = ~drop
-            pts, idx, sdist = pts[keep2], idx[keep2], sdist[keep2]
-            nodes, boundary = nodes[keep2], boundary[keep2]
+            nodes, idx, boundary = nodes[~drop], idx[~drop], boundary[~drop]
 
     if not np.any(~boundary):
         raise GeometryError("no interior node; reduce h or the boundary band")
 
-    key = {tuple(t): i for i, t in enumerate(idx)}
-    n = nodes.shape[0]
-    neighbors = -np.ones((2, geom.dim, n), dtype=np.int64)
-    gaps = np.full((2, geom.dim, n), np.inf)
-    for k in range(n):
-        for ax in range(geom.dim):
-            for side, step in ((0, -1), (1, +1)):
-                t = list(idx[k])
-                t[ax] += step
-                j = key.get(tuple(t), -1)
-                if j >= 0:
-                    neighbors[side, ax, k] = j
-                    gaps[side, ax, k] = abs(nodes[j][ax] - nodes[k][ax])
-
-    # snapping can collapse the axis gap between two nearly-tangential
-    # boundary neighbors; such edges are not load-bearing and are pruned.
-    # a collapsed edge touching an interior node is a real degeneracy.
-    for side in (0, 1):
-        for ax in range(geom.dim):
-            short = np.flatnonzero(np.isfinite(gaps[side, ax])
-                                   & (gaps[side, ax] < 0.2 * h))
-            for k in short:
-                j = neighbors[side, ax, k]
-                if not (boundary[k] and boundary[j]):
-                    raise GeometryError(
-                        "snapped boundary node collapsed an interior stencil gap; "
-                        "reduce the boundary band")
-                neighbors[side, ax, k] = -1
-                gaps[side, ax, k] = np.inf
-                neighbors[1 - side, ax, j] = -1
-                gaps[1 - side, ax, j] = np.inf
-
-    # drop boundary nodes without any kept neighbor, then validate
+    node_at, neighbors, gaps = _stencil(nodes, idx, boundary, counts, h)
+    # drop boundary nodes without any kept neighbor (no edge reaches them
+    # either: edges are pruned in pairs), then validate
     isolated = boundary & (neighbors.max(axis=(0, 1)) < 0)
     if np.any(isolated):
-        keep2 = ~isolated
-        remap = -np.ones(n, dtype=np.int64)
-        remap[keep2] = np.arange(int(keep2.sum()))
-        nodes, idx, boundary = nodes[keep2], idx[keep2], boundary[keep2]
-        neighbors = neighbors[:, :, keep2]
-        gaps = gaps[:, :, keep2]
-        ok = neighbors >= 0
-        neighbors[ok] = remap[neighbors[ok]]
-        gone = ok & (neighbors < 0)
-        neighbors[gone] = -1
-        gaps[gone] = np.inf
-        n = nodes.shape[0]
+        nodes, idx, boundary = nodes[~isolated], idx[~isolated], boundary[~isolated]
+        node_at, neighbors, gaps = _stencil(nodes, idx, boundary, counts, h)
 
     normals = np.zeros_like(nodes)
     bidx = np.flatnonzero(boundary)
@@ -345,19 +324,37 @@ def build_grid(geom: DomainGeometry, h: float, band: float = DEFAULT_BAND) -> Gr
     nodes.setflags(write=False)
     boundary.setflags(write=False)
     normals.setflags(write=False)
-    return Grid(geom, float(h), nodes, boundary, normals, idx, neighbors, gaps, band)
+    node_at.setflags(write=False)
+    return Grid(geom, float(h), nodes, boundary, normals, idx, neighbors, gaps, band,
+                node_at)
 
 
-def _snap(geom: DomainGeometry, x: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Move a band node onto rho = 0 by Newton steps along grad_rho."""
-    x = x.copy()
-    for _ in range(60):
-        r = float(geom.rho(x))
-        if abs(r) <= tol:
-            return x
-        g = np.asarray(geom.grad_rho(x), dtype=float)
-        gg = float(g @ g)
-        if gg <= 0:
-            raise GeometryError(f"grad_rho vanished while snapping {x}")
-        x = x - (r / gg) * g
-    raise GeometryError(f"boundary snap did not converge near {x} (rho={geom.rho(x):g})")
+def _stencil(nodes, idx, boundary, counts, h):
+    """Lattice-box index, axis neighbors and post-snap gaps of the nodes.
+
+    Snapping can collapse the axis gap between two nearly-tangential
+    boundary neighbors; such edges are not load-bearing and are pruned. A
+    collapsed edge touching an interior node is a real degeneracy.
+    """
+    node_at = -np.ones(counts, dtype=np.int64)
+    node_at[tuple(idx.T)] = np.arange(idx.shape[0])
+    dim, n = idx.shape[1], idx.shape[0]
+    neighbors = -np.ones((2, dim, n), dtype=np.int64)
+    gaps = np.full((2, dim, n), np.inf)
+    for ax in range(dim):
+        for side, step in ((0, -1), (1, +1)):
+            t = idx.copy()
+            t[:, ax] += step
+            k = np.flatnonzero((t[:, ax] >= 0) & (t[:, ax] < counts[ax]))
+            j = node_at[tuple(t[k].T)]
+            k, j = k[j >= 0], j[j >= 0]
+            neighbors[side, ax, k] = j
+            gaps[side, ax, k] = np.abs(nodes[j, ax] - nodes[k, ax])
+    short = gaps < 0.2 * h
+    k = np.nonzero(short)[2]
+    if not np.all(boundary[k] & boundary[neighbors[short]]):
+        raise GeometryError("snapped boundary node collapsed an interior stencil gap; "
+                            "reduce the boundary band")
+    neighbors[short] = -1
+    gaps[short] = np.inf
+    return node_at, neighbors, gaps

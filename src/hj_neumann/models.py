@@ -43,13 +43,18 @@ CAP = 1.0e9
 
 @dataclass(frozen=True)
 class Hamiltonian:
-    """Hamiltonian H(x, p) with the metadata the solvers need."""
+    """Hamiltonian H(x, p) with the metadata the solvers need.
+
+    conjugate, when set, is the closed form of L(x, xi) = sup_p (xi . p -
+    H(x, p)) on paired rows (X, XI); the conjugate engine serves the rest.
+    """
 
     name: str
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     dim: int
     convex: bool
     params: dict = field(default_factory=dict)
+    conjugate: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __call__(self, x: np.ndarray, p: np.ndarray) -> np.ndarray:
         return self.fn(np.asarray(x, float), np.asarray(p, float))
@@ -111,15 +116,20 @@ class BoundaryOperator:
 
 def quadratic(dim: int = 1, potential: Callable | str | None = None,
               coeff: float = 0.5) -> Hamiltonian:
-    """H(x, p) = coeff*|p|^2 + V(x)."""
+    """H(x, p) = coeff*|p|^2 + V(x); L(x, xi) = |xi|^2 / (4 coeff) - V(x)."""
     V = _as_field(potential, dim)
 
     def fn(x, p):
         base = coeff * np.sum(np.broadcast_arrays(np.asarray(p, float))[0] ** 2, axis=-1)
         return base + (V(x) if V is not None else 0.0)
 
-    return Hamiltonian("quadratic", fn, dim, True,
-                       {"coeff": coeff, "potential": getattr(V, "expr", None)})
+    def conjugate(X, XI):
+        return np.sum(XI ** 2, axis=-1) / (4 * coeff) - H(X, np.zeros(dim))
+
+    H = Hamiltonian("quadratic", fn, dim, True,
+                    {"coeff": coeff, "potential": getattr(V, "expr", None)},
+                    conjugate if coeff > 0 else None)
+    return H
 
 
 def eikonal(dim: int = 1, speed: Callable | str | None = None) -> Hamiltonian:
@@ -157,8 +167,9 @@ def poly1d(coeffs) -> Hamiltonian:
 def shift_hamiltonian(H: Hamiltonian, c: float) -> Hamiltonian:
     if c == 0.0:
         return H
+    conj = None if H.conjugate is None else (lambda X, XI: H.conjugate(X, XI) + c)
     return Hamiltonian(H.name, lambda x, p: H.fn(x, p) - c, H.dim, H.convex,
-                       {**H.params, "shift": H.params.get("shift", 0.0) + c})
+                       {**H.params, "shift": H.params.get("shift", 0.0) + c}, conj)
 
 
 def neumann(geom: DomainGeometry) -> BoundaryOperator:
@@ -182,9 +193,9 @@ def max_affine(geom: DomainGeometry, forms) -> BoundaryOperator:
 def _affine_forms(name, geom, forms, params, lip=None) -> BoundaryOperator:
     """max_k (gamma_k . p - g_k) kept as forms; M_B defaults to max |gamma_k|."""
     forms = tuple((_as_direction(gm, geom), _as_field(gv, geom.dim)) for gm, gv in forms)
-    theta = min(estimate_obliqueness(geom, gm) for gm, _ in forms)
+    bpts = _boundary_samples(geom)
+    theta = min(estimate_obliqueness(geom, gm, pts=bpts) for gm, _ in forms)
     if lip is None:
-        bpts = _boundary_samples(geom)
         lip = max(float(np.linalg.norm(gm(bpts), axis=-1).max()) for gm, _ in forms)
 
     def fn(x, p):
@@ -242,14 +253,16 @@ def _boundary_samples(geom, n: int = 48):
 
 
 def estimate_obliqueness(geom: DomainGeometry, gamma_fn,
-                         reach_factor: float = 6.0) -> float:
+                         reach_factor: float = 6.0, pts: np.ndarray | None = None) -> float:
     """Worst-case gamma(x) . n(z) over boundary pairs with |x-z| small.
 
     The local pairing (rather than the pointwise product) covers corner
     nodes of the rectangle, where a reflection direction chosen at the
-    corner crosses face regions with a different normal.
+    corner crosses face regions with a different normal. pts are the
+    boundary samples, built here when not given.
     """
-    pts = _boundary_samples(geom)
+    if pts is None:
+        pts = _boundary_samples(geom)
     gam = gamma_fn(pts)
     nrm = geom.unit_normal(pts)
     reach = reach_factor * geom.diameter / 48
@@ -419,9 +432,8 @@ def lagrangian(H: Hamiltonian, x: np.ndarray, xi: np.ndarray,
     grows under radius doubling); raises RadiusError when the maximizer
     sits on the lattice edge without growth.
     """
-    val, _ = _conjugate(H, np.asarray(x, float)[None], np.asarray(xi, float)[None],
-                        radius, cap)
-    return float(val[0])
+    return float(lagrangian_batch(H, np.asarray(x, float)[None],
+                                  np.asarray(xi, float)[None], radius, cap)[0])
 
 
 def boundary_conjugate(Bm: BoundaryOperator, x: np.ndarray, xi: np.ndarray,
@@ -439,8 +451,11 @@ def lagrangian_batch(H: Hamiltonian, X: np.ndarray, XI: np.ndarray,
     """Vectorized L over paired (X, XI) rows, under the rule of lagrangian.
 
     Used to build semi-Lagrangian stage-cost tables, where an uncertified
-    finite value would silently corrupt the control problem.
+    finite value would silently corrupt the control problem. A closed-form
+    conjugate on H replaces the engine, under the same cap.
     """
+    if H.conjugate is not None:
+        return np.minimum(H.conjugate(np.asarray(X, float), np.asarray(XI, float)), cap)
     return _conjugate(H, X, XI, radius, cap)[0]
 
 
@@ -511,20 +526,14 @@ class ObliqueSelection:
     For a single affine form, B(x, p) = gamma(x) . p - g(x), (gamma, g) is
     the form itself. Otherwise gamma comes from the Moreau gradient at
     psi(x) and g is the boundary conjugate G(x, gamma(x)), the smallest
-    admissible offset.
+    admissible offset. gamma and g take points of shape (..., dim).
     """
 
     Bm: BoundaryOperator
     delta: float
     psi: Callable[[np.ndarray], np.ndarray]
-    _gamma_fn: Callable
-    _g_fn: Callable
-
-    def gamma(self, x: np.ndarray) -> np.ndarray:
-        return self._gamma_fn(np.asarray(x, float))
-
-    def g(self, x: np.ndarray) -> float:
-        return float(self._g_fn(np.asarray(x, float)))
+    gamma: Callable[[np.ndarray], np.ndarray]
+    g: Callable[[np.ndarray], np.ndarray]
 
     def tightness_gap(self, points: np.ndarray) -> float:
         """Worst B(x, psi) - (gamma.psi - g) over sample points (>= 0, small)."""
@@ -538,12 +547,10 @@ class ObliqueSelection:
     def membership_gap(self, points: np.ndarray, radius: float = 8.0,
                        n: int = 129) -> float:
         """Worst violation of gamma.p - g <= B(x, p) over a dense p sample."""
-        worst = -np.inf
-        for x in np.atleast_2d(points):
-            P = _lattice(self.Bm.dim, radius, n if self.Bm.dim == 1 else 33)
-            lhs = P @ self.gamma(x) - self.g(x)
-            worst = max(worst, float((lhs - self.Bm(x, P)).max()))
-        return worst
+        X = np.atleast_2d(points)
+        P = _lattice(self.Bm.dim, radius, n if self.Bm.dim == 1 else 33)
+        lhs = P @ self.gamma(X).T - self.g(X)                           # (p, x)
+        return float((lhs - self.Bm(X[None, :, :], P[:, None, :])).max())
 
 
 def oblique_selection(Bm: BoundaryOperator, delta: float = 0.05,
@@ -575,8 +582,14 @@ def oblique_selection(Bm: BoundaryOperator, delta: float = 0.05,
             cache[key] = (grad, float(gval))
         return cache[key]
 
-    return ObliqueSelection(Bm, delta, psi,
-                            lambda x: entry(x)[0], lambda x: entry(x)[1])
+    def rows(k, tail):
+        def fn(x):
+            x = np.asarray(x, float)
+            vals = [entry(r)[k] for r in x.reshape(-1, x.shape[-1])]
+            return np.array(vals, dtype=float).reshape(x.shape[:-1] + tail)
+        return fn
+
+    return ObliqueSelection(Bm, delta, psi, rows(0, (Bm.dim,)), rows(1, ()))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .errors import NumericalError, ObliquenessError
 from .geometry import DomainGeometry, project_to_closure
@@ -100,7 +99,7 @@ def integrate(geom: DomainGeometry, Bm: BoundaryOperator, x0, v_fn,
             raise ObliquenessError(
                 f"reflection direction fails obliqueness at {hat}: "
                 f"gamma.n = {float(gam @ nt):.3g} < theta/2")
-        ls[k] = _pullback_intensity(geom, y, gam, dt)
+        ls[k] = _pullback_intensity(geom, y[None], gam[None], dt)[0]
         eta[k + 1] = y - dt * ls[k] * gam
         fs[k] = ls[k] * float(selection.g(hat))
         gammas[k] = gam
@@ -109,22 +108,36 @@ def integrate(geom: DomainGeometry, Bm: BoundaryOperator, x0, v_fn,
                            Bm.theta, Bm.lip)
 
 
-def _pullback_intensity(geom: DomainGeometry, y: np.ndarray, gam: np.ndarray,
-                        dt: float) -> float:
-    """Smallest l >= 0 with rho(y - dt*l*gamma) = 0."""
+def _pullback_intensity(geom: DomainGeometry, Y: np.ndarray, GAM: np.ndarray,
+                        dt: float) -> np.ndarray:
+    """Per row, the l >= 0 with rho(y - dt*l*gamma) = 0, for exterior y.
 
-    def f(l):
-        return float(geom.rho(y - dt * l * gam))
+    The bracket [0, hi] starts at the linearised root and doubles until
+    rho(y - dt*hi*gamma) <= 0, at most 60 times. Bisection then shrinks it
+    to brentq's width 1e-15 + 8.9e-16*hi and returns hi, the end in the
+    closure.
+    """
+    Y, GAM = np.asarray(Y, dtype=float), np.asarray(GAM, dtype=float)
 
-    hi = float(geom.rho(y)) / (dt * max(float(gam @ geom.grad_rho(y)), 1e-12))
-    hi = max(hi, 1e-12)
+    def inside(l):
+        return np.asarray(geom.rho(Y - dt * l[:, None] * GAM), dtype=float) <= 0.0
+
+    slope = (GAM[:, None, :] @ np.asarray(geom.grad_rho(Y), dtype=float)[:, :, None])[:, 0, 0]
+    hi = np.asarray(geom.rho(Y), dtype=float) / (dt * np.maximum(slope, 1e-12))
+    hi = np.maximum(hi, 1e-12)
     for _ in range(60):
-        if f(hi) <= 0.0:
+        out = ~inside(hi)
+        if not out.any():
             break
-        hi *= 2.0
+        hi = np.where(out, 2.0 * hi, hi)
     else:
-        raise NumericalError(f"reflection pull-back failed to bracket at {y}")
-    return float(optimize.brentq(f, 0.0, hi, xtol=1e-15, rtol=8.9e-16))
+        raise NumericalError(f"reflection pull-back failed to bracket at {Y[out][0]}")
+    lo = np.zeros_like(hi)
+    while np.any(hi - lo > 1e-15 + 8.9e-16 * hi):
+        mid = 0.5 * (lo + hi)
+        ok = inside(mid)
+        hi, lo = np.where(ok, mid, hi), np.where(ok, lo, mid)
+    return hi
 
 
 def verify_bounds(triple: SkorokhodTriple, tol: float = 1e-6) -> BoundReport:

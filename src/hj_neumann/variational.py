@@ -12,7 +12,12 @@ so one step is monotone and nonexpansive in the value array exactly.
 Stage costs and interpolation stencils are independent of the value being
 iterated; they are precomputed once into tables (stencils as sparse
 operators) whose DP step the time-marching values here and the stationary
-value iteration of the weak-KAM module share.
+value iteration of the weak-KAM module share. The tables are built as
+whole-array operations: all landing points of a batch go through one
+projection, one evaluation of the selection and one pull-back, the
+stencils are read off the grid's dense lattice index, and the stage costs
+come from the Hamiltonian's closed-form conjugate where it has one
+(``quadratic``), else from the conjugate engine.
 """
 
 from __future__ import annotations
@@ -74,40 +79,30 @@ def build_control_set(H: Hamiltonian, Bm: BoundaryOperator, grid: Grid,
 def _interp_weights(grid: Grid, pts: np.ndarray) -> sparse.csr_matrix:
     """Multilinear interpolation operator, one row per point (K = 2^dim corners).
 
-    Snapped boundary nodes are addressed at their original lattice slots;
-    missing corners get their weight redistributed over the present ones,
-    keeping the stencil nonnegative with unit sum.
+    Snapped boundary nodes are addressed at their original lattice slots
+    (grid.node_at); missing corners get their weight redistributed over the
+    present ones, keeping the stencil nonnegative with unit sum. A point
+    with no present corner takes the nearest node.
     """
     d = grid.dim
-    lo = np.asarray(grid.geom.bounds[0], dtype=float)
-    key = {tuple(t): i for i, t in enumerate(grid.lattice_index)}
-    frac = (pts - lo) / grid.h
+    frac = (pts - np.asarray(grid.geom.bounds[0], dtype=float)) / grid.h
     base = np.floor(frac + 1e-12).astype(np.int64)
-    rem = frac - base
-    K = 2 ** d
-    idx = np.zeros((pts.shape[0], K), dtype=np.int64)
-    wgt = np.zeros((pts.shape[0], K))
+    rem = np.clip(frac - base, 0.0, 1.0)[:, None, :]
     corners = np.stack(np.meshgrid(*([np.array([0, 1])] * d), indexing="ij"),
                        axis=-1).reshape(-1, d)
-    for m in range(pts.shape[0]):
-        tot = 0.0
-        for kc, c in enumerate(corners):
-            w = 1.0
-            for axk in range(d):
-                r = min(max(rem[m, axk], 0.0), 1.0)
-                w *= r if c[axk] else (1.0 - r)
-            j = key.get(tuple(base[m] + c), -1)
-            if j >= 0 and w > 0:
-                idx[m, kc] = j
-                wgt[m, kc] = w
-                tot += w
-        if tot <= 0:
-            j = int(np.argmin(np.linalg.norm(grid.nodes - pts[m], axis=-1)))
-            idx[m, 0] = j
-            wgt[m, 0] = 1.0
-        else:
-            wgt[m] /= tot
-    op = sparse.csr_matrix((wgt.ravel(), idx.ravel(), np.arange(0, idx.size + 1, K)),
+    w = np.prod(np.where(corners == 1, rem, 1.0 - rem), axis=-1)     # (M, K)
+    t = base[:, None, :] + corners                                   # (M, K, dim)
+    inbox = np.all((t >= 0) & (t < grid.node_at.shape), axis=-1)
+    idx = np.full(w.shape, -1, dtype=np.int64)
+    idx[inbox] = grid.node_at[tuple(t[inbox].T)]
+    wgt = np.where((idx >= 0) & (w > 0), w, 0.0)
+    idx = np.maximum(idx, 0)
+    tot = wgt.sum(axis=1)
+    for m in np.flatnonzero(tot <= 0):
+        idx[m, 0] = int(np.argmin(np.linalg.norm(grid.nodes - pts[m], axis=-1)))
+        wgt[m, 0] = tot[m] = 1.0
+    wgt /= tot[:, None]
+    op = sparse.csr_matrix((wgt.ravel(), idx.ravel(), np.arange(0, idx.size + 1, 2 ** d)),
                            shape=(pts.shape[0], grid.n_nodes))
     op.eliminate_zeros()
     return op
@@ -115,17 +110,21 @@ def _interp_weights(grid: Grid, pts: np.ndarray) -> sparse.csr_matrix:
 
 def _land_and_cost(grid: Grid, sel: ObliqueSelection, pts: np.ndarray,
                    dt: float):
-    """Skorokhod single-step correction for landing points; returns cost."""
+    """Skorokhod single-step correction for landing points; returns cost.
+
+    The points outside the closure go through one projection, one
+    evaluation of the selection and one pull-back as a batch.
+    """
     geom = grid.geom
-    rho = np.asarray(geom.rho(pts), dtype=float)
     cost = np.zeros(pts.shape[0])
     out = pts.copy()
-    for m in np.flatnonzero(rho > 1e-12):
+    m = np.flatnonzero(np.asarray(geom.rho(pts), dtype=float) > 1e-12)
+    if m.size:
         hat = project_to_closure(geom, pts[m])
         gam = np.asarray(sel.gamma(hat), dtype=float)
         lc = _pullback_intensity(geom, pts[m], gam, dt)
-        out[m] = pts[m] - dt * lc * gam
-        cost[m] = dt * lc * float(sel.g(hat))
+        out[m] = pts[m] - dt * lc[:, None] * gam
+        cost[m] = dt * lc * sel.g(hat)
     return out, cost
 
 
@@ -155,9 +154,11 @@ class DPTables:
 
 
 def _stage_plus(stage: np.ndarray, land: np.ndarray) -> np.ndarray:
-    """stage (n, C) plus landing values (n*C,) or (n*C, S), reshaped to match."""
+    """stage (n, C) plus landing values (n*C,) or (n*C, S), reshaped to match;
+    adds in place into land, a fresh product that nothing else holds."""
     land = land.reshape(stage.shape + land.shape[1:])
-    return stage.reshape(stage.shape + (1,) * (land.ndim - 2)) + land
+    land += stage.reshape(stage.shape + (1,) * (land.ndim - 2))
+    return land
 
 
 def build_tables(grid: Grid, H: Hamiltonian, Bm: BoundaryOperator,
@@ -189,36 +190,26 @@ def build_tables(grid: Grid, H: Hamiltonian, Bm: BoundaryOperator,
     free_stage[L >= STAGE_CAP] = np.inf
 
     rows = grid.boundary_idx
-    Nb = rows.size
-    m = controls.intensities.size
-    gam_b = np.stack([np.asarray(sel.gamma(grid.nodes[i]), dtype=float)
-                      for i in rows]) if Nb else np.zeros((0, grid.dim))
-    g_b = np.array([float(sel.g(grid.nodes[i])) for i in rows])
+    xb, lad = grid.nodes[rows], controls.intensities
+    gam_b = np.asarray(sel.gamma(xb), dtype=float)
+    refl = lad[:, None] * gam_b[:, None, :]                            # (Nb, m, dim)
 
-    # boundary controls: every (w, l) pair plus the pressing pair w = l*gamma
-    # that holds the state on the boundary exactly
-    Cb = (Cv + 1) * m
-    bnd_stage = np.full((Nb, Cb), np.inf)
-    bnd_pts = np.zeros((Nb, Cb, grid.dim))
-    bnd_l = np.zeros(Cb)
-    Lb = L[rows]
-    for j, lj in enumerate(controls.intensities):
-        s0 = j * (Cv + 1)
-        bnd_l[s0:s0 + Cv + 1] = lj
-        # reflected drift: landing x + dt*(w - l*gamma); reversed paths flip
-        # the reflection term only
-        off = dt * (W[None, :, :] + sgn * lj * gam_b[:, None, :])
-        bnd_pts[:, s0:s0 + Cv] = grid.nodes[rows][:, None, :] + off
-        bnd_stage[:, s0:s0 + Cv] = dt * (Lb + lj * g_b[:, None])
-        # pressing control (drift zero) costs L(x, -l*gamma) either way
-        press_xi = -lj * gam_b
-        Lp = lagrangian_batch(H, grid.nodes[rows], press_xi, radius=radius) \
-            if Nb else np.zeros(0)
-        bnd_pts[:, s0 + Cv] = grid.nodes[rows]
-        bnd_stage[:, s0 + Cv] = dt * (Lp + lj * g_b)
+    # boundary controls, per intensity l: every (w, l) pair, landing at
+    # x + dt*(w - l*gamma) (reversed paths flip the reflection term only),
+    # then the pressing pair w = l*gamma that holds the state on the
+    # boundary exactly and costs L(x, -l*gamma) either way
+    Lp = lagrangian_batch(H, np.repeat(xb, lad.size, axis=0), -refl.reshape(-1, grid.dim),
+                          radius=radius).reshape(-1, lad.size, 1)
+    drift = np.concatenate([W + sgn * refl[:, :, None, :],
+                            np.zeros(refl.shape[:2] + (1, grid.dim))], axis=2)
+    bnd_pts = xb[:, None, None, :] + dt * drift                        # (Nb, m, Cv+1, dim)
+    run = np.concatenate([np.broadcast_to(L[rows][:, None, :], Lp.shape[:2] + (Cv,)), Lp],
+                         axis=2)
+    bnd_stage = dt * (run + lad[:, None] * sel.g(xb)[:, None, None])
+    bnd_l = np.repeat(lad, Cv + 1)
     flat, corr_b = _land_and_cost(grid, sel, bnd_pts.reshape(-1, grid.dim), dt)
     bnd_op = _interp_weights(grid, flat)
-    bnd_stage = bnd_stage + corr_b.reshape(Nb, Cb)
+    bnd_stage = (bnd_stage + corr_b.reshape(bnd_stage.shape)).reshape(rows.size, -1)
     bnd_stage[~np.isfinite(bnd_stage)] = np.inf
 
     if np.any(~np.isfinite(free_stage).any(axis=1)):

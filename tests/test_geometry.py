@@ -97,3 +97,69 @@ def test_interior_points_have_negative_rho():
         assert np.all(rho_in < 0)
         rho_b = np.asarray(geom.rho(grid.nodes[grid.boundary]))
         assert np.abs(rho_b).max() <= 1e-10
+
+
+def test_projection_of_point_arrays_matches_single_points():
+    # interior, exterior and boundary points in one array; the rectangle's
+    # corner and face regions as in test_projection_examples
+    cases = [
+        (G.interval(0, 1), [[0.4], [1.3], [-0.2], [1.0]]),
+        (G.disc(), [[0.3, 0.1], [2.0, 0.0], [-1.5, 1.5], [0.0, -1.0]]),
+        (G.rectangle(0, 1, 0, 1), [[1.3, 1.2], [0.5, -0.4], [1.2, 0.5], [0.2, 0.7]]),
+    ]
+    for geom, pts in cases:
+        pts = np.asarray(pts, dtype=float)
+        out = G.project_to_closure(geom, pts)
+        assert out.shape == pts.shape
+        for p, q in zip(pts, out):
+            np.testing.assert_array_equal(q, G.project_to_closure(geom, p))
+        inside = np.asarray(geom.rho(pts)) <= 1e-12
+        np.testing.assert_array_equal(out[inside], pts[inside])
+        assert np.abs(np.asarray(geom.rho(out[~inside]))).max() <= 1e-12
+    np.testing.assert_allclose(G.project_to_closure(G.rectangle(0, 1, 0, 1),
+                                                    cases[2][1])[:3],
+                               [[1.0, 1.0], [0.5, 0.0], [1.0, 0.5]], atol=1e-12)
+    with pytest.raises(GeometryError):
+        G.project_to_closure(G.disc(), np.array([[0.3, 0.1], [25.0, 0.0], [2.0, 0.0]]))
+
+
+def _snap_ref(geom, x, tol=1e-12):
+    # one node at a time: the Newton steps of the boundary snap
+    x = x.copy()
+    for _ in range(60):
+        r = float(geom.rho(x))
+        if abs(r) <= tol:
+            return x
+        g = np.asarray(geom.grad_rho(x), dtype=float)
+        x = x - (r / float(g @ g)) * g
+    raise AssertionError("reference snap did not converge")
+
+
+def test_dense_index_stencil_matches_key_lookup():
+    # nodes from per-node snaps of their lattice points, neighbors by a dict
+    # of lattice keys, collapsed boundary edges pruned
+    for geom, h in [(G.interval(0, 1), 0.05), (G.rectangle(0, 1, 0, 2), 0.1),
+                    (G.disc(), 0.25), (G.disc(), 0.2), (G.disc(), 0.1), (G.disc(), 0.05)]:
+        grid = G.build_grid(geom, h)
+        lat = np.asarray(geom.bounds[0]) + h * grid.lattice_index
+        nodes = lat.copy()
+        for k in grid.boundary_idx:
+            nodes[k] = _snap_ref(geom, lat[k])
+        np.testing.assert_array_equal(grid.nodes, nodes)
+        key = {tuple(t): i for i, t in enumerate(grid.lattice_index)}
+        neighbors = -np.ones_like(grid.neighbors)
+        gaps = np.full(grid.gaps.shape, np.inf)
+        for k, t in enumerate(grid.lattice_index):
+            for ax in range(geom.dim):
+                for side, step in ((0, -1), (1, 1)):
+                    s = list(t)
+                    s[ax] += step
+                    j = key.get(tuple(s), -1)
+                    if j >= 0 and abs(nodes[j][ax] - nodes[k][ax]) >= 0.2 * h:
+                        neighbors[side, ax, k] = j
+                        gaps[side, ax, k] = abs(nodes[j][ax] - nodes[k][ax])
+        np.testing.assert_array_equal(grid.neighbors, neighbors)
+        np.testing.assert_array_equal(grid.gaps, gaps)
+        slots = np.argwhere(grid.node_at >= 0)
+        assert len(slots) == grid.n_nodes
+        np.testing.assert_array_equal(grid.lattice_index[grid.node_at[tuple(slots.T)]], slots)

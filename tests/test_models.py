@@ -56,6 +56,22 @@ def test_lagrangian_batch_agrees_with_scalar():
     assert np.abs(batch - ref).max() <= 1e-6
 
 
+
+def test_quadratic_closed_form_matches_engine():
+    # |xi|^2 / (4 coeff) - V(x) against the conjugate engine, to the engine's
+    # own error; the shift moves L by +c
+    rng = np.random.default_rng(21)
+    for H in (M.quadratic(1, "0.2*cos(2*pi*x)", coeff=0.7),
+              M.quadratic(2, "0.3*cos(pi*x)*cos(pi*y)")):
+        X = rng.uniform(-1, 1, (300, H.dim))
+        XI = rng.uniform(-3, 3, (300, H.dim))
+        for Hc in (H, M.shift_hamiltonian(H, 0.37)):
+            assert Hc.conjugate is not None
+            engine = M._conjugate(Hc, X, XI, 6.0, M.CAP)[0]
+            assert np.abs(M.lagrangian_batch(Hc, X, XI, radius=6.0) - engine).max() <= 1e-9
+            assert M.lagrangian(Hc, X[0], XI[0]) == pytest.approx(engine[0], abs=1e-9)
+    assert M.eikonal(1).conjugate is None
+
 # -- boundary conjugate -------------------------------------------------------
 
 def test_boundary_conjugate_affine_paper_example():
@@ -120,6 +136,21 @@ def test_moreau_rejects_bad_delta():
     with pytest.raises(NumericalError):
         M.moreau(M.neumann(IV), XR, np.zeros(1), 0.0)
 
+
+
+def test_catalog_boundary_builds_its_samples_once(monkeypatch):
+    # obliqueness of every form and M_B share one boundary sample grid
+    disc = G.disc(0.0, 0.0, 1.0)
+    for geom in (IV, disc):
+        for make in (M.neumann, lambda g: M.affine(g, 1.5, 0.2),
+                     lambda g: M.max_affine(g, [(1.0, 0.2), (2.0, 0.5), (1.5, 0.0)])):
+            calls = []
+            build = M.build_grid
+            monkeypatch.setattr(M, "build_grid",
+                                lambda *a, **k: calls.append(1) or build(*a, **k))
+            make(geom)
+            monkeypatch.undo()
+            assert len(calls) == 1
 
 # -- oblique selection --------------------------------------------------------
 

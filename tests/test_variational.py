@@ -223,3 +223,151 @@ def test_dp_steps_match_column_and_control_references():
         ref = _dbc_per_control(slices, tables)
         slices.append(V.dp_step_dbc(slices, tables))
         assert np.abs(slices[-1] - ref).max() <= 1e-14
+
+
+# -- the per-point table build, kept as the oracle of the array build ---------
+
+def _project_ref(geom, x, tol=1e-12, max_iter=60):
+    # one point at a time: the Newton steps of project_to_closure
+    x = np.asarray(x, dtype=float).copy()
+    r = float(geom.rho(x))
+    if r <= tol:
+        return x
+    for _ in range(max_iter):
+        g = np.asarray(geom.grad_rho(x), dtype=float)
+        x = x - (r / float(g @ g)) * g
+        r = float(geom.rho(x))
+        if abs(r) <= tol:
+            return x
+    raise AssertionError("reference projection did not converge")
+
+
+def _pullback_ref(geom, y, gam, dt):
+    from scipy import optimize
+
+    def f(l):
+        return float(geom.rho(y - dt * l * gam))
+
+    hi = max(float(geom.rho(y)) / (dt * max(float(gam @ geom.grad_rho(y)), 1e-12)), 1e-12)
+    while f(hi) > 0.0:
+        hi *= 2.0
+    return float(optimize.brentq(f, 0.0, hi, xtol=1e-15, rtol=8.9e-16))
+
+
+def _interp_weights_ref(grid, pts):
+    from scipy import sparse
+    d = grid.dim
+    lo = np.asarray(grid.geom.bounds[0], dtype=float)
+    key = {tuple(t): i for i, t in enumerate(grid.lattice_index)}
+    frac = (pts - lo) / grid.h
+    base = np.floor(frac + 1e-12).astype(np.int64)
+    rem = frac - base
+    K = 2 ** d
+    idx = np.zeros((pts.shape[0], K), dtype=np.int64)
+    wgt = np.zeros((pts.shape[0], K))
+    corners = np.stack(np.meshgrid(*([np.array([0, 1])] * d), indexing="ij"),
+                       axis=-1).reshape(-1, d)
+    for m in range(pts.shape[0]):
+        tot = 0.0
+        for kc, c in enumerate(corners):
+            w = 1.0
+            for axk in range(d):
+                r = min(max(rem[m, axk], 0.0), 1.0)
+                w *= r if c[axk] else (1.0 - r)
+            j = key.get(tuple(base[m] + c), -1)
+            if j >= 0 and w > 0:
+                idx[m, kc] = j
+                wgt[m, kc] = w
+                tot += w
+        if tot <= 0:
+            idx[m, 0] = int(np.argmin(np.linalg.norm(grid.nodes - pts[m], axis=-1)))
+            wgt[m, 0] = 1.0
+        else:
+            wgt[m] /= tot
+    op = sparse.csr_matrix((wgt.ravel(), idx.ravel(), np.arange(0, idx.size + 1, K)),
+                           shape=(pts.shape[0], grid.n_nodes))
+    op.eliminate_zeros()
+    return op
+
+
+def _land_and_cost_ref(grid, sel, pts, dt):
+    geom = grid.geom
+    rho = np.asarray(geom.rho(pts), dtype=float)
+    cost = np.zeros(pts.shape[0])
+    out = pts.copy()
+    for m in np.flatnonzero(rho > 1e-12):
+        hat = _project_ref(geom, pts[m])
+        gam = np.asarray(sel.gamma(hat), dtype=float)
+        lc = _pullback_ref(geom, pts[m], gam, dt)
+        out[m] = pts[m] - dt * lc * gam
+        cost[m] = dt * lc * float(sel.g(hat))
+    return out, cost
+
+
+DISC = G.disc()
+ELLIPSE = G.custom(2, lambda p: np.asarray(p)[..., 0] ** 2 + (np.asarray(p)[..., 1] / 0.6) ** 2 - 1,
+                   lambda p: np.stack([2 * np.asarray(p)[..., 0],
+                                       2 * np.asarray(p)[..., 1] / 0.36], axis=-1),
+                   ((-1.0, -0.6), (1.0, 0.6)))
+
+
+def _tilted(pts):
+    n = DISC.unit_normal(pts)
+    return n + 0.5 * np.stack([-n[..., 1], n[..., 0]], axis=-1)
+
+
+def table_fixtures():
+    bowl = "0.3*cos(pi*x)*cos(pi*y)"
+    return [
+        (G.build_grid(IV, 0.05), M.quadratic(1, "0.2*cos(2*pi*x)"), M.neumann(IV), {}),
+        (G.build_grid(IV, 0.05), M.quadratic(1, "-cos(2*pi*x) - 1"),
+         M.max_affine(IV, [(1.0, 0.2), (2.0, 0.5)]), {"n_velocity": 17, "v_max": 2.5}),
+        (G.build_grid(DISC, 0.1), M.quadratic(2, bowl), M.neumann(DISC), {"n_velocity": 9}),
+        (G.build_grid(DISC, 0.1), M.quadratic(2, bowl), M.affine(DISC, _tilted, 0.1),
+         {"n_velocity": 9}),
+        (G.build_grid(ELLIPSE, 0.1), M.quadratic(2), M.neumann(ELLIPSE), {"n_velocity": 9}),
+    ]
+
+
+def test_array_tables_match_per_point_oracle(monkeypatch):
+    # the ellipse needs several Newton steps per projection
+    for grid, H, Bm, kw in table_fixtures():
+        ctl = V.build_control_set(H, Bm, grid, **kw)
+        dt = grid.h / ctl.v_max
+        landing = (grid.nodes[:, None, :] + dt * ctl.velocities).reshape(-1, grid.dim)
+        assert np.any(grid.geom.rho(landing) > 1e-12)
+        new = V.build_tables(grid, H, Bm, ctl, dt)
+        with monkeypatch.context() as mp:
+            mp.setattr(V, "_interp_weights", _interp_weights_ref)
+            mp.setattr(V, "_land_and_cost", _land_and_cost_ref)
+            ref = V.build_tables(grid, H, Bm, ctl, dt)
+        for a, b in ((new.free_stage, ref.free_stage), (new.bnd_stage, ref.bnd_stage)):
+            fin = np.isfinite(b)
+            assert np.array_equal(np.isfinite(a), fin)
+            assert np.abs(a[fin] - b[fin]).max() <= 1e-12
+        for a, b in ((new.free_op, ref.free_op), (new.bnd_op, ref.bnd_op)):
+            assert abs(a - b).max() <= 1e-12
+        assert np.array_equal(new.bnd_l, ref.bnd_l)
+
+
+def test_table_build_batches_landing_and_uses_closed_form(monkeypatch):
+    calls = {"project": 0, "pullback": 0, "conjugate": 0}
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(V, "project_to_closure", counted("project", V.project_to_closure))
+    monkeypatch.setattr(V, "_pullback_intensity", counted("pullback", V._pullback_intensity))
+    monkeypatch.setattr(M, "_conjugate", counted("conjugate", M._conjugate))
+    grid = G.build_grid(DISC, 0.1)
+    H = M.quadratic(2, "0.3*cos(pi*x)*cos(pi*y)")
+    Bm = M.neumann(DISC)
+    ctl = V.build_control_set(H, Bm, grid, n_velocity=9)
+    calls["conjugate"] = 0     # the velocity bound of the control set may use the engine
+    V.build_tables(grid, H, Bm, ctl, grid.h / ctl.v_max)
+    assert 1 <= calls["project"] <= 2
+    assert 1 <= calls["pullback"] <= 2
+    assert calls["conjugate"] == 0

@@ -194,7 +194,7 @@ def _affine_forms(name, geom, forms, params, lip=None) -> BoundaryOperator:
     """max_k (gamma_k . p - g_k) kept as forms; M_B defaults to max |gamma_k|."""
     forms = tuple((_as_direction(gm, geom), _as_field(gv, geom.dim)) for gm, gv in forms)
     bpts = _boundary_samples(geom)
-    theta = min(estimate_obliqueness(geom, gm, pts=bpts) for gm, _ in forms)
+    theta = min(estimate_obliqueness(geom, gm, bpts) for gm, _ in forms)
     if lip is None:
         lip = max(float(np.linalg.norm(gm(bpts), axis=-1).max()) for gm, _ in forms)
 
@@ -252,17 +252,15 @@ def _boundary_samples(geom, n: int = 48):
     return g.nodes[g.boundary]
 
 
-def estimate_obliqueness(geom: DomainGeometry, gamma_fn,
-                         reach_factor: float = 6.0, pts: np.ndarray | None = None) -> float:
+def estimate_obliqueness(geom: DomainGeometry, gamma_fn, pts: np.ndarray,
+                         reach_factor: float = 6.0) -> float:
     """Worst-case gamma(x) . n(z) over boundary pairs with |x-z| small.
 
     The local pairing (rather than the pointwise product) covers corner
     nodes of the rectangle, where a reflection direction chosen at the
     corner crosses face regions with a different normal. pts are the
-    boundary samples, built here when not given.
+    boundary samples of `_boundary_samples`.
     """
-    if pts is None:
-        pts = _boundary_samples(geom)
     gam = gamma_fn(pts)
     nrm = geom.unit_normal(pts)
     reach = reach_factor * geom.diameter / 48

@@ -46,15 +46,16 @@ def test_lagrangian_convex_along_segments():
 
 
 def test_lagrangian_batch_agrees_with_scalar():
-    # the reference is a dense brute-force sup per row, not the engine itself
-    H = M.quadratic(1, potential="0.2*cos(2*pi*x)")
+    # the reference is a dense brute-force sup per row, not the engine itself;
+    # quadratic takes the closed form, double_well the batched engine
     rng = np.random.default_rng(3)
     X = rng.uniform(0, 1, (40, 1))
     XI = rng.uniform(-2, 2, (40, 1))
-    batch = M.lagrangian_batch(H, X, XI, radius=4.0)
-    ref = np.array([dense_sup(lambda p: xi[0] * p[:, 0] - H(x, p)) for x, xi in zip(X, XI)])
-    assert np.abs(batch - ref).max() <= 1e-6
-
+    for H in (M.quadratic(1, potential="0.2*cos(2*pi*x)"), M.double_well(1)):
+        batch = M.lagrangian_batch(H, X, XI, radius=4.0)
+        ref = np.array([dense_sup(lambda p: xi[0] * p[:, 0] - H(x, p))
+                        for x, xi in zip(X, XI)])
+        assert np.abs(batch - ref).max() <= 1e-6
 
 
 def test_quadratic_closed_form_matches_engine():
@@ -71,6 +72,7 @@ def test_quadratic_closed_form_matches_engine():
             assert np.abs(M.lagrangian_batch(Hc, X, XI, radius=6.0) - engine).max() <= 1e-9
             assert M.lagrangian(Hc, X[0], XI[0]) == pytest.approx(engine[0], abs=1e-9)
     assert M.eikonal(1).conjugate is None
+
 
 # -- boundary conjugate -------------------------------------------------------
 

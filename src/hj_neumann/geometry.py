@@ -211,15 +211,6 @@ class Grid:
     def boundary_idx(self) -> np.ndarray:
         return np.flatnonzero(self.boundary)
 
-    def sweep_orders(self) -> list[np.ndarray]:
-        """Node orders of Gauss-Seidel sweeps, one per lattice direction."""
-        idx = self.lattice_index
-        if self.dim == 1:
-            fwd = np.argsort(idx[:, 0], kind="stable")
-            return [fwd, fwd[::-1]]
-        return [np.lexsort((sy * idx[:, 1], sx * idx[:, 0]))
-                for sx in (1, -1) for sy in (1, -1)]
-
     def centroid_node(self) -> int:
         """Index of the node nearest the domain centroid (the anchor x0)."""
         c = self.nodes[~self.boundary].mean(axis=0)

@@ -1,14 +1,18 @@
 """Discounted solves, eigenvalue limits, slope estimator, normalization."""
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from hj_neumann import ergodic as E, geometry as G, models as M, pde as P
-from hj_neumann.errors import NumericalError
+from hj_neumann.errors import ConvergenceError, NumericalError
 from hj_neumann.pde import stationary_residual
 
 IV = G.interval(0.0, 1.0)
 BN = M.neumann(IV)
+DISC = G.disc(0.0, 0.0, 1.0)
 
 
 def test_discounted_constant_hamiltonian():
@@ -157,3 +161,174 @@ def test_anchored_polish_reaches_machine_fixed_point():
     c_h, v_h, conv = E.anchored_polish(H, BN, grid, "e1", pair.v, tol=1e-10)
     assert conv
     assert abs(c_h - pair.c) <= 5e-3
+    # the pair solves the polish's own operator, whose dissipation is set
+    # from the slopes of the start
+    lip = max(P.discrete_lipschitz(grid, pair.v.values), 1.0) + 1.0
+    res = stationary_residual(v_h, H, BN, "e1", level=c_h, grad_bound=lip)
+    assert np.abs(res).max() <= 1e-10
+
+
+def test_discounted_solve_reports_history_on_cap():
+    grid = G.build_grid(IV, 0.02)
+    H = M.quadratic(1, potential="0.8*cos(2*pi*x)")
+    with pytest.raises(ConvergenceError) as exc:
+        E.discounted_solve(H, BN, 0.1, "e1", P.constant_field(grid, 0.0),
+                           tol=1e-14, max_sweeps=1)
+    assert len(exc.value.history) == 1
+    assert exc.value.history[0] > 1e-14
+
+
+def tilted_max_affine(geom):
+    """max(gamma_+ . p, gamma_- . p) with gamma_+- = n +- t/2 on the disc."""
+    def gamma(s):
+        def g(pts):
+            n = geom.unit_normal(pts)
+            return n + s * np.stack([-n[..., 1], n[..., 0]], axis=-1)
+        return g
+    return M.max_affine(geom, [(gamma(0.5), 0.0), (gamma(-0.5), 0.0)])
+
+
+def test_tangential_max_affine_disc_schedule():
+    # a tangential part in gamma stalled the per-node solver at eps = 0.01
+    grid = G.build_grid(DISC, 0.2)
+    H = M.quadratic(2, "0.3*cos(pi*x)*cos(pi*y)")
+    Bm = tilted_max_affine(DISC)
+    schedule = (0.1, 0.03, 0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pair = E.ergodic_limit(H, Bm, grid, "e1", schedule)
+    assert pair.warning is None
+    u = P.constant_field(grid, 0.0)
+    for eps in schedule:
+        lip = max(P.discrete_lipschitz(grid, u.values), 1.0)
+        u = E.discounted_solve(H, Bm, eps, "e1", u, tol=1e-12)
+        st = P.Stepper(grid, H, Bm, "cn", grad_bound=lip)
+        assert np.abs(eps * u.values + st.rhs(u.values)).max() <= 1e-10
+
+
+# -- the per-node Gauss-Seidel solver as a reference ---------------------------
+
+def root_increasing(f, x0, slope_min):
+    # root of a scalar function that grows at least linearly at rate slope_min
+    f0 = f(x0)
+    if f0 == 0.0:
+        return x0
+    sgn = -1.0 if f0 > 0 else 1.0
+    step = abs(f0) / slope_min + 1e-12
+    for _ in range(60):
+        far = x0 + sgn * step
+        if sgn * f(far) >= 0:
+            return brentq(f, min(x0, far), max(x0, far), xtol=1e-13)
+        step *= 2.0
+    raise AssertionError("node solve failed to bracket the root")
+
+
+def gauss_seidel_discounted(st, eps, u, tol, max_sweeps=5000):
+    # per-node Gauss-Seidel with exact scalar solves and a constant shift per
+    # sweep, the discounted solver Newton replaced; returns (u, sweeps). A cn
+    # boundary node whose value enters the inward normal slope positively
+    # takes four fixed-point passes, which solve its equation only when the
+    # boundary root does not move with the tangential slope: no reference on
+    # a disc with a tangential part in gamma
+    grid = st.grid
+    nodes, sig = grid.nodes, st.sigma
+    bpos = {int(k): j for j, k in enumerate(st.bidx)}
+    fin = np.isfinite(st.inw_gap)
+    q_coef = np.where(fin, st.inw_sgn / np.where(fin, st.inw_gap, 1.0), 0.0)
+    lat = grid.lattice_index
+    if grid.dim == 1:
+        fwd = np.argsort(lat[:, 0], kind="stable")
+        orders = [fwd, fwd[::-1]]
+    else:
+        orders = [np.lexsort((sy * lat[:, 1], sx * lat[:, 0]))
+                  for sx in (1, -1) for sy in (1, -1)]
+
+    def lam(x, qt, n):
+        return float(P._ghost_solve_many(st.Bm, x[None], qt[None], n[None], 1e-12)[0])
+
+    def interior(u, i):
+        x = nodes[i]
+        uW, uE = u[st.idx[0, :, i]], u[st.idx[1, :, i]]
+        gW, gE = st.gap[0, :, i], st.gap[1, :, i]
+
+        def f(ui):
+            pW, pE = (ui - uW) / gW, (uE - ui) / gE
+            return (eps * ui + float(st.H(x, 0.5 * (pW + pE)))
+                    - 0.5 * float(np.sum(sig * (pE - pW))))
+        return root_increasing(f, float(u[i]), eps)
+
+    def boundary(u, i):
+        j = bpos[i]
+        x, n, coef = nodes[i], st.bn[j], q_coef[:, j]
+        nb = st.inw_idx[:, j]
+        base = -coef * np.where(nb >= 0, u[np.maximum(nb, 0)], 0.0)
+        if st.kind == "dbc":
+            return root_increasing(lambda v: eps * v + float(st.Bm(x, base + coef * v)),
+                                   float(u[i]), eps)
+        b, sig_n, ui = float(coef @ n), float(st.sig_n[j]), float(u[i])
+        if b <= 0:
+            def f(v):
+                q = base + coef * v
+                qn = float(q @ n)
+                qt = q - qn * n
+                lm = lam(x, qt, n)
+                return (eps * v + float(st.H(x[None], (qt + lm * n)[None])[0])
+                        - sig_n * (lm - qn))
+            return root_increasing(f, ui, eps)
+        for _ in range(4 if grid.dim > 1 else 1):
+            q = base + coef * ui
+            qt = q - float(q @ n) * n
+            lm = lam(x, qt, n)
+            hval = float(st.H(x[None], (qt + lm * n)[None])[0])
+            new = (sig_n * lm - hval - sig_n * float(base @ n)) / (eps + sig_n * b)
+            done = abs(new - ui) <= 1e-14 * (1 + abs(new))
+            ui = new
+            if done:
+                break
+        return ui
+
+    u = u.copy()
+    for it in range(max_sweeps):
+        shift = -float((eps * u + st.rhs(u)).mean()) / eps
+        u += shift
+        delta = abs(shift)
+        for i in orders[it % len(orders)]:
+            new = boundary(u, i) if grid.boundary[i] else interior(u, i)
+            delta = max(delta, abs(new - u[i]))
+            u[i] = new
+        if delta <= tol:
+            return u, it + 1
+    raise AssertionError("reference sweep did not settle")
+
+
+ORACLE_FIXTURES = {
+    "cosine-well": (IV, 0.02, M.quadratic(1, potential="-cos(2*pi*x) - 1"), BN, "e1"),
+    "max-affine-1d": (IV, 0.02, M.quadratic(1, potential="0.8*cos(2*pi*x)"),
+                      M.max_affine(IV, [(1.0, 0.2), (2.0, 0.5)]), "e1"),
+    "e2": (IV, 0.02, M.poly1d([-1.0, 0.0, 0.5]), BN, "e2"),
+    "bench-disc": (DISC, 0.25, M.quadratic(2, "-0.5*(x**2 + y**2)"), M.neumann(DISC), "e1"),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_FIXTURES)
+def test_newton_is_the_gauss_seidel_fixed_point(name):
+    # the reference contracts slowly on these (up to ~1e4 sweeps from zero),
+    # so it starts at the Newton field and must settle there
+    geom, h, H, Bm, kind = ORACLE_FIXTURES[name]
+    grid = G.build_grid(geom, h)
+    for eps in (0.1, 0.01):
+        u = E.discounted_solve(H, Bm, eps, kind, P.constant_field(grid, 0.0), tol=1e-12)
+        st = P.Stepper(grid, H, Bm, "cn" if kind == "e1" else "dbc", grad_bound=1.0)
+        assert st.radius > P.discrete_lipschitz(grid, u.values) + 1.0   # no refresh
+        ref, _ = gauss_seidel_discounted(st, eps, u.values, 1e-12)
+        assert np.abs(u.values - ref).max() <= 1e-8
+
+
+def test_gauss_seidel_from_zero_reaches_newton():
+    geom, h, H, Bm, kind = ORACLE_FIXTURES["bench-disc"]
+    grid = G.build_grid(geom, h)
+    u = E.discounted_solve(H, Bm, 0.1, kind, P.constant_field(grid, 0.0), tol=1e-12)
+    st = P.Stepper(grid, H, Bm, "cn", grad_bound=1.0)
+    ref, sweeps = gauss_seidel_discounted(st, 0.1, np.zeros(grid.n_nodes), 1e-12)
+    assert sweeps > 1
+    assert np.abs(u.values - ref).max() <= 1e-8

@@ -344,3 +344,58 @@ def test_2d_disc_evolution_runs_and_contracts():
     sv = P.evolve(v0, H, Bn, "cn", T=0.3, record_every=0.1)
     assert np.abs(su.values[-1] - sv.values[-1]).max() <= 0.2 + 1e-10
     assert (su.values[-1] <= sv.values[-1] + 1e-10).all()
+
+
+JACOBIAN_GRIDS = [(IV, 0.05), (DISC, 0.25), (DISC, 0.2), (DISC, 0.1)]
+
+
+def jacobian_setups(geom, h):
+    """(Stepper, u) for cn and dbc with a potential, a tilted affine boundary
+    on the disc, and a random field."""
+    grid = G.build_grid(geom, h)
+    if grid.dim == 1:
+        H, Bm = M.quadratic(1, "0.8*cos(2*pi*x)"), M.affine(IV, g=0.3)
+    else:
+        H, Bm = M.quadratic(2, "0.3*cos(pi*x)*cos(pi*y)"), M.affine(DISC, tilted(0.5), "0.2*x")
+    u = np.random.default_rng(5).uniform(-1.0, 1.0, grid.n_nodes)
+    return [(P.Stepper(grid, H, Bm, kind, grad_bound=2.0), u) for kind in ("cn", "dbc")]
+
+
+@pytest.mark.parametrize("geom,h", JACOBIAN_GRIDS)
+def test_jacobian_colouring_parts_every_row(geom, h):
+    # rhs row i reads u at i, its axis neighbours and, on the boundary, its
+    # inward reconstruction nodes; no two of them share a colour
+    stp, _ = jacobian_setups(geom, h)[0]
+    grid, colour = stp.grid, stp.colouring
+    inward = dict(zip(stp.bidx, stp.inw_idx.T))
+    assert colour.max() + 1 <= 2 * grid.dim + 1
+    for i in range(grid.n_nodes):
+        reads = {i, *grid.neighbors[:, :, i].ravel(), *inward.get(i, [])} - {-1}
+        assert len({int(colour[j]) for j in reads}) == len(reads)
+
+
+@pytest.mark.parametrize("geom,h", JACOBIAN_GRIDS)
+def test_jacobian_matches_columnwise_differences(geom, h):
+    for stp, u in jacobian_setups(geom, h):
+        J = stp.jacobian(u).toarray()
+        base = stp.rhs(u)
+        ref = np.empty_like(J)
+        for j in range(u.size):
+            up = u.copy()
+            up[j] += P.FD_STEP
+            ref[:, j] = (stp.rhs(up) - base) / (up[j] - u[j])
+        assert np.abs(J - ref).max() <= 1e-6 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("geom,h", JACOBIAN_GRIDS)
+def test_jacobian_calls_rhs_once_per_colour(geom, h):
+    for stp, u in jacobian_setups(geom, h):
+        rhs, calls = stp.rhs, []
+        stp.rhs = lambda v: calls.append(1) or rhs(v)
+        n_colours = int(stp.colouring.max()) + 1
+        stp.jacobian(u)
+        assert len(calls) == n_colours + 1
+        phi = rhs(u)
+        calls.clear()
+        stp.jacobian(u, phi)
+        assert len(calls) == n_colours

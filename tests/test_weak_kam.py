@@ -137,7 +137,8 @@ def gauss_seidel_distance(tables, pinned, tol, max_sweeps=20000):
            for j, k in enumerate(tables.bnd_rows)}
     d = np.full(grid.n_nodes, 1e7)
     d[pinned] = 0.0
-    orders = grid.sweep_orders()
+    fwd = np.argsort(grid.lattice_index[:, 0], kind="stable")
+    orders = [fwd, fwd[::-1]]           # alternating sweeps on the 1-D lattice
     for it in range(max_sweeps):
         change = 0.0
         for i in orders[it % len(orders)]:

@@ -168,15 +168,15 @@ def normalize(H: Hamiltonian, Bm: BoundaryOperator, c: float,
 
 def anchored_polish(H: Hamiltonian, Bm: BoundaryOperator, grid: Grid,
                     kind: str, v0: GridField, tol: float = 1e-12,
-                    max_steps: int = 60000):
+                    max_steps: int = 50):
     """Discrete eigenpair of the marching scheme by Newton's method.
 
     Solves Phi(v) = c with v(x0) = 0, x0 the centroid node, as one bordered
     system in (v, c) with the matrix [J, -1; e_x0^T, 0], J =
     Stepper.jacobian(v), starting from v0. Converged when the largest
-    update is at most tol within max_steps Newton steps; the fixed point is
-    the reference orbit for long-time comparisons. Returns
-    (c_h, v_h, converged).
+    update is at most tol within max_steps Newton steps (each a sparse LU
+    solve); the fixed point is the reference orbit for long-time
+    comparisons. Returns (c_h, v_h, converged).
     """
     x0 = grid.centroid_node()
     n = grid.n_nodes

@@ -16,7 +16,6 @@ it does not make the scheme monotone at curved boundaries (ROADMAP item 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -272,32 +271,17 @@ class Stepper:
 
     # -- Jacobian -------------------------------------------------------------
 
-    @cached_property
-    def colouring(self) -> np.ndarray:
-        """Colour of each column of d rhs / du; no row reads two of one colour.
-
-        Row i reads u at i and at its axis neighbours idx[:, :, i] (a
-        boundary row's inward reconstruction picks among them), all lattice
-        neighbours. Two such columns differ by e_a, 2 e_a or e_a +- e_b in
-        lattice coordinates k, so sum_a (a + 1) k_a mod (2 dim + 1) parts
-        them: 3 colours in 1-D, 5 in 2-D.
-        """
-        d = self.grid.dim
-        raw = (self.grid.lattice_index @ np.arange(1, d + 1)) % (2 * d + 1)
-        return np.unique(raw, return_inverse=True)[1]
-
-    def jacobian(self, u: np.ndarray, phi: np.ndarray | None = None) -> sparse.csr_array:
+    def jacobian(self, u: np.ndarray, phi: np.ndarray) -> sparse.csr_array:
         """CSR matrix d rhs / du at u by forward differences of rhs itself.
 
-        One rhs call per colour of ``colouring``, plus one for phi = rhs(u)
-        when the caller does not pass it. The step FD_STEP is absolute.
+        phi is rhs(u); one further rhs call per colour of
+        ``stencil_colouring``. The step FD_STEP is absolute.
         """
         n = self.grid.n_nodes
-        colour = self.colouring
-        base = self.rhs(u) if phi is None else phi
+        colour = stencil_colouring(self.grid)
         up = u + FD_STEP
         dphi = np.stack([self.rhs(np.where(colour == c, up, u))
-                         for c in range(int(colour.max()) + 1)]) - base
+                         for c in range(int(colour.max()) + 1)]) - phi
         nb = self.idx.reshape(-1, n)
         rows = np.concatenate([np.arange(n), np.tile(np.arange(n), nb.shape[0])])
         cols = np.concatenate([np.arange(n), nb.ravel()])
@@ -312,6 +296,20 @@ class Stepper:
     def step(self, u: np.ndarray, dt: float) -> np.ndarray:
         self.check_dt(dt)
         return u - dt * self.rhs(u)
+
+
+def stencil_colouring(grid: Grid) -> np.ndarray:
+    """Colour of each column of d rhs / du; no row reads two of one colour.
+
+    Row i reads u at i and at its axis neighbours (a boundary row's inward
+    reconstruction picks among them), all lattice neighbours. Two such
+    columns differ by e_a, 2 e_a or e_a +- e_b in lattice coordinates k,
+    so sum_a (a + 1) k_a mod (2 dim + 1) parts them: 3 colours in 1-D,
+    5 in 2-D.
+    """
+    d = grid.dim
+    raw = (grid.lattice_index @ np.arange(1, d + 1)) % (2 * d + 1)
+    return np.unique(raw, return_inverse=True)[1]
 
 
 def discrete_lipschitz(grid: Grid, u: np.ndarray) -> float:

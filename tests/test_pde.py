@@ -366,7 +366,8 @@ def test_jacobian_colouring_parts_every_row(geom, h):
     # rhs row i reads u at i, its axis neighbours and, on the boundary, its
     # inward reconstruction nodes; no two of them share a colour
     stp, _ = jacobian_setups(geom, h)[0]
-    grid, colour = stp.grid, stp.colouring
+    grid = stp.grid
+    colour = P.stencil_colouring(grid)
     inward = dict(zip(stp.bidx, stp.inw_idx.T))
     assert colour.max() + 1 <= 2 * grid.dim + 1
     for i in range(grid.n_nodes):
@@ -377,8 +378,8 @@ def test_jacobian_colouring_parts_every_row(geom, h):
 @pytest.mark.parametrize("geom,h", JACOBIAN_GRIDS)
 def test_jacobian_matches_columnwise_differences(geom, h):
     for stp, u in jacobian_setups(geom, h):
-        J = stp.jacobian(u).toarray()
         base = stp.rhs(u)
+        J = stp.jacobian(u, base).toarray()
         ref = np.empty_like(J)
         for j in range(u.size):
             up = u.copy()
@@ -392,10 +393,6 @@ def test_jacobian_calls_rhs_once_per_colour(geom, h):
     for stp, u in jacobian_setups(geom, h):
         rhs, calls = stp.rhs, []
         stp.rhs = lambda v: calls.append(1) or rhs(v)
-        n_colours = int(stp.colouring.max()) + 1
-        stp.jacobian(u)
-        assert len(calls) == n_colours + 1
-        phi = rhs(u)
-        calls.clear()
-        stp.jacobian(u, phi)
+        n_colours = int(P.stencil_colouring(stp.grid).max()) + 1
+        stp.jacobian(u, rhs(u))
         assert len(calls) == n_colours

@@ -27,7 +27,7 @@ from scipy.sparse.linalg import spsolve
 from .errors import ConvergenceError, NumericalError
 from .geometry import Grid
 from .models import BoundaryOperator, Hamiltonian, shift_boundary, shift_hamiltonian
-from .pde import (GridField, SpaceTimeField, Stepper, discrete_lipschitz,
+from .pde import (GridField, SpaceTimeField, Stepper, discrete_lipschitz, scheme_kind,
                   stationary_residual)
 
 
@@ -55,14 +55,13 @@ def discounted_solve(H: Hamiltonian, Bm: BoundaryOperator, epsilon: float,
     dissipation is refreshed when slopes outgrow its certified radius. The
     returned field obeys the discount bound |eps u| <= max|H(x, 0)|
     (+ max|B(x, 0)| for "e2") up to solver tolerance, else NumericalError.
+    kind is "e1" or "e2", or its scheme's "cn" or "dbc".
     """
     if not (0 < epsilon < 1):
         raise NumericalError("epsilon must lie in (0, 1)")
-    if kind not in ("e1", "e2"):
-        raise NumericalError(f"unknown ergodic kind {kind!r}")
     grid = init.grid
     lip = max(discrete_lipschitz(grid, init.values), 1.0)
-    st = Stepper(grid, H, Bm, "cn" if kind == "e1" else "dbc", grad_bound=lip)
+    st = Stepper(grid, H, Bm, kind, grad_bound=lip)
     tol = epsilon * grid.h ** 2 if tol is None else tol
     damp = epsilon * sparse.eye_array(grid.n_nodes, format="csr")
     u = init.values.copy()
@@ -84,7 +83,7 @@ def discounted_solve(H: Hamiltonian, Bm: BoundaryOperator, epsilon: float,
             f"in {len(history)} Newton steps", history)
 
     m1 = float(np.abs(H(grid.nodes, np.zeros(grid.dim))).max())
-    if kind == "e2":
+    if st.kind == "dbc":
         bx = grid.nodes[grid.boundary]
         m1 += float(np.abs(Bm(bx, np.zeros(grid.dim))).max())
     bound = np.abs(epsilon * u).max()
@@ -98,15 +97,15 @@ DEFAULT_SCHEDULE = (0.1, 0.03, 0.01, 0.003, 0.001)
 
 
 def ergodic_limit(H: Hamiltonian, Bm: BoundaryOperator, grid: Grid,
-                  kind: str = "e1", epsilon_schedule=DEFAULT_SCHEDULE,
-                  osc_tol: float = 0.05) -> ErgodicPair:
+                  kind: str = "e1", epsilon_schedule=DEFAULT_SCHEDULE) -> ErgodicPair:
     """Vanishing-discount eigenvalue and eigenfunction.
 
     Solves the discounted problem down the schedule (strictly decreasing,
     ending at or above 1e-4) with warm starts, Richardson-extrapolates
     eps*u_eps(x0) at first order, and anchors v = u_eps - u_eps(x0) at the
-    node nearest the domain centroid. A non-Cauchy trace attaches a warning
-    rather than failing.
+    node nearest the domain centroid. A trace whose last two values differ
+    by more than 0.05 (1 + |c|) is not Cauchy and attaches a warning rather
+    than failing.
     """
     eps = list(epsilon_schedule)
     if any(b >= a for a, b in zip(eps, eps[1:])) or eps[-1] < 1e-4:
@@ -125,7 +124,7 @@ def ergodic_limit(H: Hamiltonian, Bm: BoundaryOperator, grid: Grid,
         c = -trace[-1][1]
 
     warning = None
-    if len(trace) >= 2 and abs(trace[-1][1] - trace[-2][1]) > osc_tol * (1 + abs(c)):
+    if len(trace) >= 2 and abs(trace[-1][1] - trace[-2][1]) > 0.05 * (1 + abs(c)):
         warning = ("epsilon trace is not Cauchy: last two values "
                    f"{trace[-2][1]:.4g}, {trace[-1][1]:.4g}")
 
@@ -160,34 +159,33 @@ def large_time_slope(evolution: SpaceTimeField, t1: float, t2: float) -> float:
 
 def normalize(H: Hamiltonian, Bm: BoundaryOperator, c: float,
               kind: str = "e1"):
-    """Shift the eigenvalue to zero: H -> H - c, and B -> B - c for "e2"."""
+    """Shift the eigenvalue to zero: H -> H - c, and B -> B - c for "e2"
+    (or "dbc")."""
     Hn = shift_hamiltonian(H, c)
-    Bn = shift_boundary(Bm, c) if kind == "e2" else Bm
+    Bn = shift_boundary(Bm, c) if scheme_kind(kind) == "dbc" else Bm
     return Hn, Bn
 
 
 def anchored_polish(H: Hamiltonian, Bm: BoundaryOperator, grid: Grid,
-                    kind: str, v0: GridField, tol: float = 1e-12,
-                    max_steps: int = 50):
+                    kind: str, v0: GridField, tol: float = 1e-12):
     """Discrete eigenpair of the marching scheme by Newton's method.
 
     Solves Phi(v) = c with v(x0) = 0, x0 the centroid node, as one bordered
     system in (v, c) with the matrix [J, -1; e_x0^T, 0], J =
     Stepper.jacobian(v), starting from v0. Converged when the largest
-    update is at most tol within max_steps Newton steps (each a sparse LU
-    solve); the fixed point is the reference orbit for long-time
-    comparisons. Returns (c_h, v_h, converged).
+    update is at most tol within 50 Newton steps (each a sparse LU solve);
+    the fixed point is the reference orbit for long-time comparisons.
+    Returns (c_h, v_h, converged).
     """
     x0 = grid.centroid_node()
     n = grid.n_nodes
     lip = max(discrete_lipschitz(grid, v0.values), 1.0)
-    st = Stepper(grid, H, Bm, "cn" if kind in ("cn", "e1") else "dbc",
-                 grad_bound=lip + 1.0)
+    st = Stepper(grid, H, Bm, kind, grad_bound=lip + 1.0)
     border = sparse.csr_array(-np.ones((n, 1)))
     anchor = sparse.csr_array(([1.0], ([0], [x0])), shape=(1, n))
     v = v0.values - v0.values[x0]
     c, converged = 0.0, False       # c enters linearly: one step sets it
-    for _ in range(max_steps):
+    for _ in range(50):
         phi = st.rhs(v)
         A = sparse.block_array([[st.jacobian(v, phi), border], [anchor, None]],
                                format="csr")
@@ -207,7 +205,7 @@ def subsolution_probe(H: Hamiltonian, Bm: BoundaryOperator, grid: Grid,
     Values near zero mean level >= c (a subsolution exists); values bounded
     away from zero witness that no discrete subsolution exists at this level.
     """
-    Hs, Bs = normalize(H, Bm, level, "e2" if kind == "e2" else "e1")
+    Hs, Bs = normalize(H, Bm, level, kind)
     u = discounted_solve(Hs, Bs, epsilon, kind,
                          GridField(grid, np.zeros(grid.n_nodes)))
     return epsilon * float(u.values[grid.centroid_node()])

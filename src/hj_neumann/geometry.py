@@ -21,7 +21,13 @@ import numpy as np
 
 from .errors import GeometryError
 
-DEFAULT_BAND = 0.6
+# boundary band of build_grid, in units of h
+BAND = 0.6
+
+# Newton steps onto rho = 0, shared by the boundary snap and the projection:
+# a point is on the boundary once |rho| <= SNAP_TOL, within SNAP_ITER steps
+SNAP_TOL = 1e-12
+SNAP_ITER = 60
 
 
 @dataclass(frozen=True)
@@ -30,7 +36,7 @@ class DomainGeometry:
 
     rho(pts) evaluates the defining function on points of shape (..., dim);
     grad_rho(pts) its gradient, shape (..., dim). kind is one of
-    {"interval", "rectangle", "disc", "custom"}.
+    {"interval", "disc", "custom"}.
     """
 
     dim: int
@@ -71,33 +77,6 @@ def interval(a: float = 0.0, b: float = 1.0) -> DomainGeometry:
     return DomainGeometry(1, rho, grad, "interval", ((a,), (b,)), {"a": a, "b": b})
 
 
-def rectangle(a1: float, b1: float, a2: float, b2: float) -> DomainGeometry:
-    """Axis-aligned rectangle; corners get the averaged outward normal."""
-    if not (b1 > a1 and b2 > a2):
-        raise GeometryError("empty rectangle")
-    c = np.array([0.5 * (a1 + b1), 0.5 * (a2 + b2)])
-    w = np.array([0.5 * (b1 - a1), 0.5 * (b2 - a2)])
-
-    def rho(pts):
-        pts = np.asarray(pts, float)
-        return np.max(np.abs(pts - c) - w, axis=-1)
-
-    def grad(pts):
-        pts = np.asarray(pts, float)
-        exc = np.abs(pts - c) - w
-        top = np.max(exc, axis=-1, keepdims=True)
-        # all axes within tol of the max are active; corners average them
-        active = exc >= top - 1e-9
-        s = np.sign(pts - c)
-        s = np.where(s == 0.0, 1.0, s)
-        g = np.where(active, s, 0.0)
-        n = np.linalg.norm(g, axis=-1, keepdims=True)
-        return g / np.where(n == 0.0, 1.0, n)
-
-    return DomainGeometry(2, rho, grad, "rectangle", ((a1, a2), (b1, b2)),
-                          {"a1": a1, "b1": b1, "a2": a2, "b2": b2})
-
-
 def disc(cx: float = 0.0, cy: float = 0.0, r: float = 1.0) -> DomainGeometry:
     """Disc of radius r, rho(x) = |x - c| - r."""
     if r <= 0:
@@ -124,42 +103,42 @@ def custom(dim: int, rho, grad_rho, bounds, params=None) -> DomainGeometry:
     return DomainGeometry(dim, rho, grad_rho, "custom", bounds, params or {})
 
 
-def project_to_closure(geom: DomainGeometry, x, tol: float = 1e-12,
-                       max_iter: int = 60):
+def project_to_closure(geom: DomainGeometry, x):
     """Project points of shape (..., dim) onto the closure of the domain.
 
     Interior points are returned unchanged. Exterior points are moved by
     Newton steps on rho along grad_rho, which follows the gradient line
-    exactly for the catalog geometries (radial for the disc, axiswise for
-    boxes); each point stops as soon as |rho| <= tol. Raises for an exterior
-    point more than two diameters outside the bounding box, and with the
-    last iterate if some point does not reach rho = 0.
+    exactly for the catalog geometries (radial for the disc); each point
+    stops as soon as |rho| <= SNAP_TOL. Raises for an exterior point more
+    than two diameters outside the bounding box, and with the last iterate
+    if some point does not reach rho = 0.
     """
     x = np.array(x, dtype=float)
     pts = x.reshape(-1, geom.dim)
-    out = np.flatnonzero(np.asarray(geom.rho(pts), dtype=float) > tol)
+    out = np.flatnonzero(np.asarray(geom.rho(pts), dtype=float) > SNAP_TOL)
     lo, hi = np.asarray(geom.bounds[0]), np.asarray(geom.bounds[1])
     band = 2.0 * geom.diameter
     far = np.any((pts[out] < lo - band) | (pts[out] > hi + band), axis=-1)
     if np.any(far):
         raise GeometryError(f"point {pts[out[far][0]]} too far from the domain to project")
-    _newton_to_boundary(geom, pts, out, tol, max_iter, "projection")
+    _newton_to_boundary(geom, pts, out, "projection")
     return x
 
 
 def _newton_to_boundary(geom: DomainGeometry, pts: np.ndarray, rows: np.ndarray,
-                        tol: float, max_iter: int, what: str) -> None:
+                        what: str) -> None:
     """Move pts[rows] onto rho = 0 in place by Newton steps along grad_rho.
 
-    A row stops at its first iterate with |rho| <= tol (possibly the start).
+    A row stops at its first iterate with |rho| <= SNAP_TOL (possibly the
+    start).
     """
     r = np.asarray(geom.rho(pts[rows]), dtype=float)
-    for it in range(max_iter + 1):
-        left = np.abs(r) > tol
+    for it in range(SNAP_ITER + 1):
+        left = np.abs(r) > SNAP_TOL
         rows, r = rows[left], r[left]
         if not rows.size:
             return
-        if it == max_iter:
+        if it == SNAP_ITER:
             raise GeometryError(f"{what} did not converge; last iterate {pts[rows[0]]}, "
                                 f"rho={r[0]:g}")
         g = np.asarray(geom.grad_rho(pts[rows]), dtype=float)
@@ -192,7 +171,6 @@ class Grid:
     lattice_index: np.ndarray      # (N, dim) integer lattice coordinates
     neighbors: np.ndarray          # (2, dim, N) int, -1 when missing
     gaps: np.ndarray               # (2, dim, N) float, inf when missing
-    band: float
     node_at: np.ndarray            # lattice box shape, int, -1 when missing
 
     @property
@@ -217,11 +195,11 @@ class Grid:
         return int(np.argmin(np.linalg.norm(self.nodes - c, axis=-1)))
 
 
-def build_grid(geom: DomainGeometry, h: float, band: float = DEFAULT_BAND) -> Grid:
+def build_grid(geom: DomainGeometry, h: float) -> Grid:
     """Clip a regular lattice of spacing h to the domain closure.
 
     Nodes with estimated signed distance rho/|grad_rho| in
-    (-band*h, band*h] are flagged as boundary and snapped onto rho = 0
+    (-BAND*h, BAND*h] are flagged as boundary and snapped onto rho = 0
     along grad_rho; interior nodes stay on the lattice. Raises when the
     result is degenerate (no interior node, isolated boundary node,
     missing interior stencil).
@@ -245,15 +223,14 @@ def build_grid(geom: DomainGeometry, h: float, band: float = DEFAULT_BAND) -> Gr
     gnorm = np.linalg.norm(g, axis=-1)
     sdist = r / np.where(gnorm > 0, gnorm, 1.0)
 
-    keep = sdist <= band * h
+    keep = sdist <= BAND * h
     if not np.any(keep):
         raise GeometryError("no lattice node inside the domain")
     pts, idx, sdist = pts[keep], idx[keep], sdist[keep]
-    boundary = sdist > -band * h
+    boundary = sdist > -BAND * h
 
     nodes = pts.copy()
-    _newton_to_boundary(geom, nodes, np.flatnonzero(boundary), 1e-12, 60,
-                        "boundary snap")
+    _newton_to_boundary(geom, nodes, np.flatnonzero(boundary), "boundary snap")
 
     # two band layers can snap onto near-identical boundary points (poles of
     # curved boundaries); keep the one coming from the nearer lattice point
@@ -276,7 +253,7 @@ def build_grid(geom: DomainGeometry, h: float, band: float = DEFAULT_BAND) -> Gr
             nodes, idx, boundary = nodes[~drop], idx[~drop], boundary[~drop]
 
     if not np.any(~boundary):
-        raise GeometryError("no interior node; reduce h or the boundary band")
+        raise GeometryError("no interior node; reduce h")
 
     node_at, neighbors, gaps = _stencil(nodes, idx, boundary, counts, h)
     # drop boundary nodes without any kept neighbor (no edge reaches them
@@ -316,8 +293,7 @@ def build_grid(geom: DomainGeometry, h: float, band: float = DEFAULT_BAND) -> Gr
     boundary.setflags(write=False)
     normals.setflags(write=False)
     node_at.setflags(write=False)
-    return Grid(geom, float(h), nodes, boundary, normals, idx, neighbors, gaps, band,
-                node_at)
+    return Grid(geom, float(h), nodes, boundary, normals, idx, neighbors, gaps, node_at)
 
 
 def _stencil(nodes, idx, boundary, counts, h):
@@ -344,8 +320,7 @@ def _stencil(nodes, idx, boundary, counts, h):
     short = gaps < 0.2 * h
     k = np.nonzero(short)[2]
     if not np.all(boundary[k] & boundary[neighbors[short]]):
-        raise GeometryError("snapped boundary node collapsed an interior stencil gap; "
-                            "reduce the boundary band")
+        raise GeometryError("snapped boundary node collapsed an interior stencil gap")
     neighbors[short] = -1
     gaps[short] = np.inf
     return node_at, neighbors, gaps

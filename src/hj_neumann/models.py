@@ -18,8 +18,7 @@ certification rule:
 - a row whose argmax touches the lattice edge doubles its radius, at most
   7 times;
 - a row still on the edge after the last doubling, having grown at every
-  doubling, is priced at ``cap`` (the finite stand-in for +infinity, 1e9 by
-  default);
+  doubling, is priced at ``CAP``, the finite stand-in for +infinity;
 - a row on the edge that did not grow at a doubling raises RadiusError.
 """
 
@@ -35,6 +34,13 @@ from .expressions import scalar_field
 from .geometry import DomainGeometry, build_grid
 
 CAP = 1.0e9
+
+# boundary samples per domain diameter, for obliqueness and M_B estimates
+BOUNDARY_SAMPLES = 48
+
+# draws per assumption and pass tolerance of audit_assumptions
+AUDIT_SAMPLES = 400
+AUDIT_TOL = 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -59,19 +65,18 @@ class Hamiltonian:
     def __call__(self, x: np.ndarray, p: np.ndarray) -> np.ndarray:
         return self.fn(np.asarray(x, float), np.asarray(p, float))
 
-    def coercivity_radius(self, level: float, points: np.ndarray,
-                          r_max: float = 256.0) -> float:
-        """Smallest scanned radius r with min over samples of H at |p|=r >= level."""
+    def coercivity_radius(self, level: float, points: np.ndarray) -> float:
+        """Smallest scanned radius r <= 256 with min over samples of H at |p|=r >= level."""
         dirs = _directions(self.dim)
         r = 0.5
-        while r <= r_max:
+        while r <= 256.0:
             p = r * dirs                                # (D, dim)
             vals = self(points[:, None, :], p[None, :, :])
             if vals.min() >= level:
                 return r
             r *= 1.25
         raise NumericalError(
-            f"H={self.name} does not reach level {level:g} within |p|<={r_max:g}; "
+            f"H={self.name} does not reach level {level:g} within |p|<=256; "
             "coercivity (A1) fails numerically")
 
     def lip_p(self, radius: float, points: np.ndarray) -> np.ndarray:
@@ -247,23 +252,23 @@ def _as_direction(gamma, geom):
     return lambda pts: np.broadcast_to(vec, np.asarray(pts, float).shape).copy()
 
 
-def _boundary_samples(geom, n: int = 48):
+def _boundary_samples(geom, n: int = BOUNDARY_SAMPLES):
     g = build_grid(geom, geom.diameter / n)
     return g.nodes[g.boundary]
 
 
-def estimate_obliqueness(geom: DomainGeometry, gamma_fn, pts: np.ndarray,
-                         reach_factor: float = 6.0) -> float:
+def estimate_obliqueness(geom: DomainGeometry, gamma_fn, pts: np.ndarray) -> float:
     """Worst-case gamma(x) . n(z) over boundary pairs with |x-z| small.
 
-    The local pairing (rather than the pointwise product) covers corner
-    nodes of the rectangle, where a reflection direction chosen at the
-    corner crosses face regions with a different normal. pts are the
-    boundary samples of `_boundary_samples`.
+    Each direction gamma(x) is paired with the normals n(z) of the samples
+    within 6 h of x, h = diameter / BOUNDARY_SAMPLES the spacing of the
+    sample grid, not with n(x) alone, so theta also bounds gamma . n where
+    the normal turns between samples. pts are the boundary samples of
+    `_boundary_samples`.
     """
     gam = gamma_fn(pts)
     nrm = geom.unit_normal(pts)
-    reach = reach_factor * geom.diameter / 48
+    reach = 6.0 * geom.diameter / BOUNDARY_SAMPLES
     d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
     close = d2 <= reach ** 2
     dots = np.einsum("id,jd->ij", gam, nrm)
@@ -297,18 +302,18 @@ def _grid_axis_count(dim: int) -> int:
     return 257 if dim == 1 else 65
 
 
-def _conjugate(fun, X, XI, radius: float, cap: float, max_doublings: int = 7):
+def _conjugate(fun, X, XI, radius: float, max_doublings: int = 7):
     """sup_p (xi . p - fun(x, p)) over the paired rows (x, xi) of (X, XI).
 
     fun(X, P) broadcasts over points X and momenta P of shape (..., dim).
-    Returns the values and the maximizers (nan rows where the value is cap)
+    Returns the values and the maximizers (nan rows where the value is CAP)
     under the certification rule of the module docstring.
     """
     X = np.asarray(X, float)
     XI = np.asarray(XI, float)
     m, dim = XI.shape
     n_axis = _grid_axis_count(dim)
-    val = np.full(m, float(cap))
+    val = np.full(m, CAP)
     arg = np.full((m, dim), np.nan)
     cell = np.zeros(m)
     rows, prev = np.arange(m), None
@@ -329,7 +334,7 @@ def _conjugate(fun, X, XI, radius: float, cap: float, max_doublings: int = 7):
     fin = ~np.isnan(arg[:, 0])
     if np.any(fin):
         val[fin], arg[fin] = _polish(fun, X[fin], XI[fin], arg[fin], cell[fin])
-    return np.minimum(val, cap), arg
+    return np.minimum(val, CAP), arg
 
 
 def _lattice_max(fun, X, XI, radius, n_axis):
@@ -422,43 +427,41 @@ def _golden(f, half, xtol):
     return np.where(left, a, b), np.where(left, fa, fb)
 
 
-def lagrangian(H: Hamiltonian, x: np.ndarray, xi: np.ndarray,
-               radius: float = 4.0, cap: float = CAP) -> float:
+def lagrangian(H: Hamiltonian, x: np.ndarray, xi: np.ndarray) -> float:
     """Running cost L(x, xi) = sup_p (xi . p - H(x, p)).
 
-    Returns cap when xi lies outside the effective domain (the sampled sup
+    Returns CAP when xi lies outside the effective domain (the sampled sup
     grows under radius doubling); raises RadiusError when the maximizer
-    sits on the lattice edge without growth.
+    sits on the lattice edge without growth. The first lattice has radius 4.
     """
     return float(lagrangian_batch(H, np.asarray(x, float)[None],
-                                  np.asarray(xi, float)[None], radius, cap)[0])
+                                  np.asarray(xi, float)[None], 4.0)[0])
 
 
-def boundary_conjugate(Bm: BoundaryOperator, x: np.ndarray, xi: np.ndarray,
-                       radius: float | None = None, cap: float = CAP) -> float:
-    """Reflection cost G(x, xi) = sup_p (xi . p - B(x, p)); cap outside dom G."""
-    if radius is None:
-        radius = 4.0 * (1.0 + Bm.lip)
+def boundary_conjugate(Bm: BoundaryOperator, x: np.ndarray, xi: np.ndarray) -> float:
+    """Reflection cost G(x, xi) = sup_p (xi . p - B(x, p)); CAP outside dom G.
+
+    The first lattice has radius 4 (1 + M_B).
+    """
     val, _ = _conjugate(Bm, np.asarray(x, float)[None], np.asarray(xi, float)[None],
-                        radius, cap)
+                        4.0 * (1.0 + Bm.lip))
     return float(val[0])
 
 
 def lagrangian_batch(H: Hamiltonian, X: np.ndarray, XI: np.ndarray,
-                     radius: float, cap: float = CAP) -> np.ndarray:
+                     radius: float) -> np.ndarray:
     """Vectorized L over paired (X, XI) rows, under the rule of lagrangian.
 
     Used to build semi-Lagrangian stage-cost tables, where an uncertified
     finite value would silently corrupt the control problem. A closed-form
-    conjugate on H replaces the engine, under the same cap.
+    conjugate on H replaces the engine, under the same CAP.
     """
     if H.conjugate is not None:
-        return np.minimum(H.conjugate(np.asarray(X, float), np.asarray(XI, float)), cap)
-    return _conjugate(H, X, XI, radius, cap)[0]
+        return np.minimum(H.conjugate(np.asarray(X, float), np.asarray(XI, float)), CAP)
+    return _conjugate(H, X, XI, radius)[0]
 
 
-def effective_velocity_bound(H: Hamiltonian, points: np.ndarray, v_cap: float,
-                             cap: float = CAP) -> float:
+def effective_velocity_bound(H: Hamiltonian, points: np.ndarray, v_cap: float) -> float:
     """Largest |xi| with finite L(x, xi) along axis directions, up to v_cap.
 
     For Hamiltonians with bounded slopes (eikonal-type) the control set must
@@ -472,7 +475,7 @@ def effective_velocity_bound(H: Hamiltonian, points: np.ndarray, v_cap: float,
 
     def finite(v):
         try:
-            return bool(np.all(_conjugate(H, X, v * D, 4.0, cap)[0] < cap))
+            return bool(np.all(lagrangian_batch(H, X, v * D, 4.0) < CAP))
         except RadiusError:
             return False
 
@@ -510,7 +513,7 @@ def moreau(Bm: BoundaryOperator, x: np.ndarray, p: np.ndarray, delta: float):
         return Bm(X, Q) + np.sum(Q ** 2, axis=-1) / (2 * delta)
 
     radius = float(np.abs(p).max()) + 1.5 * delta * Bm.lip + 1e-9
-    val, q = _conjugate(f, x[None], p[None] / delta, radius, CAP)
+    val, q = _conjugate(f, x[None], p[None] / delta, radius)
     value = float(p @ p) / (2 * delta) - float(val[0])
     if not (np.isfinite(value) and val[0] < CAP):
         raise NumericalError(f"moreau minimization failed at x={x}")
@@ -523,49 +526,41 @@ class ObliqueSelection:
 
     For a single affine form, B(x, p) = gamma(x) . p - g(x), (gamma, g) is
     the form itself. Otherwise gamma comes from the Moreau gradient at
-    psi(x) and g is the boundary conjugate G(x, gamma(x)), the smallest
+    p = 0 and g is the boundary conjugate G(x, gamma(x)), the smallest
     admissible offset. gamma and g take points of shape (..., dim).
     """
 
     Bm: BoundaryOperator
     delta: float
-    psi: Callable[[np.ndarray], np.ndarray]
     gamma: Callable[[np.ndarray], np.ndarray]
     g: Callable[[np.ndarray], np.ndarray]
 
     def tightness_gap(self, points: np.ndarray) -> float:
-        """Worst B(x, psi) - (gamma.psi - g) over sample points (>= 0, small)."""
-        worst = 0.0
-        for x in np.atleast_2d(points):
-            ps = self.psi(x)
-            gap = float(self.Bm(x, ps)) - (float(self.gamma(x) @ ps) - self.g(x))
-            worst = max(worst, gap)
-        return worst
-
-    def membership_gap(self, points: np.ndarray, radius: float = 8.0,
-                       n: int = 129) -> float:
-        """Worst violation of gamma.p - g <= B(x, p) over a dense p sample."""
+        """Worst B(x, 0) - (gamma.0 - g) = B(x, 0) + g(x) over sample points
+        (>= 0, small)."""
         X = np.atleast_2d(points)
-        P = _lattice(self.Bm.dim, radius, n if self.Bm.dim == 1 else 33)
+        return max(0.0, float((self.Bm(X, np.zeros(X.shape)) + self.g(X)).max()))
+
+    def membership_gap(self, points: np.ndarray) -> float:
+        """Worst violation of gamma.p - g <= B(x, p) over a dense sample of
+        |p|_inf <= 8."""
+        X = np.atleast_2d(points)
+        P = _lattice(self.Bm.dim, 8.0, 129 if self.Bm.dim == 1 else 33)
         lhs = P @ self.gamma(X).T - self.g(X)                           # (p, x)
         return float((lhs - self.Bm(X[None, :, :], P[:, None, :])).max())
 
 
-def oblique_selection(Bm: BoundaryOperator, delta: float = 0.05,
-                      psi: Callable | None = None) -> ObliqueSelection:
-    """Continuous (gamma, g) in the admissible reflection set, near-tight at psi.
+def oblique_selection(Bm: BoundaryOperator, delta: float = 0.05) -> ObliqueSelection:
+    """Continuous (gamma, g) in the admissible reflection set, near-tight at p = 0.
 
     A boundary with a single affine form (neumann, affine, and their shifts)
     returns that form, exact and tight at every p. Other boundaries
-    (max_affine, custom) go through the Moreau gradient at psi(x) and the
+    (max_affine, custom) go through the Moreau gradient at p = 0 and the
     boundary conjugate, memoized per point.
     """
-    if psi is None:
-        psi = lambda x: np.zeros(np.asarray(x, float).shape)  # noqa: E731
-
     if Bm.forms is not None and len(Bm.forms) == 1:
         (gam, gfun), = Bm.forms
-        return ObliqueSelection(Bm, delta, psi, gam, gfun)
+        return ObliqueSelection(Bm, delta, gam, gfun)
 
     cache: dict[tuple, tuple[np.ndarray, float]] = {}
 
@@ -574,8 +569,7 @@ def oblique_selection(Bm: BoundaryOperator, delta: float = 0.05,
         # one entry; + 0.0 folds -0.0 into 0.0
         key = tuple(np.round(np.asarray(x, float), 12) + 0.0)
         if key not in cache:
-            ps = psi(x)
-            _, grad = moreau(Bm, x, ps, delta)
+            _, grad = moreau(Bm, x, np.zeros(Bm.dim), delta)
             gval = boundary_conjugate(Bm, x, grad)
             cache[key] = (grad, float(gval))
         return cache[key]
@@ -587,7 +581,7 @@ def oblique_selection(Bm: BoundaryOperator, delta: float = 0.05,
             return np.array(vals, dtype=float).reshape(x.shape[:-1] + tail)
         return fn
 
-    return ObliqueSelection(Bm, delta, psi, rows(0, (Bm.dim,)), rows(1, ()))
+    return ObliqueSelection(Bm, delta, rows(0, (Bm.dim,)), rows(1, ()))
 
 
 # ---------------------------------------------------------------------------
@@ -625,21 +619,19 @@ class AuditReport:
 
 
 def audit_assumptions(H: Hamiltonian, Bm: BoundaryOperator, geom: DomainGeometry,
-                      sample_budget: int = 400, seed: int = 0,
-                      tol: float = 1e-7, eigenvalue: float = 0.0) -> AuditReport:
+                      eigenvalue: float = 0.0) -> AuditReport:
     """Sample the standing assumptions and report pass/fail with witnesses.
 
+    Each check draws AUDIT_SAMPLES points from a generator seeded with 0.
     (A6)/(A7) are sampled inequalities only: the moduli they assert are
     estimated at the drawn points, never constructed as functions. (A7) is
     audited around the level set H = eigenvalue and skipped for nonconvex H.
     """
-    if sample_budget < 100:
-        raise NumericalError("audit needs sample_budget >= 100")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     grid = build_grid(geom, geom.diameter / 24)
-    xs = grid.nodes[rng.integers(0, grid.n_nodes, sample_budget)]
+    xs = grid.nodes[rng.integers(0, grid.n_nodes, AUDIT_SAMPLES)]
     bmask = grid.boundary
-    bxs = grid.nodes[bmask][rng.integers(0, int(bmask.sum()), sample_budget)]
+    bxs = grid.nodes[bmask][rng.integers(0, int(bmask.sum()), AUDIT_SAMPLES)]
     entries = []
 
     # A0: geometry sanity via the defining function contract
@@ -665,7 +657,7 @@ def audit_assumptions(H: Hamiltonian, Bm: BoundaryOperator, geom: DomainGeometry
              "H": float(vals[k])}))
 
     # A2: local Lipschitz ratio in p
-    P = rng.uniform(-3, 3, (sample_budget, geom.dim))
+    P = rng.uniform(-3, 3, (AUDIT_SAMPLES, geom.dim))
     Q = P + rng.uniform(-0.5, 0.5, P.shape)
     num = np.abs(H(xs, P) - H(xs, Q))
     den = np.linalg.norm(P - Q, axis=-1) + 1e-300
@@ -674,9 +666,9 @@ def audit_assumptions(H: Hamiltonian, Bm: BoundaryOperator, geom: DomainGeometry
                               f"sampled M_R ~ {mr:.3g} on B_3"))
 
     # A3: obliqueness along grad rho
-    lam = rng.uniform(0.1, 2.0, sample_budget)
+    lam = rng.uniform(0.1, 2.0, AUDIT_SAMPLES)
     nt = geom.grad_rho(bxs)
-    Pb = rng.uniform(-3, 3, (sample_budget, geom.dim))
+    Pb = rng.uniform(-3, 3, (AUDIT_SAMPLES, geom.dim))
     inc = (Bm(bxs, Pb + lam[:, None] * nt) - Bm(bxs, Pb)) / lam
     th = float(inc.min())
     k = int(np.argmin(inc))
@@ -685,22 +677,22 @@ def audit_assumptions(H: Hamiltonian, Bm: BoundaryOperator, geom: DomainGeometry
                               {"x": bxs[k].tolist(), "p": Pb[k].tolist()}))
 
     # A4: global Lipschitz of B in p
-    P2 = rng.uniform(-8, 8, (sample_budget, geom.dim))
-    Q2 = rng.uniform(-8, 8, (sample_budget, geom.dim))
+    P2 = rng.uniform(-8, 8, (AUDIT_SAMPLES, geom.dim))
+    Q2 = rng.uniform(-8, 8, (AUDIT_SAMPLES, geom.dim))
     mb = float((np.abs(Bm(bxs, P2) - Bm(bxs, Q2))
                 / (np.linalg.norm(P2 - Q2, axis=-1) + 1e-300)).max())
-    entries.append(AuditEntry("A4", bool(mb <= Bm.lip + tol),
+    entries.append(AuditEntry("A4", bool(mb <= Bm.lip + AUDIT_TOL),
                               f"sampled M_B {mb:.4g} (declared {Bm.lip:.4g})"))
 
     # A5: midpoint convexity of B
     mid = Bm(bxs, 0.5 * (P2 + Q2)) - 0.5 * (Bm(bxs, P2) + Bm(bxs, Q2))
-    a5 = bool(mid.max() <= tol)
+    a5 = bool(mid.max() <= AUDIT_TOL)
     entries.append(AuditEntry("A5", a5 if Bm.convex else None,
                               f"worst midpoint gap {mid.max():.3g}"
                               + ("" if Bm.convex else " (flag off, informational)")))
 
-    entries.append(_audit_a6(H, xs, rng, sample_budget))
-    entries.append(_audit_a7(H, xs, rng, sample_budget, eigenvalue))
+    entries.append(_audit_a6(H, xs, rng, AUDIT_SAMPLES))
+    entries.append(_audit_a7(H, xs, rng, AUDIT_SAMPLES, eigenvalue))
     return AuditReport(entries)
 
 

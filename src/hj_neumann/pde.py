@@ -27,6 +27,10 @@ from .models import BoundaryOperator, Hamiltonian
 # dissipation refreshes evolve() allows before it calls the march unstable
 MAX_REFRESHES = 8
 
+# the Stepper kind of each problem kind: the Neumann ("cn") and dynamical
+# ("dbc") marches, and the ergodic problems "e1" and "e2" on their operators
+SCHEME_KIND = {"cn": "cn", "e1": "cn", "dbc": "dbc", "e2": "dbc"}
+
 # absolute forward-difference step of Stepper.jacobian; a step relative to
 # |u| is too coarse for the slopes of discounted solutions, which grow like
 # 1/eps
@@ -84,19 +88,6 @@ def constant_field(grid: Grid, value: float = 0.0) -> GridField:
 
 def field_from(grid: Grid, fn) -> GridField:
     return GridField(grid, np.asarray(fn(grid.nodes), dtype=float))
-
-
-def numerical_hamiltonian(H: Hamiltonian, x, p_minus, p_plus, sigma) -> float:
-    """Lax-Friedrichs flux H(x, (p- + p+)/2) - sum_i sigma_i (p+_i - p-_i)/2.
-
-    Monotone (nonincreasing in p+, nondecreasing in p-) as long as each
-    sigma_i dominates |dH/dp_i| over the reachable gradient box.
-    """
-    pm = np.asarray(p_minus, float)
-    pp = np.asarray(p_plus, float)
-    s = np.asarray(sigma, float)
-    return float(H(np.asarray(x, float), 0.5 * (pm + pp))
-                 - float(np.sum(s * (pp - pm))) * 0.5)
 
 
 def _ghost_solve_many(Bm: BoundaryOperator, X, QT, N, tol: float) -> np.ndarray:
@@ -157,14 +148,13 @@ def _ghost_solve_many(Bm: BoundaryOperator, X, QT, N, tol: float) -> np.ndarray:
 class Stepper:
     """Precomputed stencil tables and dissipation constants for one (H, B, grid).
 
-    kind is "cn" (nonlinear Neumann) or "dbc" (dynamical boundary).
+    kind is "cn" or "e1" (nonlinear Neumann) or "dbc" or "e2" (dynamical
+    boundary); self.kind holds the scheme's "cn" or "dbc".
     """
 
     def __init__(self, grid: Grid, H: Hamiltonian, Bm: BoundaryOperator,
                  kind: str = "cn", grad_bound: float = 1.0):
-        if kind not in ("cn", "dbc"):
-            raise NumericalError(f"unknown problem kind {kind!r}")
-        self.grid, self.H, self.Bm, self.kind = grid, H, Bm, kind
+        self.grid, self.H, self.Bm, self.kind = grid, H, Bm, scheme_kind(kind)
         d, n = grid.dim, grid.n_nodes
         self.idx = grid.neighbors
         self.gap = grid.gaps
@@ -222,16 +212,6 @@ class Stepper:
 
     # -- slope reconstructions ------------------------------------------------
 
-    def one_sided(self, u: np.ndarray):
-        """(pW, pE) arrays of shape (dim, N); zero where a side is missing."""
-        iw, ie = self.idx[0], self.idx[1]
-        gw, ge = self.gap[0], self.gap[1]
-        uW = u[np.maximum(iw, 0)]
-        uE = u[np.maximum(ie, 0)]
-        pW = np.where(iw >= 0, (u[None, :] - uW) / np.where(np.isfinite(gw), gw, 1.0), 0.0)
-        pE = np.where(ie >= 0, (uE - u[None, :]) / np.where(np.isfinite(ge), ge, 1.0), 0.0)
-        return pW, pE
-
     def inward_gradient(self, u: np.ndarray) -> np.ndarray:
         """Inward one-sided gradient at boundary nodes, shape (n_b, dim)."""
         uj = u[np.maximum(self.inw_idx, 0)]
@@ -241,15 +221,18 @@ class Stepper:
         q = np.where(self.inw_idx >= 0, q, 0.0)
         return q.T
 
-    def slope_max(self, u: np.ndarray) -> float:
-        return discrete_lipschitz(self.grid, u)
-
     # -- scheme operator ------------------------------------------------------
 
     def rhs(self, u: np.ndarray) -> np.ndarray:
-        """Per-node scheme value Phi(u); one step is u - dt * Phi(u)."""
+        """Per-node scheme value Phi(u); one step is u - dt * Phi(u).
+
+        An interior row is the Lax-Friedrichs flux H(x, (pW + pE)/2) -
+        sum_i sigma_i (pE_i - pW_i)/2 on the one-sided slopes: nonincreasing
+        in pE and nondecreasing in pW while each sigma_i bounds |dH/dp_i|
+        over the slopes reached.
+        """
         grid = self.grid
-        pW, pE = self.one_sided(u)
+        pW, pE = one_sided(grid, u)
         pbar = 0.5 * (pW + pE).T
         phi = np.asarray(self.H(grid.nodes, pbar), dtype=float)
         phi -= 0.5 * np.sum(self.sigma[:, None] * (pE - pW), axis=0)
@@ -298,6 +281,14 @@ class Stepper:
         return u - dt * self.rhs(u)
 
 
+def scheme_kind(kind: str) -> str:
+    """The Stepper kind, "cn" or "dbc", of a problem kind; NumericalError
+    for a kind outside SCHEME_KIND."""
+    if kind not in SCHEME_KIND:
+        raise NumericalError(f"unknown problem kind {kind!r}")
+    return SCHEME_KIND[kind]
+
+
 def stencil_colouring(grid: Grid) -> np.ndarray:
     """Colour of each column of d rhs / du; no row reads two of one colour.
 
@@ -312,29 +303,21 @@ def stencil_colouring(grid: Grid) -> np.ndarray:
     return np.unique(raw, return_inverse=True)[1]
 
 
-def discrete_lipschitz(grid: Grid, u: np.ndarray) -> float:
-    """Largest one-sided slope magnitude over the existing stencil edges."""
+def one_sided(grid: Grid, u: np.ndarray):
+    """(pW, pE) arrays of shape (dim, N); zero where a side is missing."""
     iw, ie = grid.neighbors[0], grid.neighbors[1]
     gw, ge = grid.gaps[0], grid.gaps[1]
     pW = np.where(iw >= 0, (u[None, :] - u[np.maximum(iw, 0)])
                   / np.where(np.isfinite(gw), gw, 1.0), 0.0)
     pE = np.where(ie >= 0, (u[np.maximum(ie, 0)] - u[None, :])
                   / np.where(np.isfinite(ge), ge, 1.0), 0.0)
+    return pW, pE
+
+
+def discrete_lipschitz(grid: Grid, u: np.ndarray) -> float:
+    """Largest one-sided slope magnitude over the existing stencil edges."""
+    pW, pE = one_sided(grid, u)
     return float(max(np.abs(pW).max(initial=0.0), np.abs(pE).max(initial=0.0)))
-
-
-def step_cn(state: GridField, H: Hamiltonian, Bm: BoundaryOperator,
-            dt: float) -> GridField:
-    """One explicit step of the Neumann problem (convenience wrapper)."""
-    st = Stepper(state.grid, H, Bm, "cn", grad_bound=_lip_estimate(state))
-    return GridField(state.grid, st.step(state.values, dt))
-
-
-def step_dbc(state: GridField, H: Hamiltonian, Bm: BoundaryOperator,
-             dt: float) -> GridField:
-    """One explicit step of the dynamical-boundary problem."""
-    st = Stepper(state.grid, H, Bm, "dbc", grad_bound=_lip_estimate(state))
-    return GridField(state.grid, st.step(state.values, dt))
 
 
 def _lip_estimate(field: GridField) -> float:
@@ -383,7 +366,7 @@ def evolve(u0: GridField, H: Hamiltonian, Bm: BoundaryOperator, kind: str,
         step_dt = min(dt, T - t)
         u = st.step(u, step_dt)
         t += step_dt
-        slope = st.slope_max(u)
+        slope = discrete_lipschitz(grid, u)
         if slope > st.radius - 1.0:
             refreshes += 1
             if refreshes > MAX_REFRESHES:
@@ -411,6 +394,5 @@ def stationary_residual(w: GridField, H: Hamiltonian, Bm: BoundaryOperator,
                         grad_bound: float | None = None) -> np.ndarray:
     """Residual of the stationary scheme H = level (boundary per kind) at w."""
     gb = grad_bound if grad_bound is not None else _lip_estimate(w)
-    st = Stepper(w.grid, H, Bm, "cn" if kind in ("cn", "e1") else "dbc",
-                 grad_bound=gb)
+    st = Stepper(w.grid, H, Bm, kind, grad_bound=gb)
     return st.rhs(w.values) - level

@@ -140,8 +140,8 @@ def _pullback_intensity(geom: DomainGeometry, Y: np.ndarray, GAM: np.ndarray,
     return hi
 
 
-def verify_bounds(triple: SkorokhodTriple, tol: float = 1e-6) -> BoundReport:
-    """Check l <= |v|/theta and |eta_dot| <= (1 + M_B/theta)|v| stepwise.
+def verify_bounds(triple: SkorokhodTriple) -> BoundReport:
+    """Check l <= |v|/theta and |eta_dot| <= (1 + M_B/theta)|v| stepwise, to 1e-6.
 
     Steps with |v| at roundoff scale are excluded from the ratios (the
     difference quotient eta_dot is pure cancellation there) but must carry
@@ -157,14 +157,15 @@ def verify_bounds(triple: SkorokhodTriple, tol: float = 1e-6) -> BoundReport:
     l_bound = 1.0 / triple.theta
     s_bound = 1.0 + triple.lip / triple.theta
     violations = idle_violations
-    violations += int(l_ratio > l_bound + tol) + int(s_ratio > s_bound + tol)
+    violations += int(l_ratio > l_bound + 1e-6) + int(s_ratio > s_bound + 1e-6)
     return BoundReport(l_ratio, s_ratio, l_bound, s_bound, violations)
 
 
-def complementarity_defect(triple: SkorokhodTriple, interior_tol: float = 1e-9) -> float:
-    """Sum of l over steps that landed strictly inside the domain (0 exactly)."""
+def complementarity_defect(triple: SkorokhodTriple) -> float:
+    """Sum of l over steps that landed strictly inside the domain, rho < -1e-9
+    (0 exactly)."""
     rho_land = np.asarray(triple.geom.rho(triple.eta[1:]), dtype=float)
-    return float(np.sum(triple.l[rho_land < -interior_tol]))
+    return float(np.sum(triple.l[rho_land < -1e-9]))
 
 
 def containment_defect(triple: SkorokhodTriple) -> float:

@@ -49,15 +49,15 @@ class ControlSet:
 
 
 def build_control_set(H: Hamiltonian, Bm: BoundaryOperator, grid: Grid,
-                      n_velocity: int | None = None, n_intensity: int = 8,
-                      v_max: float | None = None,
-                      selection: ObliqueSelection | None = None) -> ControlSet:
+                      n_velocity: int | None = None,
+                      v_max: float | None = None) -> ControlSet:
     """Velocity lattice up to the effective growth bound of the running cost.
 
     v_max defaults to 1 + coercivity_radius(2 max|H(x,0)| + 2), clipped to
     the edge of the effective domain of L (bounded-slope Hamiltonians place
     the optimal speeds exactly on that edge, so the lattice includes it).
-    The intensity ladder spans (v_max/theta) / 2^7 .. v_max/theta.
+    The intensity ladder has 8 rungs, (v_max/theta) / 2^7 .. v_max/theta,
+    and the selection is oblique_selection(Bm).
     """
     if n_velocity is None:
         n_velocity = 33 if grid.dim == 1 else 17
@@ -71,9 +71,8 @@ def build_control_set(H: Hamiltonian, Bm: BoundaryOperator, grid: Grid,
     vel = np.stack(np.meshgrid(*([ax] * grid.dim), indexing="ij"),
                    axis=-1).reshape(-1, grid.dim)
     l_max = v_max / Bm.theta
-    ladder = l_max * 2.0 ** (-np.arange(n_intensity)[::-1].astype(float))
-    sel = selection if selection is not None else oblique_selection(Bm)
-    return ControlSet(vel, ladder, sel, float(v_max))
+    ladder = l_max * 2.0 ** (-np.arange(8)[::-1].astype(float))
+    return ControlSet(vel, ladder, oblique_selection(Bm), float(v_max))
 
 
 def _interp_weights(grid: Grid, pts: np.ndarray) -> sparse.csr_matrix:
@@ -162,10 +161,10 @@ def _stage_plus(stage: np.ndarray, land: np.ndarray) -> np.ndarray:
 
 
 def build_tables(grid: Grid, H: Hamiltonian, Bm: BoundaryOperator,
-                 controls: ControlSet, dt: float, reverse: bool = False,
-                 conj_radius: float | None = None) -> DPTables:
+                 controls: ControlSet, dt: float, reverse: bool = False) -> DPTables:
     """Precompute stages and stencils; reverse=True builds the tables of the
-    time-reversed trajectories (stage L(x, +w), reflections entering)."""
+    time-reversed trajectories (stage L(x, +w), reflections entering). The
+    conjugate engine starts from the radius max(6, 2 v_max)."""
     if dt <= 0:
         raise NumericalError("dt must be positive")
     if dt * controls.v_max > 2.0 * grid.h + 1e-12:
@@ -177,7 +176,7 @@ def build_tables(grid: Grid, H: Hamiltonian, Bm: BoundaryOperator,
     Cv = W.shape[0]
     N = grid.n_nodes
     sgn = 1.0 if reverse else -1.0
-    radius = conj_radius if conj_radius is not None else max(6.0, 2.0 * controls.v_max)
+    radius = max(6.0, 2.0 * controls.v_max)
 
     X = np.repeat(grid.nodes, Cv, axis=0)
     XI = np.tile(sgn * W, (N, 1))
@@ -257,10 +256,10 @@ def dp_step_dbc(slices: list[np.ndarray], tables: DPTables) -> np.ndarray:
 
 
 def value(u0: GridField, H: Hamiltonian, Bm: BoundaryOperator, kind: str,
-          T: float, dt: float | None = None,
-          controls: ControlSet | None = None) -> SpaceTimeField:
+          T: float, controls: ControlSet | None = None) -> SpaceTimeField:
     """Control-representation value up to horizon T.
 
+    The step is dt = T / n for the fewest n steps of at most h / v_max.
     Monotone and nonexpansive in u0 slice by slice. Requires a convex
     Hamiltonian for the representation to match the PDE solution.
     """
@@ -271,8 +270,7 @@ def value(u0: GridField, H: Hamiltonian, Bm: BoundaryOperator, kind: str,
     grid = u0.grid
     if controls is None:
         controls = build_control_set(H, Bm, grid)
-    if dt is None:
-        dt = grid.h / max(controls.v_max, 1e-9)
+    dt = grid.h / max(controls.v_max, 1e-9)
     n = max(1, int(np.ceil(T / dt - 1e-12)))
     dt = T / n
     tables = build_tables(grid, H, Bm, controls, dt)

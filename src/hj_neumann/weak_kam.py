@@ -26,6 +26,9 @@ from .models import BoundaryOperator, Hamiltonian
 from .pde import GridField, SpaceTimeField
 from .variational import ControlSet, DPTables, build_control_set, build_tables, dp_step_cn
 
+# value-iteration steps a batch of distance columns may take to settle
+MAX_SWEEPS = 2000
+
 
 @dataclass
 class ActionMatrix:
@@ -71,8 +74,7 @@ def _chunks(tables: DPTables, S: int) -> list[slice]:
     return [slice(s, s + step) for s in range(0, S, step)]
 
 
-def _distances(tables: DPTables, sources: np.ndarray, tol: float,
-               max_sweeps: int) -> np.ndarray:
+def _distances(tables: DPTables, sources: np.ndarray, tol: float) -> np.ndarray:
     """Columns d(., y), y in sources: monotone value iteration d <- min(d, T d)
     from big with d(y) = 0, until max (d - T d)/dt <= tol off the pins."""
     grid = tables.grid
@@ -93,7 +95,7 @@ def _distances(tables: DPTables, sources: np.ndarray, tol: float,
         pins = (sources[sl], np.arange(sources[sl].size))
         d = np.full((grid.n_nodes, pins[1].size), big)
         d[pins] = 0.0
-        for _ in range(max_sweeps):
+        for _ in range(MAX_SWEEPS):
             Td = np.minimum(d, dp_step_cn(d, tables))
             Td[pins] = 0.0
             if np.min(Td) < floor:
@@ -105,66 +107,61 @@ def _distances(tables: DPTables, sources: np.ndarray, tol: float,
             d = Td
         else:
             raise NumericalError(
-                f"value iteration did not settle in {max_sweeps} steps")
+                f"value iteration did not settle in {MAX_SWEEPS} steps")
         out[:, sl] = d
     return out
 
 
 def distance_from(grid: Grid, H: Hamiltonian, Bm: BoundaryOperator, y: int,
-                  controls: ControlSet | None = None, dt: float | None = None,
-                  tables: DPTables | None = None, tol: float | None = None,
-                  max_sweeps: int = 2000) -> GridField:
+                  controls: ControlSet | None = None, tables: DPTables | None = None,
+                  tol: float | None = None) -> GridField:
     """Distance column d(., y): maximal discrete subsolution vanishing at y.
 
     Stops once the `dp_residual` (d - T d)/dt is <= tol (default h^2) away
-    from y; max_sweeps caps the value-iteration steps.
+    from y; MAX_SWEEPS caps the value-iteration steps.
     """
-    tables = tables if tables is not None else distance_tables(grid, H, Bm, controls, dt)
+    tables = tables if tables is not None else distance_tables(grid, H, Bm, controls)
     tol = grid.h ** 2 if tol is None else tol
-    return GridField(grid, _distances(tables, np.array([int(y)]), tol, max_sweeps)[:, 0])
+    return GridField(grid, _distances(tables, np.array([int(y)]), tol)[:, 0])
 
 
 def distance_to(grid: Grid, H: Hamiltonian, Bm: BoundaryOperator, x: int,
-                controls: ControlSet | None = None, dt: float | None = None,
-                tables: DPTables | None = None, tol: float | None = None,
-                max_sweeps: int = 2000) -> GridField:
+                controls: ControlSet | None = None, tables: DPTables | None = None,
+                tol: float | None = None) -> GridField:
     """Distance row d(x, .): `distance_from` on the time-reversed tables,
     with tol in the same `dp_residual` units."""
     tables = tables if tables is not None else distance_tables(grid, H, Bm, controls,
-                                                               dt, reverse=True)
+                                                               reverse=True)
     tol = grid.h ** 2 if tol is None else tol
-    return GridField(grid, _distances(tables, np.array([int(x)]), tol, max_sweeps)[:, 0])
+    return GridField(grid, _distances(tables, np.array([int(x)]), tol)[:, 0])
 
 
 def distance_tables(grid: Grid, H: Hamiltonian, Bm: BoundaryOperator,
-                    controls: ControlSet | None = None, dt: float | None = None,
+                    controls: ControlSet | None = None,
                     reverse: bool = False) -> DPTables:
+    """DP tables of the distance recursion, with the step dt = h / v_max."""
     if controls is None:
         controls = build_control_set(H, Bm, grid)
-    if dt is None:
-        dt = grid.h / max(controls.v_max, 1e-9)
+    dt = grid.h / max(controls.v_max, 1e-9)
     return build_tables(grid, H, Bm, controls, dt, reverse=reverse)
 
 
 def action_matrix(grid: Grid, H: Hamiltonian, Bm: BoundaryOperator,
-                  controls: ControlSet | None = None, dt: float | None = None,
-                  sources: np.ndarray | None = None,
-                  max_nodes_full: int = 2000) -> ActionMatrix:
+                  controls: ControlSet | None = None,
+                  sources: np.ndarray | None = None) -> ActionMatrix:
     """Distance columns for every source (all nodes by default).
 
-    The full matrix is only assembled for grids up to max_nodes_full nodes;
-    pass an explicit source list beyond that.
+    The full matrix is only assembled for grids up to 2000 nodes; pass an
+    explicit source list beyond that.
     """
     if sources is None:
-        if grid.n_nodes > max_nodes_full:
+        if grid.n_nodes > 2000:
             raise NumericalError(
-                f"full action matrix needs <= {max_nodes_full} nodes; "
-                "pass an explicit source list")
+                "full action matrix needs <= 2000 nodes; pass an explicit source list")
         sources = np.arange(grid.n_nodes)
     sources = np.asarray(sources, dtype=np.int64)
-    tables = distance_tables(grid, H, Bm, controls, dt)
-    return ActionMatrix(grid, sources, _distances(tables, sources, grid.h ** 2, 2000),
-                        tables)
+    tables = distance_tables(grid, H, Bm, controls)
+    return ActionMatrix(grid, sources, _distances(tables, sources, grid.h ** 2), tables)
 
 
 def dp_residual(tables: DPTables, u: np.ndarray) -> np.ndarray:
@@ -172,18 +169,16 @@ def dp_residual(tables: DPTables, u: np.ndarray) -> np.ndarray:
     return (u - dp_step_cn(u, tables)) / tables.dt
 
 
-def aubry_set(action: ActionMatrix, aubry_tol: float | None = None) -> AubryMask:
+def aubry_set(action: ActionMatrix) -> AubryMask:
     """Sources where pinning was inactive: d(., y) solves the recursion at y.
 
     residual_margin = (d(y,y) - DP right-hand side at y) / dt, a
     supersolution residual in equation units: <= 0 up to iteration tolerance
-    everywhere, == 0 on the discrete Aubry set. The default tolerance
-    5*(h + dt) tracks the discretization inflation of the exact set.
+    everywhere, == 0 on the discrete Aubry set. The tolerance 5*(h + dt)
+    tracks the discretization inflation of the exact set.
     """
     tables = action.tables
-    grid = action.grid
-    if aubry_tol is None:
-        aubry_tol = 5.0 * (grid.h + tables.dt)
+    aubry_tol = 5.0 * (action.grid.h + tables.dt)
     margins = np.empty(action.sources.size)
     for sl in _chunks(tables, action.sources.size):
         stepped = dp_step_cn(action.d[:, sl], tables)
@@ -215,14 +210,13 @@ def asymptotic_profile(u0: GridField, action: ActionMatrix,
 
 
 def monotonicity_trace(evolution: SpaceTimeField, v: GridField,
-                       eta_param: float, shift: float | None = None,
-                       s_stamps=None, per_x: bool = False) -> MonotonicityTrace:
+                       eta_param: float, shift: float | None = None) -> MonotonicityTrace:
     """Asymptotic monotonicity diagnostics on a recorded evolution.
 
-    mu_plus(s) = min over stamps t >= s (and over nodes unless per_x) of
-    (u(x,t) - v~(x) + eta (t-s)) / (u(x,s) - v~(x)) with v~ = v - shift
-    normalized so the denominator stays >= 1; mu_minus is the max with
-    -eta. Both equal 1 at t = s and approach 1 as s grows.
+    mu_plus(s), at every recorded stamp s, = min over stamps t >= s and
+    over nodes of (u(x,t) - v~(x) + eta (t-s)) / (u(x,s) - v~(x)) with
+    v~ = v - shift normalized so the denominator stays >= 1; mu_minus is
+    the max with -eta. Both equal 1 at t = s and approach 1 as s grows.
     """
     u = evolution.values
     t = evolution.times
@@ -232,29 +226,11 @@ def monotonicity_trace(evolution: SpaceTimeField, v: GridField,
     if gap.min() < 1.0 - 1e-12:
         raise NormalizationError(
             f"normalization failed: min u - (v - shift) = {gap.min():g} < 1")
-    if s_stamps is None:
-        s_stamps = t
-    s_stamps = np.asarray(s_stamps, dtype=float)
-    K = s_stamps.size
-    if per_x:
-        mp = np.empty((K, u.shape[1]))
-        mm = np.empty((K, u.shape[1]))
-    else:
-        mp = np.empty(K)
-        mm = np.empty(K)
-    for k, s in enumerate(s_stamps):
-        sel = t >= s - 1e-12
-        ks = int(np.argmin(np.abs(t - s)))
-        den = gap[ks]
-        num_p = gap[sel] + eta_param * (t[sel] - s)[:, None]
-        num_m = gap[sel] - eta_param * (t[sel] - s)[:, None]
-        ratios_p = num_p / den[None, :]
-        ratios_m = num_m / den[None, :]
-        if per_x:
-            mp[k] = ratios_p.min(axis=0)
-            mm[k] = ratios_m.max(axis=0)
-        else:
-            mp[k] = ratios_p.min()
-            mm[k] = ratios_m.max()
-    return MonotonicityTrace(s_stamps, mp, mm, float(eta_param), float(shift),
+    mp = np.empty(t.size)
+    mm = np.empty(t.size)
+    for k, s in enumerate(t):
+        lag = eta_param * (t[k:] - s)[:, None]
+        mp[k] = ((gap[k:] + lag) / gap[k]).min()
+        mm[k] = ((gap[k:] - lag) / gap[k]).max()
+    return MonotonicityTrace(t, mp, mm, float(eta_param), float(shift),
                              float(gap.max()))

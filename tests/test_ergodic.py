@@ -115,6 +115,8 @@ def test_normalize_shifts():
     assert Hn(x, p).shape == H(x, p).shape == (1,)
     assert Hn(x, p).item() == pytest.approx(H(x, p).item() - 1.0)
     assert Bn2 is BN                     # e1 leaves B alone
+    assert E.normalize(H, BN, 1.0, kind="cn")[1] is BN
+    assert E.normalize(H, BN, 1.0, kind="dbc")[1] is not BN
     Ba = M.affine(IV, g=0.2)
     _, Bs = E.normalize(H, Ba, 0.5, kind="e2")
     b = Bs(np.array([1.0]), np.zeros(1))
@@ -152,6 +154,26 @@ def test_schedule_validation():
     with pytest.raises(NumericalError):
         E.discounted_solve(M.quadratic(1), BN, 1.5, "e1",
                            P.constant_field(grid, 0.0))
+
+
+@pytest.mark.parametrize("solve", [
+    lambda grid, kind: stationary_residual(P.constant_field(grid, 0.0), M.quadratic(1),
+                                           BN, kind),
+    lambda grid, kind: E.anchored_polish(M.quadratic(1), BN, grid, kind,
+                                         P.constant_field(grid, 0.0)),
+    lambda grid, kind: E.discounted_solve(M.quadratic(1), BN, 0.1, kind,
+                                          P.constant_field(grid, 0.0)),
+    lambda grid, kind: E.normalize(M.quadratic(1), BN, 0.5, kind),
+], ids=["stationary_residual", "anchored_polish", "discounted_solve", "normalize"])
+def test_unknown_kind_rejected(solve):
+    # "cn"/"e1" select the Neumann scheme and "dbc"/"e2" the dynamical one;
+    # any other kind is an error, not the dynamical scheme
+    grid = G.build_grid(IV, 0.05)
+    for kind in ("cn", "e1", "dbc", "e2"):
+        solve(grid, kind)
+    for kind in ("neumann", "bogus"):
+        with pytest.raises(NumericalError, match="unknown problem kind"):
+            solve(grid, kind)
 
 
 def test_anchored_polish_reaches_machine_fixed_point():

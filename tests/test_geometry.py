@@ -21,27 +21,8 @@ def test_disc_boundary_nodes_snapped_onto_circle():
     assert np.abs(radii - 1.0).max() <= 1e-10
 
 
-def brute_rectangle_counts(h):
-    # direct enumeration oracle: lattice points of [0,1]^2 and its edge
-    n = int(round(1.0 / h)) + 1
-    xs = np.linspace(0.0, 1.0, n)
-    total = n * n
-    boundary = sum(1 for i in range(n) for j in range(n)
-                   if i in (0, n - 1) or j in (0, n - 1))
-    return total, boundary
-
-
-def test_rectangle_grid_counts_match_enumeration():
-    total, boundary = brute_rectangle_counts(0.1)
-    assert (total, boundary) == (121, 40)
-    grid = G.build_grid(G.rectangle(0.0, 1.0, 0.0, 1.0), 0.1)
-    assert grid.n_nodes == total
-    assert int(grid.boundary.sum()) == boundary
-
-
 def test_boundary_normals_are_unit_and_aligned_with_grad_rho():
-    for geom, h in [(G.interval(0, 1), 0.1), (G.disc(), 0.25),
-                    (G.rectangle(0, 1, 0, 2), 0.2)]:
+    for geom, h in [(G.interval(0, 1), 0.1), (G.disc(), 0.25)]:
         grid = G.build_grid(geom, h)
         b = grid.boundary
         n = grid.normals[b]
@@ -73,10 +54,6 @@ def test_projection_examples():
                                [1.0, 0.0], atol=1e-12)
     inside = np.array([0.3, 0.1])
     np.testing.assert_array_equal(G.project_to_closure(d, inside), inside)
-    # corner region of the rectangle projects onto the corner
-    r = G.rectangle(0, 1, 0, 1)
-    np.testing.assert_allclose(G.project_to_closure(r, np.array([1.3, 1.2])),
-                               [1.0, 1.0], atol=1e-12)
 
 
 def test_projection_rejects_far_points():
@@ -84,14 +61,8 @@ def test_projection_rejects_far_points():
         G.project_to_closure(G.interval(0, 1), np.array([25.0]))
 
 
-def test_corner_normal_is_averaged():
-    r = G.rectangle(0, 1, 0, 1)
-    np.testing.assert_allclose(r.unit_normal(np.array([1.0, 1.0])),
-                               [np.sqrt(0.5), np.sqrt(0.5)], atol=1e-12)
-
-
 def test_interior_points_have_negative_rho():
-    for geom in [G.interval(0, 1), G.disc(), G.rectangle(0, 1, 0, 1)]:
+    for geom in [G.interval(0, 1), G.disc()]:
         grid = G.build_grid(geom, 0.2 if geom.dim == 2 else 0.1)
         rho_in = np.asarray(geom.rho(grid.nodes[~grid.boundary]))
         assert np.all(rho_in < 0)
@@ -100,12 +71,10 @@ def test_interior_points_have_negative_rho():
 
 
 def test_projection_of_point_arrays_matches_single_points():
-    # interior, exterior and boundary points in one array; the rectangle's
-    # corner and face regions as in test_projection_examples
+    # interior, exterior and boundary points in one array
     cases = [
         (G.interval(0, 1), [[0.4], [1.3], [-0.2], [1.0]]),
         (G.disc(), [[0.3, 0.1], [2.0, 0.0], [-1.5, 1.5], [0.0, -1.0]]),
-        (G.rectangle(0, 1, 0, 1), [[1.3, 1.2], [0.5, -0.4], [1.2, 0.5], [0.2, 0.7]]),
     ]
     for geom, pts in cases:
         pts = np.asarray(pts, dtype=float)
@@ -116,9 +85,6 @@ def test_projection_of_point_arrays_matches_single_points():
         inside = np.asarray(geom.rho(pts)) <= 1e-12
         np.testing.assert_array_equal(out[inside], pts[inside])
         assert np.abs(np.asarray(geom.rho(out[~inside]))).max() <= 1e-12
-    np.testing.assert_allclose(G.project_to_closure(G.rectangle(0, 1, 0, 1),
-                                                    cases[2][1])[:3],
-                               [[1.0, 1.0], [0.5, 0.0], [1.0, 0.5]], atol=1e-12)
     with pytest.raises(GeometryError):
         G.project_to_closure(G.disc(), np.array([[0.3, 0.1], [25.0, 0.0], [2.0, 0.0]]))
 
@@ -138,8 +104,8 @@ def _snap_ref(geom, x, tol=1e-12):
 def test_dense_index_stencil_matches_key_lookup():
     # nodes from per-node snaps of their lattice points, neighbors by a dict
     # of lattice keys, collapsed boundary edges pruned
-    for geom, h in [(G.interval(0, 1), 0.05), (G.rectangle(0, 1, 0, 2), 0.1),
-                    (G.disc(), 0.25), (G.disc(), 0.2), (G.disc(), 0.1), (G.disc(), 0.05)]:
+    for geom, h in [(G.interval(0, 1), 0.05), (G.disc(), 0.25), (G.disc(), 0.2),
+                    (G.disc(), 0.1), (G.disc(), 0.05)]:
         grid = G.build_grid(geom, h)
         lat = np.asarray(geom.bounds[0]) + h * grid.lattice_index
         nodes = lat.copy()

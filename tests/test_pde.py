@@ -28,33 +28,45 @@ def hopf_lax_neumann(grid, u0_vals, t):
     return out
 
 
+def slopes_at(grid, k, pm, pp):
+    """A field on the 1-D grid whose one-sided slopes at node k are (pm, pp)."""
+    x = grid.nodes[:, 0]
+    return np.where(x <= x[k], pm * (x - x[k]), pp * (x - x[k]))
+
+
 def test_numerical_hamiltonian_consistency():
+    # affine data: p- = p+ = p at every interior node, and the flux is H(x, p)
+    grid = G.build_grid(IV, 0.05)
     H = M.quadratic(1)
-    x = np.array([0.4])
-    p = np.array([0.7])
-    v = P.numerical_hamiltonian(H, x, p, p, np.array([2.0]))
-    assert v == pytest.approx(float(H(x, p)), abs=1e-14)
+    stp = P.Stepper(grid, H, M.neumann(IV), "cn", grad_bound=2.0)
+    phi = stp.rhs(0.7 * grid.nodes[:, 0])
+    inner = grid.interior_idx
+    np.testing.assert_allclose(phi[inner], H(grid.nodes[inner], np.array([0.7])),
+                               rtol=0, atol=1e-14)
 
 
 def test_numerical_hamiltonian_direct_value():
-    # H = p^2/2 in 1-D, p- = 0, p+ = 2, sigma = 2: H(1) - 2*(2-0)/2 = -1.5
-    H = M.quadratic(1)
-    v = P.numerical_hamiltonian(H, np.array([0.0]), np.array([0.0]),
-                                np.array([2.0]), np.array([2.0]))
-    assert v == pytest.approx(-1.5, abs=1e-14)
+    # H = p^2/2 in 1-D, p- = 0, p+ = 2 at node k: H(1) - sigma*(2-0)/2
+    grid = G.build_grid(IV, 0.05)
+    stp = P.Stepper(grid, M.quadratic(1), M.neumann(IV), "cn", grad_bound=2.0)
+    k = 10
+    v = stp.rhs(slopes_at(grid, k, 0.0, 2.0))[k]
+    assert v == pytest.approx(0.5 - stp.sigma[0], abs=1e-14)
 
 
 def test_numerical_hamiltonian_monotone_sweep():
+    # an interior row of rhs is nonincreasing in p+ and nondecreasing in p-
+    # while sigma covers |p| <= 3
     rng = np.random.default_rng(5)
-    H = M.double_well(1)
-    sig = H.lip_p(3.0, np.zeros((1, 1)))
+    grid = G.build_grid(IV, 0.05)
+    stp = P.Stepper(grid, M.double_well(1), M.neumann(IV), "cn", grad_bound=2.0)
+    assert stp.radius >= 3.0
     for _ in range(1000):
-        x = rng.uniform(0, 1, (1,))
-        pm = rng.uniform(-2.5, 2.5, (1,))
-        pp = rng.uniform(-2.5, 2.5, (1,))
-        base = P.numerical_hamiltonian(H, x, pm, pp, sig)
-        up = P.numerical_hamiltonian(H, x, pm, pp + 0.1, sig)
-        dn = P.numerical_hamiltonian(H, x, pm + 0.1, pp, sig)
+        k = int(rng.integers(1, grid.n_nodes - 1))
+        pm, pp = rng.uniform(-2.5, 2.5, 2)
+        base = stp.rhs(slopes_at(grid, k, pm, pp))[k]
+        up = stp.rhs(slopes_at(grid, k, pm, pp + 0.1))[k]
+        dn = stp.rhs(slopes_at(grid, k, pm + 0.1, pp))[k]
         assert up <= base + 1e-12      # nonincreasing in p+
         assert dn >= base - 1e-12      # nondecreasing in p-
 
@@ -160,32 +172,32 @@ def test_closed_form_root_is_the_sign_change(forms, points):
 def test_step_cn_constants():
     grid = G.build_grid(IV, 0.05)
     H = M.quadratic(1)          # H(x, 0) = 0
-    u = P.constant_field(grid, 3.0)
-    out = P.step_cn(u, H, M.neumann(IV), 1e-3)
-    np.testing.assert_allclose(out.values, 3.0, atol=1e-14)
+    u = np.full(grid.n_nodes, 3.0)
+    out = P.Stepper(grid, H, M.neumann(IV), "cn", grad_bound=0.1).step(u, 1e-3)
+    np.testing.assert_allclose(out, 3.0, atol=1e-14)
 
     Hc = M.poly1d([0.7, 0.0, 0.5])   # H(0) = 0.7
-    out2 = P.step_cn(u, Hc, M.neumann(IV), 1e-3)
-    np.testing.assert_allclose(out2.values, 3.0 - 1e-3 * 0.7, atol=1e-12)
+    out2 = P.Stepper(grid, Hc, M.neumann(IV), "cn", grad_bound=0.1).step(u, 1e-3)
+    np.testing.assert_allclose(out2, 3.0 - 1e-3 * 0.7, atol=1e-12)
 
 
 def test_step_dbc_affine_boundary_growth():
     grid = G.build_grid(IV, 0.05)
     H = M.quadratic(1)
     Ba = M.affine(IV, g=1.0)     # B(x, 0) = -1
-    u = P.constant_field(grid, 0.0)
+    u = np.zeros(grid.n_nodes)
     dt = 1e-3
-    out = P.step_dbc(u, H, Ba, dt)
+    out = P.Stepper(grid, H, Ba, "dbc", grad_bound=0.1).step(u, dt)
     b = grid.boundary
-    np.testing.assert_allclose(out.values[b], dt, atol=1e-14)
-    np.testing.assert_allclose(out.values[~b], 0.0, atol=1e-14)
+    np.testing.assert_allclose(out[b], dt, atol=1e-14)
+    np.testing.assert_allclose(out[~b], 0.0, atol=1e-14)
 
 
 def test_step_dbc_constant_fixed_point():
     grid = G.build_grid(IV, 0.05)
-    u = P.constant_field(grid, 1.0)
-    out = P.step_dbc(u, M.quadratic(1), M.neumann(IV), 1e-3)
-    np.testing.assert_allclose(out.values, 1.0, atol=1e-14)
+    u = np.full(grid.n_nodes, 1.0)
+    out = P.Stepper(grid, M.quadratic(1), M.neumann(IV), "dbc", grad_bound=0.1).step(u, 1e-3)
+    np.testing.assert_allclose(out, 1.0, atol=1e-14)
 
 
 def test_evolve_t0_returns_initial():
@@ -208,9 +220,11 @@ def test_evolve_eikonal_matches_hopf_lax():
 
 def test_cfl_violation_rejected():
     grid = G.build_grid(IV, 0.05)
-    u = P.field_from(grid, lambda x: x[:, 0])
+    u = grid.nodes[:, 0]
+    stp = P.Stepper(grid, M.quadratic(1), M.neumann(IV), "cn",
+                    grad_bound=P.discrete_lipschitz(grid, u))
     with pytest.raises(CFLError) as exc:
-        P.step_cn(u, M.quadratic(1), M.neumann(IV), dt=1.0)
+        stp.step(u, dt=1.0)
     assert exc.value.dt_max > 0
 
 

@@ -9,7 +9,8 @@ may have any nonzero gradient there.
 ``build_grid`` clips a regular lattice to the closure, flags the nodes
 within a band of the boundary, snaps them onto the boundary along
 ``grad_rho`` and stores unit outward normals plus the axis-neighbor
-stencil with exact post-snap gaps.
+stencil with exact post-snap gaps. The snap, ``project_to_closure`` and
+the reflection pull-back of ``skorokhod`` share one Newton iteration.
 """
 
 from __future__ import annotations
@@ -19,13 +20,14 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import GeometryError
+from .errors import GeometryError, ObliquenessError
 
 # boundary band of build_grid, in units of h
 BAND = 0.6
 
-# Newton steps onto rho = 0, shared by the boundary snap and the projection:
-# a point is on the boundary once |rho| <= SNAP_TOL, within SNAP_ITER steps
+# Newton steps onto rho = 0, shared by the boundary snap, the projection and
+# the reflection pull-back: a point is on the boundary once |rho| <= SNAP_TOL,
+# within SNAP_ITER steps
 SNAP_TOL = 1e-12
 SNAP_ITER = 60
 
@@ -126,27 +128,38 @@ def project_to_closure(geom: DomainGeometry, x):
 
 
 def _newton_to_boundary(geom: DomainGeometry, pts: np.ndarray, rows: np.ndarray,
-                        what: str) -> None:
-    """Move pts[rows] onto rho = 0 in place by Newton steps along grad_rho.
+                        what: str, gam: np.ndarray | None = None) -> None:
+    """Move pts[rows] onto rho = 0 in place by Newton steps on rho.
 
-    A row stops at its first iterate with |rho| <= SNAP_TOL (possibly the
-    start).
+    A row travels along grad_rho at the iterate (the snap and the
+    projection), or along its fixed gam[row] (the reflection pull-back, whose
+    steps on a convex rho rise monotonically to the first crossing). It stops
+    at its first iterate with |rho| <= SNAP_TOL (possibly the start); a
+    pull-back row takes one step more, since its landing point feeds
+    interpolation weights. A slope gam . grad_rho <= 0 raises ObliquenessError.
     """
+    extra = 0 if gam is None else 1
+    hits = np.zeros(rows.size, dtype=np.int64)
     r = np.asarray(geom.rho(pts[rows]), dtype=float)
-    for it in range(SNAP_ITER + 1):
-        left = np.abs(r) > SNAP_TOL
-        rows, r = rows[left], r[left]
+    for it in range(SNAP_ITER + extra + 1):
+        hits += np.abs(r) <= SNAP_TOL
+        left = hits <= extra
+        rows, r, hits = rows[left], r[left], hits[left]
         if not rows.size:
             return
-        if it == SNAP_ITER:
+        if it == SNAP_ITER + extra:
             raise GeometryError(f"{what} did not converge; last iterate {pts[rows[0]]}, "
                                 f"rho={r[0]:g}")
         g = np.asarray(geom.grad_rho(pts[rows]), dtype=float)
-        gg = (g[:, None, :] @ g[:, :, None])[:, 0, 0]   # rounds as g @ g per row
-        if np.any(gg <= 0):
-            raise GeometryError(f"grad_rho vanished during {what} at "
-                                f"{pts[rows[np.argmax(gg <= 0)]]}")
-        pts[rows] -= (r / gg)[:, None] * g
+        d = g if gam is None else gam[rows]
+        slope = (d[:, None, :] @ g[:, :, None])[:, 0, 0]   # rounds as d @ g per row
+        if np.any(slope <= 0):
+            k = int(np.argmax(slope <= 0))
+            if gam is None:
+                raise GeometryError(f"grad_rho vanished during {what} at {pts[rows[k]]}")
+            raise ObliquenessError(f"{what} direction {d[k]} is not oblique at "
+                                   f"{pts[rows[k]]}: gamma.grad_rho = {slope[k]:.3g}")
+        pts[rows] -= (r / slope)[:, None] * d
         r = np.asarray(geom.rho(pts[rows]), dtype=float)
 
 

@@ -81,10 +81,7 @@ class Hamiltonian:
 
     def lip_p(self, radius: float, points: np.ndarray) -> np.ndarray:
         """Componentwise bound on |dH/dp_i| over |p|_inf <= radius (sampled)."""
-        m = 33 if self.dim == 1 else 17
-        ax = np.linspace(-radius, radius, m)
-        lat = np.stack(np.meshgrid(*([ax] * self.dim), indexing="ij"),
-                       axis=-1).reshape(-1, self.dim)
+        lat = _lattice(self.dim, radius, 33 if self.dim == 1 else 17)
         eps = 1e-4 * max(radius, 1.0)
         out = np.zeros(self.dim)
         for i in range(self.dim):
@@ -665,16 +662,16 @@ def audit_assumptions(H: Hamiltonian, Bm: BoundaryOperator, geom: DomainGeometry
     entries.append(AuditEntry("A2", bool(np.isfinite(mr)),
                               f"sampled M_R ~ {mr:.3g} on B_3"))
 
-    # A3: obliqueness along grad rho
+    # A3: obliqueness along the unit normal
     lam = rng.uniform(0.1, 2.0, AUDIT_SAMPLES)
-    nt = geom.grad_rho(bxs)
+    nt = geom.unit_normal(bxs)
     Pb = rng.uniform(-3, 3, (AUDIT_SAMPLES, geom.dim))
     inc = (Bm(bxs, Pb + lam[:, None] * nt) - Bm(bxs, Pb)) / lam
     th = float(inc.min())
     k = int(np.argmin(inc))
     entries.append(AuditEntry("A3", bool(th >= Bm.theta - 1e-6),
                               f"sampled theta {th:.4g} (declared {Bm.theta:.4g})",
-                              {"x": bxs[k].tolist(), "p": Pb[k].tolist()}))
+                              {"x": bxs[k].tolist(), "p": Pb[k].tolist(), "theta": th}))
 
     # A4: global Lipschitz of B in p
     P2 = rng.uniform(-8, 8, (AUDIT_SAMPLES, geom.dim))

@@ -3,10 +3,12 @@
 Given a start point, a control t -> v(t) and a continuous selection
 (gamma, g) from the admissible reflection set, each step takes the free
 trial y = eta + dt*v; if y leaves the closure, the reflection intensity is
-the unique l >= 0 pulling y back to the boundary along gamma evaluated at
-the boundary projection of y, and the step pays the cost rate l*g. The
-cost track can be recomputed through the reflection-cost conjugate and, by
-convention, vanishes whenever l does.
+the first l >= 0 pulling y back to the boundary along gamma evaluated at
+the boundary projection of y, found by the boundary snap's Newton iteration
+run along gamma; the step pays the cost rate l*g. Obliqueness is gamma . n
+on the unit normal n. The cost track can be
+recomputed through the reflection-cost conjugate and, by convention,
+vanishes whenever l does.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ObliquenessError
-from .geometry import DomainGeometry, project_to_closure
+from .geometry import DomainGeometry, _newton_to_boundary, project_to_closure
 from .models import CAP, BoundaryOperator, ObliqueSelection, boundary_conjugate
 
 
@@ -94,7 +96,7 @@ def integrate(geom: DomainGeometry, Bm: BoundaryOperator, x0, v_fn,
             continue
         hat = project_to_closure(geom, y)
         gam = np.asarray(selection.gamma(hat), dtype=float)
-        nt = np.asarray(geom.grad_rho(hat), dtype=float)
+        nt = geom.unit_normal(hat)
         if float(gam @ nt) < Bm.theta / 2:
             raise ObliquenessError(
                 f"reflection direction fails obliqueness at {hat}: "
@@ -110,34 +112,16 @@ def integrate(geom: DomainGeometry, Bm: BoundaryOperator, x0, v_fn,
 
 def _pullback_intensity(geom: DomainGeometry, Y: np.ndarray, GAM: np.ndarray,
                         dt: float) -> np.ndarray:
-    """Per row, the l >= 0 with rho(y - dt*l*gamma) = 0, for exterior y.
+    """Per row, the first l >= 0 with rho(y - dt*l*gamma) = 0, for exterior y.
 
-    The bracket [0, hi] starts at the linearised root and doubles until
-    rho(y - dt*hi*gamma) <= 0, at most 60 times. Bisection then shrinks it
-    to brentq's width 1e-15 + 8.9e-16*hi and returns hi, the end in the
-    closure.
+    The landing point is the boundary snap's Newton iteration run along the
+    row's gamma, and l is read off the displacement y - landing. Raises
+    ObliquenessError when gamma . grad_rho <= 0 at an iterate.
     """
     Y, GAM = np.asarray(Y, dtype=float), np.asarray(GAM, dtype=float)
-
-    def inside(l):
-        return np.asarray(geom.rho(Y - dt * l[:, None] * GAM), dtype=float) <= 0.0
-
-    slope = (GAM[:, None, :] @ np.asarray(geom.grad_rho(Y), dtype=float)[:, :, None])[:, 0, 0]
-    hi = np.asarray(geom.rho(Y), dtype=float) / (dt * np.maximum(slope, 1e-12))
-    hi = np.maximum(hi, 1e-12)
-    for _ in range(60):
-        out = ~inside(hi)
-        if not out.any():
-            break
-        hi = np.where(out, 2.0 * hi, hi)
-    else:
-        raise NumericalError(f"reflection pull-back failed to bracket at {Y[out][0]}")
-    lo = np.zeros_like(hi)
-    while np.any(hi - lo > 1e-15 + 8.9e-16 * hi):
-        mid = 0.5 * (lo + hi)
-        ok = inside(mid)
-        hi, lo = np.where(ok, mid, hi), np.where(ok, lo, mid)
-    return hi
+    land = Y.copy()
+    _newton_to_boundary(geom, land, np.arange(Y.shape[0]), "reflection pull-back", GAM)
+    return np.sum((Y - land) * GAM, axis=-1) / (dt * np.sum(GAM * GAM, axis=-1))
 
 
 def verify_bounds(triple: SkorokhodTriple) -> BoundReport:

@@ -14,7 +14,8 @@ iterated; they are precomputed once into tables (stencils as sparse
 operators) whose DP step the time-marching values here and the stationary
 value iteration of the weak-KAM module share. The tables are built as
 whole-array operations: all landing points of a batch go through one
-projection, one evaluation of the selection and one pull-back, the
+projection, one evaluation of the selection and one pull-back (both are
+the geometry's Newton iteration onto the boundary), the
 stencils are read off the grid's dense lattice index, and the stage costs
 come from the Hamiltonian's closed-form conjugate where it has one
 (``quadratic``), else from the conjugate engine.
@@ -29,7 +30,7 @@ from scipy import sparse
 
 from .errors import NumericalError
 from .geometry import Grid, project_to_closure
-from .models import (BoundaryOperator, Hamiltonian, ObliqueSelection,
+from .models import (BoundaryOperator, Hamiltonian, ObliqueSelection, _lattice,
                      effective_velocity_bound, lagrangian_batch,
                      oblique_selection)
 from .pde import GridField, SpaceTimeField
@@ -67,9 +68,7 @@ def build_control_set(H: Hamiltonian, Bm: BoundaryOperator, grid: Grid,
         level = 2.0 * float(np.abs(H(grid.nodes, np.zeros(grid.dim))).max()) + 2.0
         v_max = 1.0 + H.coercivity_radius(level, grid.nodes)
         v_max = effective_velocity_bound(H, grid.nodes, v_max)
-    ax = np.linspace(-v_max, v_max, n_velocity)
-    vel = np.stack(np.meshgrid(*([ax] * grid.dim), indexing="ij"),
-                   axis=-1).reshape(-1, grid.dim)
+    vel = _lattice(grid.dim, v_max, n_velocity)
     l_max = v_max / Bm.theta
     ladder = l_max * 2.0 ** (-np.arange(8)[::-1].astype(float))
     return ControlSet(vel, ladder, oblique_selection(Bm), float(v_max))

@@ -2,12 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from scipy import optimize
 
 from hj_neumann import geometry as G, models as M, skorokhod as S
-from hj_neumann.errors import NumericalError
+from hj_neumann.errors import NumericalError, ObliquenessError
 
 IV = G.interval(0.0, 1.0)
 DISC = G.disc()
+ELLIPSE = G.custom(2, lambda p: np.asarray(p)[..., 0] ** 2 + (np.asarray(p)[..., 1] / 0.6) ** 2 - 1,
+                   lambda p: np.stack([2 * np.asarray(p)[..., 0],
+                                       2 * np.asarray(p)[..., 1] / 0.36], axis=-1),
+                   ((-1.0, -0.6), (1.0, 0.6)))
 
 
 def make(geom, Bm, x0, v_fn, T=1.0, dt=0.01, sel=None):
@@ -131,3 +137,74 @@ def test_dt_refinement_first_order_on_disc():
 def test_start_outside_rejected():
     with pytest.raises(NumericalError):
         make(IV, M.neumann(IV), [1.2], lambda t: np.zeros(1))
+
+
+def scaled_disc(scale):
+    """Unit disc with rho = scale/2 (|x|^2 - 1), so |grad rho| = scale on the boundary."""
+    return G.custom(2, lambda p: 0.5 * scale * (np.sum(np.asarray(p, float) ** 2, axis=-1) - 1),
+                    lambda p: scale * np.asarray(p, float), ((-1.0, -1.0), (1.0, 1.0)))
+
+
+@pytest.mark.parametrize("scale", [0.2, 1.0, 5.0])
+def test_obliqueness_is_measured_on_the_unit_normal(scale):
+    geom = scaled_disc(scale)
+    Bn = M.neumann(geom)
+    tr = make(geom, Bn, [0.5, 0.0], lambda t: np.array([2.0, 0.0]), dt=0.05)
+    assert tr.l.max() > 0
+    assert S.verify_bounds(tr).ok
+    a3 = M.audit_assumptions(M.quadratic(2), Bn, geom).entry("A3")
+    assert a3.passed
+    assert abs(a3.witness["theta"] - 1.0) <= 1e-6
+
+
+def first_crossing(geom, y, gam, dt):
+    """Reference pull-back: brentq on [0, argmin] of the convex s -> rho(y - s*gam);
+    returns (l, min rho along the ray)."""
+    def f(s):
+        return float(geom.rho(y - s * gam))
+
+    reach = 4.0 * geom.diameter / float(np.linalg.norm(gam))
+    low = optimize.minimize_scalar(f, bounds=(0.0, reach), method="bounded",
+                                   options={"xatol": 1e-12})
+    if low.fun > 0:
+        return None, low.fun
+    s = optimize.brentq(f, 0.0, low.x, xtol=1e-15, rtol=8.9e-16)
+    return s / dt, low.fun
+
+
+def test_pullback_returns_first_crossing_when_linearised_start_overshoots():
+    # the linearised root overshoots this short chord; a bracket grown from
+    # it never contains a root
+    y, gam, dt = np.array([1.27001136, 0.52458051]), np.array([1.22683128, -0.54630453]), 0.1
+    l = S._pullback_intensity(DISC, y[None], gam[None], dt)[0]
+    ref, _ = first_crossing(DISC, y, gam, dt)
+    assert abs(l - ref) <= 1e-12 * (1 + ref)
+    assert abs(float(DISC.rho(y - dt * l * gam))) <= G.SNAP_TOL
+
+
+@pytest.mark.parametrize("geom,at", [
+    (DISC, lambda a, r: (1 + r) * np.array([np.cos(a), np.sin(a)])),
+    (ELLIPSE, lambda a, r: np.sqrt(1 + r) * np.array([np.cos(a), 0.6 * np.sin(a)])),
+], ids=["disc", "ellipse"])
+@settings(max_examples=150, deadline=None)
+@given(a=st.floats(0.0, 2 * np.pi), r=st.floats(1e-6, 0.4), c=st.floats(0.2, 1.0),
+       u=st.floats(-1.0, 1.0), dt=st.floats(0.01, 1.0))
+def test_pullback_matches_first_crossing_reference(geom, at, a, r, c, u, dt):
+    y = at(a, r)                                   # rho(y) = r
+    n = geom.unit_normal(G.project_to_closure(geom, y))
+    gam = c * n + u * np.array([-n[1], n[0]])
+    ref, depth = first_crossing(geom, y, gam, dt)
+    assume(abs(depth) > 1e-6)                      # grazing rays: ill-conditioned root
+    if ref is None:
+        with pytest.raises(NumericalError):
+            S._pullback_intensity(geom, y[None], gam[None], dt)
+        return
+    l = S._pullback_intensity(geom, y[None], gam[None], dt)[0]
+    assert abs(float(geom.rho(y - dt * l * gam))) <= G.SNAP_TOL
+    assert abs(l - ref) <= 1e-12 * (1 + ref)
+
+
+def test_pullback_tangent_direction_is_not_oblique():
+    y = np.array([[1.2, 0.0]])
+    with pytest.raises(ObliquenessError, match="gamma.grad_rho"):
+        S._pullback_intensity(DISC, y, np.array([[0.0, 1.0]]), 0.1)

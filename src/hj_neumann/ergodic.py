@@ -1,4 +1,4 @@
-"""Additive eigenvalue and ergodic function via the vanishing-discount limit.
+"""Additive eigenvalue and ergodic function of the discrete scheme.
 
 ``discounted_solve`` computes the steady state of the damped problem
 eps*u + H(x, Du) = 0 (boundary condition per kind: the Neumann root for
@@ -8,11 +8,14 @@ steps on eps*u + Phi(u) = 0 with the sparse coloured-difference Jacobian
 ``Stepper.jacobian`` (Howard's algorithm when Phi is piecewise smooth;
 Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal. 47, 2009), so the fixed
 point of the damped evolution is reached in a handful of solves instead of
-O(1/eps) steps. ``anchored_polish`` solves the discrete eigenproblem
-Phi(v) = c, v(x0) = 0 with the same Jacobian, bordered by the unknown c.
+O(1/eps) steps.
 
-``ergodic_limit`` drives eps down a schedule with warm starts and
-extrapolates eps*u_eps(x0) to the eigenvalue; ``large_time_slope`` is the
+``ergodic_limit`` solves the discrete eigenproblem Phi(v) = c, v(x0) = 0 by
+Newton's method on (v, c) with the same Jacobian (the generalized Newton
+method of Cacace & Camilli, SIAM J. Sci. Comput. 38, 2016), started from one
+discounted solution. The start selects v where the eigenproblem has several
+solutions, as the vanishing discount does (Davini, Fathi, Iturriaga &
+Zavidovique, Invent. Math. 206, 2016). ``large_time_slope`` is the
 independent estimator used for cross-validation.
 """
 
@@ -33,14 +36,19 @@ from .pde import (GridField, SpaceTimeField, Stepper, discrete_lipschitz, scheme
 
 @dataclass
 class ErgodicPair:
-    """Eigenvalue c, eigenfunction v (anchored to 0 at x0), and diagnostics."""
+    """Eigenvalue c, eigenfunction v (anchored to 0 at x0), and diagnostics.
+
+    c is the exact eigenvalue c_h of the discrete operator, so it carries the
+    scheme's O(h) Lax-Friedrichs bias (ROADMAP item 3). epsilon_trace holds
+    one entry (eps, eps*u_eps(x0)) for the discounted solve that started the
+    Newton iteration; residual is |Phi(v) - c|_inf on the operator solved.
+    """
 
     c: float
     v: GridField
-    epsilon_trace: list = field(default_factory=list)   # (eps, eps*u_eps(x0))
+    epsilon_trace: list = field(default_factory=list)   # [(eps, eps*u_eps(x0))]
     residual: float = np.nan
     anchor: int = 0
-    warning: str | None = None
 
 
 def discounted_solve(H: Hamiltonian, Bm: BoundaryOperator, epsilon: float,
@@ -52,9 +60,11 @@ def discounted_solve(H: Hamiltonian, Bm: BoundaryOperator, epsilon: float,
     a sparse solve with eps*I + Stepper.jacobian(u); max_sweeps caps their
     number. Converged when the largest update is at most tol (default
     eps*h^2); otherwise ConvergenceError carries the update history. The
-    dissipation is refreshed when slopes outgrow its certified radius. The
-    returned field obeys the discount bound |eps u| <= max|H(x, 0)|
-    (+ max|B(x, 0)| for "e2") up to solver tolerance, else NumericalError.
+    dissipation is refreshed, and the iteration resumed, when the converged
+    field's slopes outgrow its certified radius; slopes of the iterates on
+    the way do not change the operator. The returned field obeys the
+    discount bound |eps u| <= max|H(x, 0)| (+ max|B(x, 0)| for "e2") up to
+    solver tolerance, else NumericalError.
     kind is "e1" or "e2", or its scheme's "cn" or "dbc".
     """
     if not (0 < epsilon < 1):
@@ -71,12 +81,14 @@ def discounted_solve(H: Hamiltonian, Bm: BoundaryOperator, epsilon: float,
         du = spsolve(damp + st.jacobian(u, phi), -(epsilon * u + phi))
         u += du
         history.append(float(np.abs(du).max()))
-        if not history[-1] > tol:          # converged, or a non-finite step
-            break
-        # refresh dissipation if slopes outgrow the certified radius
+        if history[-1] > tol:
+            continue
+        # converged (or a non-finite step): refresh the dissipation if the
+        # solution's slopes outgrow its certified radius, else stop
         s = discrete_lipschitz(grid, u)
-        if s > st.radius - 1.0:
-            st = Stepper(grid, H, Bm, st.kind, grad_bound=2.0 * s)
+        if not s > st.radius - 1.0:
+            break
+        st = Stepper(grid, H, Bm, st.kind, grad_bound=2.0 * s)
     if not (history and history[-1] <= tol):
         raise ConvergenceError(
             f"discounted solve (eps={epsilon:g}) did not reach {tol:g} "
@@ -93,49 +105,60 @@ def discounted_solve(H: Hamiltonian, Bm: BoundaryOperator, epsilon: float,
     return GridField(grid, u)
 
 
-DEFAULT_SCHEDULE = (0.1, 0.03, 0.01, 0.003, 0.001)
+DEFAULT_SCHEDULE = (0.001,)
+
+# stopping residual |Phi(v) - c|_inf and step cap of the eigenpair solve
+EIGEN_TOL = 1e-12
+EIGEN_STEPS = 50
 
 
 def ergodic_limit(H: Hamiltonian, Bm: BoundaryOperator, grid: Grid,
                   kind: str = "e1", epsilon_schedule=DEFAULT_SCHEDULE) -> ErgodicPair:
-    """Vanishing-discount eigenvalue and eigenfunction.
+    """Discrete eigenvalue c and eigenfunction v with Phi(v) = c, v(x0) = 0.
 
-    Solves the discounted problem down the schedule (strictly decreasing,
-    ending at or above 1e-4) with warm starts, Richardson-extrapolates
-    eps*u_eps(x0) at first order, and anchors v = u_eps - u_eps(x0) at the
-    node nearest the domain centroid. A trace whose last two values differ
-    by more than 0.05 (1 + |c|) is not Cauchy and attaches a warning rather
-    than failing.
+    The schedule must decrease strictly to at least 1e-4; only its last eps
+    is used. One discounted solve from zero at that eps gives the start
+    v = u_eps - u_eps(x0), c = -eps*u_eps(x0); Newton steps on (v, c) follow,
+    each a sparse solve with Stepper.jacobian(v) whose anchor column (v(x0)
+    is fixed at 0) carries the unknown c instead. x0 is the node nearest the
+    domain centroid. Stops when |Phi(v) - c|_inf <= EIGEN_TOL; after
+    EIGEN_STEPS steps, ConvergenceError carries the residual history.
     """
     eps = list(epsilon_schedule)
     if any(b >= a for a, b in zip(eps, eps[1:])) or eps[-1] < 1e-4:
         raise NumericalError("epsilon schedule must decrease strictly to >= 1e-4")
     x0 = grid.centroid_node()
-    u = GridField(grid, np.zeros(grid.n_nodes))
-    trace = []
-    for e in eps:
-        u = discounted_solve(H, Bm, e, kind, u)
-        trace.append((e, e * float(u.values[x0])))
+    n = grid.n_nodes
+    u = discounted_solve(H, Bm, eps[-1], kind, GridField(grid, np.zeros(n))).values
+    m = eps[-1] * float(u[x0])
+    v, c = u - u[x0], -m
+    st = Stepper(grid, H, Bm, kind, grad_bound=max(discrete_lipschitz(grid, v), 1.0))
+    col = sparse.csr_array((np.full(n, -1.0), (np.arange(n), np.full(n, x0))),
+                           shape=(n, n))
+    history = []
+    for _ in range(EIGEN_STEPS):
+        phi = st.rhs(v)
+        history.append(float(np.abs(phi - c).max()))
+        if not history[-1] > EIGEN_TOL:     # converged, or a non-finite residual
+            break
+        J = st.jacobian(v, phi)
+        J.data[J.indices == x0] = 0.0
+        step = spsolve(J + col, c - phi)
+        c += float(step[x0])
+        step[x0] = 0.0
+        v += step
+    if not history[-1] <= EIGEN_TOL:
+        raise ConvergenceError(
+            f"eigenpair solve did not reach |Phi(v) - c| <= {EIGEN_TOL:g} "
+            f"in {EIGEN_STEPS} Newton steps", history)
 
-    if len(trace) >= 2:
-        (e1, m1), (e2, m2) = trace[-2], trace[-1]
-        c = -(m2 + (m2 - m1) * e2 / (e1 - e2))
-    else:
-        c = -trace[-1][1]
-
-    warning = None
-    if len(trace) >= 2 and abs(trace[-1][1] - trace[-2][1]) > 0.05 * (1 + abs(c)):
-        warning = ("epsilon trace is not Cauchy: last two values "
-                   f"{trace[-2][1]:.4g}, {trace[-1][1]:.4g}")
-
-    v = GridField(grid, u.values - u.values[x0])
-    res = stationary_residual(v, H, Bm, kind, level=c)
-    return ErgodicPair(float(c), v, trace, float(np.abs(res).max()), x0, warning)
+    pair_v = GridField(grid, v)
+    res = stationary_residual(pair_v, H, Bm, kind, level=c, grad_bound=st.grad_bound)
+    return ErgodicPair(float(c), pair_v, [(eps[-1], m)], float(np.abs(res).max()), x0)
 
 
 def eigenvalue_extrapolated(H: Hamiltonian, Bm: BoundaryOperator, geom, h: float,
-                            kind: str = "e1",
-                            epsilon_schedule=(0.1, 0.01, 0.001)):
+                            kind: str = "e1"):
     """Richardson-extrapolate the eigenvalue in h from grids (h, h/2).
 
     The Lax-Friedrichs dissipation biases c_h by O(h) with a visible
@@ -143,8 +166,8 @@ def eigenvalue_extrapolated(H: Hamiltonian, Bm: BoundaryOperator, geom, h: float
     the first-order term. Returns (c_extrapolated, fine-grid ErgodicPair).
     """
     from .geometry import build_grid
-    pair_c = ergodic_limit(H, Bm, build_grid(geom, h), kind, epsilon_schedule)
-    pair_f = ergodic_limit(H, Bm, build_grid(geom, h / 2), kind, epsilon_schedule)
+    pair_c = ergodic_limit(H, Bm, build_grid(geom, h), kind)
+    pair_f = ergodic_limit(H, Bm, build_grid(geom, h / 2), kind)
     return 2.0 * pair_f.c - pair_c.c, pair_f
 
 
@@ -164,38 +187,6 @@ def normalize(H: Hamiltonian, Bm: BoundaryOperator, c: float,
     Hn = shift_hamiltonian(H, c)
     Bn = shift_boundary(Bm, c) if scheme_kind(kind) == "dbc" else Bm
     return Hn, Bn
-
-
-def anchored_polish(H: Hamiltonian, Bm: BoundaryOperator, grid: Grid,
-                    kind: str, v0: GridField, tol: float = 1e-12):
-    """Discrete eigenpair of the marching scheme by Newton's method.
-
-    Solves Phi(v) = c with v(x0) = 0, x0 the centroid node, as one bordered
-    system in (v, c) with the matrix [J, -1; e_x0^T, 0], J =
-    Stepper.jacobian(v), starting from v0. Converged when the largest
-    update is at most tol within 50 Newton steps (each a sparse LU solve);
-    the fixed point is the reference orbit for long-time comparisons.
-    Returns (c_h, v_h, converged).
-    """
-    x0 = grid.centroid_node()
-    n = grid.n_nodes
-    lip = max(discrete_lipschitz(grid, v0.values), 1.0)
-    st = Stepper(grid, H, Bm, kind, grad_bound=lip + 1.0)
-    border = sparse.csr_array(-np.ones((n, 1)))
-    anchor = sparse.csr_array(([1.0], ([0], [x0])), shape=(1, n))
-    v = v0.values - v0.values[x0]
-    c, converged = 0.0, False       # c enters linearly: one step sets it
-    for _ in range(50):
-        phi = st.rhs(v)
-        A = sparse.block_array([[st.jacobian(v, phi), border], [anchor, None]],
-                               format="csr")
-        step = spsolve(A, -np.append(phi - c, v[x0]))
-        v, c = v + step[:n], c + float(step[n])
-        size = float(np.abs(step).max())
-        if not size > tol:          # converged, or a non-finite step
-            converged = size <= tol
-            break
-    return c, GridField(grid, v), converged
 
 
 def subsolution_probe(H: Hamiltonian, Bm: BoundaryOperator, grid: Grid,

@@ -243,14 +243,29 @@ def _project_ref(geom, x, tol=1e-12, max_iter=60):
 
 
 def _pullback_ref(geom, y, gam, dt):
+    # rho is convex along the ray: from the linearised root, double hi while
+    # rho > 0 still falls; once a point past the minimum is seen, bisect
+    # between the last falling point and it until rho <= 0
     from scipy import optimize
 
     def f(l):
         return float(geom.rho(y - dt * l * gam))
 
+    def falling(l):
+        return float(gam @ geom.grad_rho(y - dt * l * gam)) > 0.0
+
     hi = max(float(geom.rho(y)) / (dt * max(float(gam @ geom.grad_rho(y)), 1e-12)), 1e-12)
-    while f(hi) > 0.0:
-        hi *= 2.0
+    lo, past = 0.0, None
+    for _ in range(200):
+        if f(hi) <= 0.0:
+            break
+        if falling(hi):
+            lo = hi
+        else:
+            past = hi
+        hi = 2.0 * hi if past is None else 0.5 * (lo + past)
+    else:
+        raise AssertionError("reference pull-back found no bracket in 200 steps")
     return float(optimize.brentq(f, 0.0, hi, xtol=1e-15, rtol=8.9e-16))
 
 
@@ -309,6 +324,15 @@ ELLIPSE = G.custom(2, lambda p: np.asarray(p)[..., 0] ** 2 + (np.asarray(p)[...,
                    lambda p: np.stack([2 * np.asarray(p)[..., 0],
                                        2 * np.asarray(p)[..., 1] / 0.36], axis=-1),
                    ((-1.0, -0.6), (1.0, 0.6)))
+
+
+def test_pullback_oracle_brackets_an_overshooting_start():
+    # the linearised root overshoots this short chord, so a bracket grown
+    # from it by doubling alone never closes
+    from test_skorokhod import first_crossing
+    y, gam, dt = np.array([1.27001136, 0.52458051]), np.array([1.22683128, -0.54630453]), 0.1
+    ref, _ = first_crossing(DISC, y, gam, dt)
+    assert abs(_pullback_ref(DISC, y, gam, dt) - ref) <= 1e-12 * (1 + ref)
 
 
 def _tilted(pts):

@@ -175,8 +175,9 @@ def test_liminf_spot_check():
     mask = W.aubry_set(act)
     u0 = P.field_from(grid, lambda x: x[:, 0])
     prof = W.asymptotic_profile(u0, act, mask)
-    c_h, _, _ = E.anchored_polish(H, Bm, grid, "cn",
-                                  P.constant_field(grid, 0.0), tol=1e-11)
+    pair = E.ergodic_limit(H, Bm, grid)
+    assert pair.residual <= 1e-10
+    c_h = pair.c
     Hn, _ = E.normalize(H, Bm, c_h)
     stf = P.evolve(u0, Hn, Bm, "cn", T=12.0, record_every=2.0)
     late = stf.values[stf.times >= 6.0]

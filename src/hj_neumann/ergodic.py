@@ -88,7 +88,7 @@ def discounted_solve(H: Hamiltonian, Bm: BoundaryOperator, epsilon: float,
         s = discrete_lipschitz(grid, u)
         if not s > st.radius - 1.0:
             break
-        st = Stepper(grid, H, Bm, st.kind, grad_bound=2.0 * s)
+        st.refresh(2.0 * s)
     if not (history and history[-1] <= tol):
         raise ConvergenceError(
             f"discounted solve (eps={epsilon:g}) did not reach {tol:g} "

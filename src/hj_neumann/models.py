@@ -24,7 +24,7 @@ certification rule:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -53,6 +53,8 @@ class Hamiltonian:
 
     conjugate, when set, is the closed form of L(x, xi) = sup_p (xi . p -
     H(x, p)) on paired rows (X, XI); the conjugate engine serves the rest.
+    A radial model H(x, p) = H(x, 0) + profile(|p|) sets profile, and
+    lip_form(r) = sup |dH/dp_i| over |p|_inf <= r, in place of sampling p.
     """
 
     name: str
@@ -61,18 +63,24 @@ class Hamiltonian:
     convex: bool
     params: dict = field(default_factory=dict)
     conjugate: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    lip_form: Callable[[float], float] | None = None
+    profile: Callable[[float], float] | None = None
 
     def __call__(self, x: np.ndarray, p: np.ndarray) -> np.ndarray:
         return self.fn(np.asarray(x, float), np.asarray(p, float))
 
     def coercivity_radius(self, level: float, points: np.ndarray) -> float:
-        """Smallest scanned radius r <= 256 with min over samples of H at |p|=r >= level."""
+        """Smallest scanned radius r = 0.5 * 1.25^k <= 256 with min over samples
+        of H at |p| = r >= level; a profile gives min H(x, 0) + profile(r)."""
         dirs = _directions(self.dim)
+        base = None if self.profile is None else float(self(points, np.zeros(self.dim)).min())
         r = 0.5
         while r <= 256.0:
-            p = r * dirs                                # (D, dim)
-            vals = self(points[:, None, :], p[None, :, :])
-            if vals.min() >= level:
+            if base is None:
+                low = self(points[:, None, :], (r * dirs)[None, :, :]).min()
+            else:
+                low = base + self.profile(r)
+            if low >= level:
                 return r
             r *= 1.25
         raise NumericalError(
@@ -80,13 +88,14 @@ class Hamiltonian:
             "coercivity (A1) fails numerically")
 
     def lip_p(self, radius: float, points: np.ndarray) -> np.ndarray:
-        """Componentwise bound on |dH/dp_i| over |p|_inf <= radius (sampled)."""
+        """Componentwise bound on |dH/dp_i| over |p|_inf <= radius (lip_form,
+        else sampled), with a 5% + 1e-9 margin."""
+        if self.lip_form is not None:
+            return 1.05 * np.full(self.dim, float(self.lip_form(radius))) + 1e-9
         lat = _lattice(self.dim, radius, 33 if self.dim == 1 else 17)
         eps = 1e-4 * max(radius, 1.0)
         out = np.zeros(self.dim)
-        for i in range(self.dim):
-            e = np.zeros(self.dim)
-            e[i] = eps
+        for i, e in enumerate(eps * np.eye(self.dim)):
             hi = self(points[:, None, :], (lat + e)[None, :, :])
             lo = self(points[:, None, :], (lat - e)[None, :, :])
             out[i] = np.abs(hi - lo).max() / (2 * eps)
@@ -130,19 +139,24 @@ def quadratic(dim: int = 1, potential: Callable | str | None = None,
 
     H = Hamiltonian("quadratic", fn, dim, True,
                     {"coeff": coeff, "potential": getattr(V, "expr", None)},
-                    conjugate if coeff > 0 else None)
+                    conjugate if coeff > 0 else None,
+                    lambda r: 2.0 * abs(coeff) * r, lambda s: coeff * s ** 2)
     return H
 
 
 def eikonal(dim: int = 1, speed: Callable | str | None = None) -> Hamiltonian:
-    """H(x, p) = |p| - f(x)."""
+    """H(x, p) = |p| - f(x); L(x, xi) = f(x) for |xi| <= 1, CAP outside."""
     f = _as_field(speed, dim)
 
     def fn(x, p):
         base = np.linalg.norm(np.broadcast_arrays(np.asarray(p, float))[0], axis=-1)
         return base - (f(x) if f is not None else 0.0)
 
-    return Hamiltonian("eikonal", fn, dim, True, {"speed": getattr(f, "expr", None)})
+    def conjugate(X, XI):
+        return np.where(np.linalg.norm(XI, axis=-1) <= 1.0, -fn(X, np.zeros(dim)), CAP)
+
+    return Hamiltonian("eikonal", fn, dim, True, {"speed": getattr(f, "expr", None)},
+                       conjugate, lambda r: 1.0, lambda s: s)
 
 
 def double_well(dim: int = 1, offset: float = 0.0) -> Hamiltonian:
@@ -170,8 +184,8 @@ def shift_hamiltonian(H: Hamiltonian, c: float) -> Hamiltonian:
     if c == 0.0:
         return H
     conj = None if H.conjugate is None else (lambda X, XI: H.conjugate(X, XI) + c)
-    return Hamiltonian(H.name, lambda x, p: H.fn(x, p) - c, H.dim, H.convex,
-                       {**H.params, "shift": H.params.get("shift", 0.0) + c}, conj)
+    return replace(H, fn=lambda x, p: H.fn(x, p) - c, conjugate=conj,
+                   params={**H.params, "shift": H.params.get("shift", 0.0) + c})
 
 
 def neumann(geom: DomainGeometry) -> BoundaryOperator:
@@ -295,10 +309,6 @@ def _lattice(dim: int, radius: float, n_axis: int) -> np.ndarray:
                     axis=-1).reshape(-1, dim)
 
 
-def _grid_axis_count(dim: int) -> int:
-    return 257 if dim == 1 else 65
-
-
 def _conjugate(fun, X, XI, radius: float, max_doublings: int = 7):
     """sup_p (xi . p - fun(x, p)) over the paired rows (x, xi) of (X, XI).
 
@@ -309,7 +319,7 @@ def _conjugate(fun, X, XI, radius: float, max_doublings: int = 7):
     X = np.asarray(X, float)
     XI = np.asarray(XI, float)
     m, dim = XI.shape
-    n_axis = _grid_axis_count(dim)
+    n_axis = 257 if dim == 1 else 65
     val = np.full(m, CAP)
     arg = np.full((m, dim), np.nan)
     cell = np.zeros(m)

@@ -8,8 +8,10 @@ normal (strong ghost sense; unique by obliqueness), and add Lax-Friedrichs
 dissipation along the normal. Under the dynamical condition the boundary
 carries its own explicit update with the inward reconstruction.
 
-The root is closed for the catalog models and bisected for custom ones
-(``_ghost_solve_many``). The CFL bound comes from the actual stencil gaps;
+A ``Stepper`` fixes its boundary data at build. For a catalog B the root is
+then closed and certified by one call of B; custom ones bisect
+(``_ghost_solve_many``). sigma is closed-form for the radial catalog H and
+sampled for the rest. The CFL bound comes from the actual stencil gaps;
 it does not make the scheme monotone at curved boundaries (ROADMAP item 2).
 """
 
@@ -51,9 +53,6 @@ class GridField:
         if not np.all(np.isfinite(self.values)):
             raise NumericalError("field has non-finite values")
 
-    def copy(self) -> "GridField":
-        return GridField(self.grid, self.values.copy())
-
 
 @dataclass
 class SpaceTimeField:
@@ -90,22 +89,29 @@ def field_from(grid: Grid, fn) -> GridField:
     return GridField(grid, np.asarray(fn(grid.nodes), dtype=float))
 
 
-def _ghost_solve_many(Bm: BoundaryOperator, X, QT, N, tol: float) -> np.ndarray:
+def _form_values(Bm: BoundaryOperator, X, N):
+    """gamma_k(X), g_k(X) and gamma_k . N stacked over the forms of Bm;
+    ObliquenessError where some gamma_k . n <= 0."""
+    gam = np.stack([gm(X) for gm, _ in Bm.forms])
+    slope = np.sum(gam * N, axis=-1)
+    if np.any(slope <= 0):
+        raise ObliquenessError(f"boundary form with gamma.n = {slope.min():g} <= 0")
+    return gam, np.stack([gf(X) for _, gf in Bm.forms]), slope
+
+
+def _ghost_solve_many(Bm: BoundaryOperator, X, QT, N, tol: float,
+                      forms: tuple | None = None) -> np.ndarray:
     """Roots lambda of B(x, q_T + lambda n) = 0 for the rows of (X, QT, N).
 
     With forms, lambda = min_k (g_k - gamma_k . q_T) / (gamma_k . n), since
     each form increases along n; one call of B certifies it to within tol
-    times 1 + |q_T + lambda n|_inf. Custom models bisect from the bracket
-    |B(x, q_T)| / theta + 1, expanded geometrically at most 10 times.
+    times 1 + |q_T + lambda n|_inf; forms defaults to _form_values(Bm, X, N).
+    Custom models bisect from the bracket |B(x, q_T)| / theta + 1, expanded
+    geometrically at most 10 times.
     """
     if Bm.forms is not None:
-        lam = np.full(X.shape[0], np.inf)
-        for gm, gf in Bm.forms:
-            gam = gm(X)
-            slope = np.sum(gam * N, axis=-1)
-            if np.any(slope <= 0):
-                raise ObliquenessError(f"boundary form with gamma.n = {slope.min():g} <= 0")
-            lam = np.minimum(lam, (gf(X) - np.sum(gam * QT, axis=-1)) / slope)
+        gam, g, slope = _form_values(Bm, X, N) if forms is None else forms
+        lam = np.min((g - np.sum(gam * QT, axis=-1)) / slope, axis=0)
         ghost = QT + lam[:, None] * N
         res = np.abs(np.asarray(Bm(X, ghost), dtype=float))
         if not np.all(res <= tol * (1.0 + np.abs(ghost).max(axis=-1))):
@@ -149,55 +155,48 @@ class Stepper:
     """Precomputed stencil tables and dissipation constants for one (H, B, grid).
 
     kind is "cn" or "e1" (nonlinear Neumann) or "dbc" or "e2" (dynamical
-    boundary); self.kind holds the scheme's "cn" or "dbc".
+    boundary); self.kind holds the scheme's "cn" or "dbc". The inward
+    reconstruction and, for a catalog B under "cn", gamma_k, g_k and
+    gamma_k . n at the boundary nodes are fixed at build (ObliquenessError
+    there if some gamma_k . n <= 0); ``refresh`` resets sigma and dt_max.
     """
 
     def __init__(self, grid: Grid, H: Hamiltonian, Bm: BoundaryOperator,
                  kind: str = "cn", grad_bound: float = 1.0):
         self.grid, self.H, self.Bm, self.kind = grid, H, Bm, scheme_kind(kind)
-        d, n = grid.dim, grid.n_nodes
         self.idx = grid.neighbors
         self.gap = grid.gaps
 
-        self._build_sigma(max(grad_bound, 0.1))
-
-        # inward one-sided reconstruction tables for boundary nodes
+        # inward reconstruction per axis from the neighbour against the normal,
+        # else the other; inw_sgn +1: (u_b - u_j)/gap, -1: (u_j - u_b)/gap
         b = grid.boundary_idx
-        self.bidx = b
-        self.bn = grid.normals[b]
-        inw_idx = np.full((d, b.size), -1, dtype=np.int64)
-        inw_gap = np.full((d, b.size), np.inf)
-        inw_sgn = np.zeros((d, b.size))  # +1: (u_b - u_j)/gap, -1: (u_j - u_b)/gap
-        for jj, k in enumerate(b):
-            for ax in range(d):
-                nax = self.bn[jj, ax]
-                pref = 0 if nax > 1e-12 else (1 if nax < -1e-12 else -1)
-                sides = [pref, 1 - pref] if pref >= 0 else [0, 1]
-                for side in sides:
-                    if self.idx[side, ax, k] >= 0:
-                        inw_idx[ax, jj] = self.idx[side, ax, k]
-                        inw_gap[ax, jj] = self.gap[side, ax, k]
-                        inw_sgn[ax, jj] = 1.0 if side == 0 else -1.0
-                        break
-        self.inw_idx, self.inw_gap, self.inw_sgn = inw_idx, inw_gap, inw_sgn
-        self.sig_n = np.sum(self.sigma[None, :] * np.abs(self.bn), axis=-1)
+        self.bidx, self.bn, self.xb = b, grid.normals[b], grid.nodes[b]
+        first = (self.bn.T < -1e-12).astype(np.int64)[None]
+        side = np.where(np.take_along_axis(self.idx[:, :, b] >= 0, first, 0), first, 1 - first)
+        self.inw_idx = np.take_along_axis(self.idx[:, :, b], side, 0)[0]
+        self.inw_gap = np.take_along_axis(self.gap[:, :, b], side, 0)[0]
+        self.inw_sgn = np.where(self.inw_idx >= 0, 1.0 - 2.0 * side[0], 0.0)
 
-        self._compute_cfl()
+        self.tol = min(1e-12, Bm.theta * grid.h ** 2)
+        self.forms = (_form_values(Bm, self.xb, self.bn)
+                      if self.kind == "cn" and Bm.forms is not None else None)
 
-    def _build_sigma(self, grad_bound: float):
         # the dissipation radius is anchored at p = 0 so that every solver
         # (marching, discounted sweeps, slope estimator) shares one discrete
-        # operator; data with larger slopes lifts it, and evolve() refreshes
-        # when slopes grow past it
-        grid, H = self.grid, self.H
+        # operator; data with larger slopes lifts it, and the solvers
+        # refresh when slopes grow past it
         level = 2.0 * float(np.abs(H(grid.nodes, np.zeros(grid.dim))).max()) + 2.0
-        base = H.coercivity_radius(level, grid.nodes) + 1.0
-        self.radius = max(base, grad_bound + 1.0)
-        self.grad_bound = grad_bound
-        self.sigma = H.lip_p(self.radius, grid.nodes)
+        self.base_radius = H.coercivity_radius(level, grid.nodes) + 1.0
+        self.refresh(grad_bound)
 
-    def _compute_cfl(self):
+    def refresh(self, grad_bound: float):
+        """Set sigma and the CFL bound dt_max for slopes up to grad_bound."""
         grid = self.grid
+        self.grad_bound = max(grad_bound, 0.1)
+        self.radius = max(self.base_radius, self.grad_bound + 1.0)
+        self.sigma = self.H.lip_p(self.radius, grid.nodes)
+        self.sig_n = np.sum(self.sigma[None, :] * np.abs(self.bn), axis=-1)
+
         inv = np.where(np.isfinite(self.gap), 1.0 / self.gap, 0.0)
         coef = np.sum(self.sigma[:, None] * np.maximum(inv[0], inv[1]), axis=0)
         binv = np.where(np.isfinite(self.inw_gap), 1.0 / self.inw_gap, 0.0)
@@ -206,50 +205,40 @@ class Stepper:
             bco = fac * self.sig_n * np.sum(np.abs(self.bn).T * binv, axis=0)
         else:
             bco = self.Bm.lip * np.sum(binv, axis=0)
-        coef = coef.copy()
         coef[self.bidx] = np.maximum(coef[self.bidx], bco)
         self.dt_max = 1.0 / float(coef.max())
 
-    # -- slope reconstructions ------------------------------------------------
-
-    def inward_gradient(self, u: np.ndarray) -> np.ndarray:
-        """Inward one-sided gradient at boundary nodes, shape (n_b, dim)."""
-        uj = u[np.maximum(self.inw_idx, 0)]
-        ub = u[self.bidx][None, :]
-        q = self.inw_sgn * (ub - uj) / np.where(np.isfinite(self.inw_gap),
-                                                self.inw_gap, 1.0)
-        q = np.where(self.inw_idx >= 0, q, 0.0)
-        return q.T
-
     # -- scheme operator ------------------------------------------------------
 
-    def rhs(self, u: np.ndarray) -> np.ndarray:
+    def rhs(self, u: np.ndarray, slopes: tuple | None = None) -> np.ndarray:
         """Per-node scheme value Phi(u); one step is u - dt * Phi(u).
 
-        An interior row is the Lax-Friedrichs flux H(x, (pW + pE)/2) -
-        sum_i sigma_i (pE_i - pW_i)/2 on the one-sided slopes: nonincreasing
-        in pE and nondecreasing in pW while each sigma_i bounds |dH/dp_i|
-        over the slopes reached.
+        slopes is one_sided(grid, u) when the caller holds it. An interior
+        row is the Lax-Friedrichs flux H(x, (pW + pE)/2) - sum_i sigma_i
+        (pE_i - pW_i)/2 on the one-sided slopes: nonincreasing in pE and
+        nondecreasing in pW while each sigma_i bounds |dH/dp_i| over the
+        slopes reached. A boundary row reads its inward gradient off the
+        same slopes.
         """
         grid = self.grid
-        pW, pE = one_sided(grid, u)
+        pW, pE = one_sided(grid, u) if slopes is None else slopes
         pbar = 0.5 * (pW + pE).T
         phi = np.asarray(self.H(grid.nodes, pbar), dtype=float)
         phi -= 0.5 * np.sum(self.sigma[:, None] * (pE - pW), axis=0)
 
         if self.bidx.size:
-            q = self.inward_gradient(u)
-            xb = grid.nodes[self.bidx]
+            b, xb, bn = self.bidx, self.xb, self.bn
+            q = np.where(self.inw_sgn > 0, pW[:, b],
+                         np.where(self.inw_sgn < 0, pE[:, b], 0.0)).T
             if self.kind == "cn":
-                qn = np.sum(q * self.bn, axis=-1)
-                qt = q - qn[:, None] * self.bn
-                lam = _ghost_solve_many(self.Bm, xb, qt, self.bn,
-                                        tol=min(1e-12, self.Bm.theta * grid.h ** 2))
-                gstar = qt + lam[:, None] * self.bn
-                phi[self.bidx] = (np.asarray(self.H(xb, gstar), dtype=float)
-                                  - self.sig_n * (lam - qn))
+                qn = np.sum(q * bn, axis=-1)
+                qt = q - qn[:, None] * bn
+                lam = _ghost_solve_many(self.Bm, xb, qt, bn, self.tol, self.forms)
+                gstar = qt + lam[:, None] * bn
+                phi[b] = (np.asarray(self.H(xb, gstar), dtype=float)
+                          - self.sig_n * (lam - qn))
             else:
-                phi[self.bidx] = np.asarray(self.Bm(xb, q), dtype=float)
+                phi[b] = np.asarray(self.Bm(xb, q), dtype=float)
         return phi
 
     # -- Jacobian -------------------------------------------------------------
@@ -276,9 +265,9 @@ class Stepper:
         if dt > self.dt_max * (1 + 1e-12):
             raise CFLError(dt, self.dt_max)
 
-    def step(self, u: np.ndarray, dt: float) -> np.ndarray:
+    def step(self, u: np.ndarray, dt: float, slopes: tuple | None = None) -> np.ndarray:
         self.check_dt(dt)
-        return u - dt * self.rhs(u)
+        return u - dt * self.rhs(u, slopes)
 
 
 def scheme_kind(kind: str) -> str:
@@ -316,12 +305,12 @@ def one_sided(grid: Grid, u: np.ndarray):
 
 def discrete_lipschitz(grid: Grid, u: np.ndarray) -> float:
     """Largest one-sided slope magnitude over the existing stencil edges."""
-    pW, pE = one_sided(grid, u)
+    return _steepest(one_sided(grid, u))
+
+
+def _steepest(slopes) -> float:
+    pW, pE = slopes
     return float(max(np.abs(pW).max(initial=0.0), np.abs(pE).max(initial=0.0)))
-
-
-def _lip_estimate(field: GridField) -> float:
-    return max(discrete_lipschitz(field.grid, field.values), 0.1)
 
 
 def evolve(u0: GridField, H: Hamiltonian, Bm: BoundaryOperator, kind: str,
@@ -330,22 +319,23 @@ def evolve(u0: GridField, H: Hamiltonian, Bm: BoundaryOperator, kind: str,
     """March u_t + H = 0 (with the kind's boundary treatment) up to time T.
 
     Snapshots are recorded at t = 0, then whenever a multiple of
-    record_every is crossed, and at T. The dissipation range is refreshed
-    if discrete slopes outgrow the certified radius; when that lowers the
-    CFL bound below dt, a dt chosen here is re-chosen as 0.95 dt_max for
-    the rest of the horizon, and a dt given by the caller raises CFLError.
-    Each refresh at least doubles the radius; slopes that outgrow it more
-    than MAX_REFRESHES times are an unstable march, not a Lipschitz
+    record_every is crossed, and at T. Each step's one-sided slopes feed
+    its rhs and the check after the previous step. The dissipation range is
+    refreshed if discrete slopes outgrow the certified radius; when that
+    lowers the CFL bound below dt, a dt chosen here is re-chosen as 0.95
+    dt_max for the rest of the horizon, and a dt given by the caller raises
+    CFLError. Each refresh at least doubles the radius; slopes that outgrow
+    it more than MAX_REFRESHES times are an unstable march, not a Lipschitz
     solution, and raise NumericalError.
     """
     if T < 0:
         raise NumericalError("T must be nonnegative")
     grid = u0.grid
-    lip0 = _lip_estimate(u0)
-    st = Stepper(grid, H, Bm, kind, grad_bound=lip0)
+    u = u0.values.copy()
+    slopes = one_sided(grid, u)
+    st = Stepper(grid, H, Bm, kind, grad_bound=_steepest(slopes))
     if T == 0:
-        return SpaceTimeField(grid, np.array([0.0]), u0.values[None, :].copy(),
-                              st.dt_max)
+        return SpaceTimeField(grid, np.array([0.0]), u[None, :], st.dt_max)
     chosen = dt is None
     if chosen:
         n = int(np.ceil(T / (0.95 * st.dt_max)))
@@ -356,7 +346,6 @@ def evolve(u0: GridField, H: Hamiltonian, Bm: BoundaryOperator, kind: str,
     if record_every is None:
         record_every = T / 8.0
 
-    u = u0.values.copy()
     times = [0.0]
     snaps = [u.copy()]
     next_mark = record_every
@@ -364,16 +353,17 @@ def evolve(u0: GridField, H: Hamiltonian, Bm: BoundaryOperator, kind: str,
     k = refreshes = 0
     while k < n:
         step_dt = min(dt, T - t)
-        u = st.step(u, step_dt)
+        u = st.step(u, step_dt, slopes)
         t += step_dt
-        slope = discrete_lipschitz(grid, u)
+        slopes = one_sided(grid, u)
+        slope = _steepest(slopes)
         if slope > st.radius - 1.0:
             refreshes += 1
             if refreshes > MAX_REFRESHES:
                 raise NumericalError(
                     f"discrete slopes keep growing ({slope:.3g} at t={t:g} after "
                     f"{MAX_REFRESHES} dissipation refreshes): the march is unstable")
-            st = Stepper(grid, H, Bm, kind, grad_bound=2.0 * slope)
+            st.refresh(2.0 * slope)
             if dt > st.dt_max:
                 if not chosen:
                     raise CFLError(dt, st.dt_max)
@@ -393,6 +383,6 @@ def stationary_residual(w: GridField, H: Hamiltonian, Bm: BoundaryOperator,
                         kind: str, level: float = 0.0,
                         grad_bound: float | None = None) -> np.ndarray:
     """Residual of the stationary scheme H = level (boundary per kind) at w."""
-    gb = grad_bound if grad_bound is not None else _lip_estimate(w)
+    gb = grad_bound if grad_bound is not None else discrete_lipschitz(w.grid, w.values)
     st = Stepper(w.grid, H, Bm, kind, grad_bound=gb)
     return st.rhs(w.values) - level

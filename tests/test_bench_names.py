@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from hj_neumann.pde import GridField
 
@@ -31,12 +32,31 @@ def test_trace_targets_exist():
     assert not missing, f"traced names not found: {missing}"
 
 
-def test_bench_workload_checks_pass():
-    # one round of each workload as bench/run.py makes it at seed 1
-    failed = {}
+@pytest.fixture(scope="module")
+def seed1_rounds():
+    """One round of each workload as bench/run.py makes it at seed 1, set up
+    and solved under the tracer: {name: (failed checks, per-layer metrics)}."""
+    tracing = _load("bench_tracing", BENCH / "tracing.py")
+    out = {}
     for name, wl in _load("bench_workloads", BENCH / "workloads.py").WORKLOADS.items():
-        s = wl.setup()
-        u0 = (GridField(s["grid"], wl.family(np.random.default_rng(1))(s["grid"].nodes))
-              if wl.family else None)
-        failed[name] = wl.check(s, u0, wl.solve(s, u0))
+        tracer = tracing.Tracer()
+        with tracer.installed():
+            s = wl.setup()
+            u0 = (GridField(s["grid"], wl.family(np.random.default_rng(1))(s["grid"].nodes))
+                  if wl.family else None)
+            res = wl.solve(s, u0)
+        out[name] = (wl.check(s, u0, res), tracer.metrics())
+    return out
+
+
+def test_bench_workload_checks_pass(seed1_rounds):
+    failed = {name: bad for name, (bad, _) in seed1_rounds.items()}
     assert not any(failed.values()), failed
+
+
+def test_required_layers_nonzero(seed1_rounds):
+    # a solver path that bypasses a traced name reads 0 on that layer
+    required = _load("bench_tracing", BENCH / "tracing.py").REQUIRED
+    zero = {name: [k for k in required[name] if not metrics.get(k)]
+            for name, (_, metrics) in seed1_rounds.items()}
+    assert not any(zero.values()), zero

@@ -71,7 +71,46 @@ def test_quadratic_closed_form_matches_engine():
             engine = M._conjugate(Hc, X, XI, 6.0)[0]
             assert np.abs(M.lagrangian_batch(Hc, X, XI, radius=6.0) - engine).max() <= 1e-9
             assert M.lagrangian(Hc, X[0], XI[0]) == pytest.approx(engine[0], abs=1e-9)
-    assert M.eikonal(1).conjugate is None
+    # eikonal: L = f(x) inside dom L = {|xi| <= 1}, on rows with |xi| < 0.95
+    for H in (M.eikonal(1, "1 + 0.3*x"), M.eikonal(2, "1 + 0.2*x*y")):
+        X = rng.uniform(-1, 1, (300, H.dim))
+        XI = rng.uniform(-1, 1, (300, H.dim))
+        XI *= (0.95 * rng.uniform(0, 1, 300)
+               / np.maximum(np.linalg.norm(XI, axis=-1), 1e-12))[:, None]
+        for Hc in (H, M.shift_hamiltonian(H, 0.37)):
+            assert Hc.conjugate is not None
+            engine = M._conjugate(Hc, X, XI, 6.0)[0]
+            assert np.abs(M.lagrangian_batch(Hc, X, XI, radius=6.0) - engine).max() <= 1e-9
+
+
+def radial_models():
+    """Catalog models with closed-form lip_p and coercivity_radius, and the
+    exact sup of |dH/dp_i| over |p|_inf <= r of each."""
+    quad = [M.quadratic(1, coeff=0.5), M.quadratic(1, "0.2*cos(2*pi*x)", coeff=2.0),
+            M.quadratic(2, "0.3*cos(pi*x)*cos(pi*y)"), M.quadratic(2, coeff=2.0),
+            M.shift_hamiltonian(M.quadratic(2, "-0.5*(x**2 + y**2)", coeff=2.0), 0.37)]
+    eik = [M.eikonal(1, "1 + 0.3*x"), M.eikonal(2, "1 + 0.2*x*y"),
+           M.shift_hamiltonian(M.eikonal(2, "1 + 0.2*x"), -0.2)]
+    return ([(H, lambda r, c=H.params["coeff"]: 2.0 * c * r) for H in quad]
+            + [(H, lambda r: 1.0) for H in eik])
+
+
+def test_closed_forms_match_sampling():
+    # the same fn without closed forms takes the sampled path
+    points = {1: G.build_grid(IV, 0.05).nodes,
+              2: G.build_grid(G.disc(0.0, 0.0, 1.0), 0.1).nodes}
+    for H, exact in radial_models():
+        assert H.lip_form is not None and H.profile is not None
+        Hs = M.Hamiltonian(H.name, H.fn, H.dim, H.convex, H.params)
+        X = points[H.dim]
+        # levels off the ties coeff*r_k^2 + min V = level, where the sampled
+        # |r dir|^2 falls an ulp short of r^2 in some directions
+        for level in (0.7, 2.3, 7.3, 41.0, 150.0):
+            assert H.coercivity_radius(level, X) == Hs.coercivity_radius(level, X)
+        for r in (1.1, 3.0, 4.77, 12.5):
+            lip, ref = H.lip_p(r, X), Hs.lip_p(r, X)
+            assert np.all(np.abs(lip - ref) <= 1e-10 * ref)
+            assert np.all(lip >= exact(r))
 
 
 # -- boundary conjugate -------------------------------------------------------
@@ -259,7 +298,8 @@ def test_audit_anticoercive_fails_a1():
 
 
 def test_effective_velocity_bound_eikonal():
-    H = M.eikonal(1)
-    grid = G.build_grid(IV, 0.1)
-    v = M.effective_velocity_bound(H, grid.nodes, 3.0)
-    assert v == pytest.approx(1.0, abs=1e-6)
+    # the bisection stays inside dom L = {|xi| <= 1}
+    for geom in (IV, G.disc(0.0, 0.0, 1.0)):
+        grid = G.build_grid(geom, 0.1)
+        v = M.effective_velocity_bound(M.eikonal(geom.dim), grid.nodes, 3.0)
+        assert 1.0 - 1e-9 <= v <= 1.0

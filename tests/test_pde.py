@@ -245,6 +245,113 @@ def test_evolve_rechooses_dt_after_refresh():
         P.evolve(u0, H, Bn, "cn", T=1.0, dt=dt0)
 
 
+def evolve_reference(u0, H, Bm, kind, T, record_every=None, dt=None):
+    """The march with the slopes taken twice per step: st.step, then
+    discrete_lipschitz, and a new Stepper on each refresh."""
+    grid = u0.grid
+    st = P.Stepper(grid, H, Bm, kind,
+                   grad_bound=max(P.discrete_lipschitz(grid, u0.values), 0.1))
+    chosen = dt is None
+    if chosen:
+        n = int(np.ceil(T / (0.95 * st.dt_max)))
+        dt = T / n
+    else:
+        st.check_dt(dt)
+        n = int(np.ceil(T / dt - 1e-12))
+    record_every = T / 8.0 if record_every is None else record_every
+    u = u0.values.copy()
+    times, snaps = [0.0], [u.copy()]
+    next_mark, t, k, refreshes = record_every, 0.0, 0, 0
+    while k < n:
+        step_dt = min(dt, T - t)
+        u = st.step(u, step_dt)
+        t += step_dt
+        slope = P.discrete_lipschitz(grid, u)
+        if slope > st.radius - 1.0:
+            refreshes += 1
+            if refreshes > P.MAX_REFRESHES:
+                raise NumericalError(
+                    f"discrete slopes keep growing ({slope:.3g} at t={t:g} after "
+                    f"{P.MAX_REFRESHES} dissipation refreshes): the march is unstable")
+            st = P.Stepper(grid, H, Bm, kind, grad_bound=2.0 * slope)
+            if dt > st.dt_max:
+                if not chosen:
+                    raise CFLError(dt, st.dt_max)
+                if k < n - 1:
+                    rest = int(np.ceil((T - t) / (0.95 * st.dt_max)))
+                    dt, n = (T - t) / rest, k + 1 + rest
+        if t + 1e-12 >= next_mark or k == n - 1:
+            times.append(t)
+            snaps.append(u.copy())
+            while next_mark <= t + 1e-12:
+                next_mark += record_every
+        k += 1
+    return P.SpaceTimeField(grid, np.array(times), np.stack(snaps), dt)
+
+
+def bench_disc_march(seed):
+    """The h=0.2 disc march of the benchmark: H = |p|^2/2 - |x|^2/2, Neumann,
+    u0 a seeded cosine sum with Lipschitz constant 1, T = 8."""
+    grid = G.build_grid(DISC, 0.2)
+    rng = np.random.default_rng(seed)
+    m = rng.integers(-2, 3, size=(3, 2))
+    m[np.all(m == 0, axis=1)] = (1, 0)
+    a = rng.uniform(0.5, 1.0, 3)
+    phi = rng.uniform(0.0, 2.0 * np.pi, 3)
+    a /= float(np.sum(a * np.pi * np.linalg.norm(m, axis=1)))
+    u0 = P.GridField(grid, np.cos(np.pi * grid.nodes @ m.T + phi) @ a)
+    H = M.quadratic(2, lambda x: -0.5 * np.sum(x ** 2, axis=-1))
+    return u0, H, M.neumann(DISC), "cn", 8.0, {"record_every": 0.8}
+
+
+def dbc_affine_march():
+    grid = G.build_grid(IV, 0.04)
+    u0 = random_lipschitz_field(grid, np.random.default_rng(41))
+    return u0, M.quadratic(1, "0.8*cos(2*pi*x)"), M.affine(IV, g=0.3), "dbc", 1.0, {}
+
+
+def refresh_march():
+    # the case of test_evolve_rechooses_dt_after_refresh
+    grid = G.build_grid(G.interval(-1.0, 1.0), 0.05)
+    u0 = P.field_from(grid, lambda x: 4.0 * x[:, 0])
+    return u0, M.quadratic(1, "-0.5*x**2"), M.neumann(grid.geom), "cn", 1.0, {}
+
+
+@pytest.mark.parametrize("case", [lambda: bench_disc_march(1), lambda: bench_disc_march(2),
+                                  dbc_affine_march, refresh_march],
+                         ids=["disc-seed1", "disc-seed2", "dbc-affine", "refresh"])
+def test_evolve_matches_reference_march(case):
+    u0, H, Bm, kind, T, kw = case()
+    got = P.evolve(u0, H, Bm, kind, T, **kw)
+    ref = evolve_reference(u0, H, Bm, kind, T, **kw)
+    assert got.dt == ref.dt
+    assert np.array_equal(got.times, ref.times)
+    assert np.array_equal(got.values, ref.values)
+
+
+def test_evolve_takes_one_slope_pass_per_step(monkeypatch):
+    # n steps: one pass for u0 and one after each step
+    grid = G.build_grid(IV, 0.05)
+    u0 = P.field_from(grid, lambda x: 0.3 * np.sin(3 * x[:, 0]))
+    calls, one_sided = [], P.one_sided
+    monkeypatch.setattr(P, "one_sided", lambda g, u: calls.append(1) or one_sided(g, u))
+    stf = P.evolve(u0, M.quadratic(1), M.neumann(IV), "cn", T=0.07, dt=0.01)
+    assert stf.times[-1] == pytest.approx(0.07, abs=1e-12)
+    assert len(calls) == 7 + 1
+
+
+def test_stepper_build_calls_radial_h_twice(monkeypatch):
+    # the closed forms replace the sampled sigma and radius: one H call for
+    # the level, one for min H(x, 0)
+    grid = G.build_grid(DISC, 0.05)
+    H = M.quadratic(2, "0.3*cos(pi*x)*cos(pi*y)")
+    calls, call = [], M.Hamiltonian.__call__
+    monkeypatch.setattr(M.Hamiltonian, "__call__",
+                        lambda self, x, p: calls.append(1) or call(self, x, p))
+    P.Stepper(grid, H, M.neumann(DISC), "cn", grad_bound=2.0)
+    assert len(calls) <= 2
+
+
 def test_evolve_oblique_disc_reports_growth_not_cfl():
     # gamma = n + t/2 on the disc: evolve re-chooses its own dt instead of
     # raising CFLError; the boundary flux is not monotone there, so the
@@ -261,6 +368,9 @@ def test_evolve_oblique_disc_reports_growth_not_cfl():
     with pytest.raises(NumericalError, match="slopes keep growing") as exc:
         P.evolve(u0, H, M.affine(geom, gamma), "cn", T=10.0)
     assert not isinstance(exc.value, CFLError)
+    with pytest.raises(NumericalError) as ref:
+        evolve_reference(u0, H, M.affine(geom, gamma), "cn", T=10.0)
+    assert type(ref.value) is type(exc.value) and str(ref.value) == str(exc.value)
 
 
 def random_lipschitz_field(grid, rng, lip=1.0):

@@ -145,7 +145,7 @@ def quadratic(dim: int = 1, potential: Callable | str | None = None,
 
 
 def eikonal(dim: int = 1, speed: Callable | str | None = None) -> Hamiltonian:
-    """H(x, p) = |p| - f(x); L(x, xi) = f(x) for |xi| <= 1, CAP outside."""
+    """H(x, p) = |p| - f(x); L(x, xi) = f(x) for |xi| <= 1, +inf (CAP after any shift) outside."""
     f = _as_field(speed, dim)
 
     def fn(x, p):
@@ -153,7 +153,7 @@ def eikonal(dim: int = 1, speed: Callable | str | None = None) -> Hamiltonian:
         return base - (f(x) if f is not None else 0.0)
 
     def conjugate(X, XI):
-        return np.where(np.linalg.norm(XI, axis=-1) <= 1.0, -fn(X, np.zeros(dim)), CAP)
+        return np.where(np.linalg.norm(XI, axis=-1) <= 1.0, -fn(X, np.zeros(dim)), np.inf)
 
     return Hamiltonian("eikonal", fn, dim, True, {"speed": getattr(f, "expr", None)},
                        conjugate, lambda r: 1.0, lambda s: s)

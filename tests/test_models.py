@@ -27,6 +27,11 @@ def test_lagrangian_eikonal_indicator():
     H = M.eikonal(1)
     assert M.lagrangian(H, np.array([0.3]), np.array([0.5])) == pytest.approx(0.0, abs=1e-10)
     assert M.lagrangian(H, np.array([0.3]), np.array([1.5])) == M.CAP
+    # a shift of either sign keeps xi outside dom L at CAP
+    for c in (-0.5, 0.37):
+        Hc = M.shift_hamiltonian(H, c)
+        assert M.lagrangian(Hc, np.array([0.3]), np.array([1.5])) == M.CAP
+        assert M.lagrangian(Hc, np.array([0.3]), np.array([0.5])) == pytest.approx(c, abs=1e-12)
 
 
 def test_lagrangian_double_well_matches_brute_force():
@@ -71,16 +76,21 @@ def test_quadratic_closed_form_matches_engine():
             engine = M._conjugate(Hc, X, XI, 6.0)[0]
             assert np.abs(M.lagrangian_batch(Hc, X, XI, radius=6.0) - engine).max() <= 1e-9
             assert M.lagrangian(Hc, X[0], XI[0]) == pytest.approx(engine[0], abs=1e-9)
-    # eikonal: L = f(x) inside dom L = {|xi| <= 1}, on rows with |xi| < 0.95
+    # eikonal: L = f(x) + c inside dom L = {|xi| <= 1}, on rows with |xi| < 0.95
     for H in (M.eikonal(1, "1 + 0.3*x"), M.eikonal(2, "1 + 0.2*x*y")):
         X = rng.uniform(-1, 1, (300, H.dim))
         XI = rng.uniform(-1, 1, (300, H.dim))
         XI *= (0.95 * rng.uniform(0, 1, 300)
                / np.maximum(np.linalg.norm(XI, axis=-1), 1e-12))[:, None]
-        for Hc in (H, M.shift_hamiltonian(H, 0.37)):
+        # rows with 1.05 <= |xi| <= 3 lie outside dom L: both give CAP
+        XO = XI * (rng.uniform(1.05, 3.0, 300)
+                   / np.maximum(np.linalg.norm(XI, axis=-1), 1e-12))[:, None]
+        for Hc in (H, M.shift_hamiltonian(H, 0.37), M.shift_hamiltonian(H, -0.5)):
             assert Hc.conjugate is not None
             engine = M._conjugate(Hc, X, XI, 6.0)[0]
             assert np.abs(M.lagrangian_batch(Hc, X, XI, radius=6.0) - engine).max() <= 1e-9
+            assert np.all(M.lagrangian_batch(Hc, X, XO, radius=6.0) == M.CAP)
+            assert np.all(M._conjugate(Hc, X, XO, 6.0)[0] == M.CAP)
 
 
 def radial_models():
@@ -298,8 +308,11 @@ def test_audit_anticoercive_fails_a1():
 
 
 def test_effective_velocity_bound_eikonal():
-    # the bisection stays inside dom L = {|xi| <= 1}
+    # the bisection stays inside dom L = {|xi| <= 1}, also under a shift
+    # by an eigenvalue of either sign
     for geom in (IV, G.disc(0.0, 0.0, 1.0)):
         grid = G.build_grid(geom, 0.1)
-        v = M.effective_velocity_bound(M.eikonal(geom.dim), grid.nodes, 3.0)
-        assert 1.0 - 1e-9 <= v <= 1.0
+        H = M.eikonal(geom.dim, "1 + 0.2*x")
+        for Hc in (H, M.shift_hamiltonian(H, -0.5), M.shift_hamiltonian(H, 0.37)):
+            v = M.effective_velocity_bound(Hc, grid.nodes, 3.0)
+            assert 1.0 - 1e-9 <= v <= 1.0

@@ -21,7 +21,7 @@ independent estimator used for cross-validation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -46,9 +46,9 @@ class ErgodicPair:
 
     c: float
     v: GridField
-    epsilon_trace: list = field(default_factory=list)   # [(eps, eps*u_eps(x0))]
-    residual: float = np.nan
-    anchor: int = 0
+    epsilon_trace: list      # [(eps, eps*u_eps(x0))]
+    residual: float
+    anchor: int
 
 
 def discounted_solve(H: Hamiltonian, Bm: BoundaryOperator, epsilon: float,
@@ -157,17 +157,17 @@ def ergodic_limit(H: Hamiltonian, Bm: BoundaryOperator, grid: Grid,
     return ErgodicPair(float(c), pair_v, [(eps[-1], m)], float(np.abs(res).max()), x0)
 
 
-def eigenvalue_extrapolated(H: Hamiltonian, Bm: BoundaryOperator, geom, h: float,
-                            kind: str = "e1"):
-    """Richardson-extrapolate the eigenvalue in h from grids (h, h/2).
+def eigenvalue_extrapolated(H: Hamiltonian, Bm: BoundaryOperator, geom, h: float):
+    """Richardson-extrapolate the Neumann ("e1") eigenvalue in h from grids
+    (h, h/2).
 
     The Lax-Friedrichs dissipation biases c_h by O(h) with a visible
     constant when the effective potential peaks sharply; two grids cancel
     the first-order term. Returns (c_extrapolated, fine-grid ErgodicPair).
     """
     from .geometry import build_grid
-    pair_c = ergodic_limit(H, Bm, build_grid(geom, h), kind)
-    pair_f = ergodic_limit(H, Bm, build_grid(geom, h / 2), kind)
+    pair_c = ergodic_limit(H, Bm, build_grid(geom, h))
+    pair_f = ergodic_limit(H, Bm, build_grid(geom, h / 2))
     return 2.0 * pair_f.c - pair_c.c, pair_f
 
 
@@ -190,13 +190,13 @@ def normalize(H: Hamiltonian, Bm: BoundaryOperator, c: float,
 
 
 def subsolution_probe(H: Hamiltonian, Bm: BoundaryOperator, grid: Grid,
-                      kind: str, level: float, epsilon: float = 0.01) -> float:
-    """Damped residual at a trial eigenvalue: eps * u_eps(x0) for H - level.
+                      kind: str, level: float) -> float:
+    """Damped residual at a trial eigenvalue: eps * u_eps(x0) for H - level,
+    at eps = 0.01.
 
     Values near zero mean level >= c (a subsolution exists); values bounded
     away from zero witness that no discrete subsolution exists at this level.
     """
     Hs, Bs = normalize(H, Bm, level, kind)
-    u = discounted_solve(Hs, Bs, epsilon, kind,
-                         GridField(grid, np.zeros(grid.n_nodes)))
-    return epsilon * float(u.values[grid.centroid_node()])
+    u = discounted_solve(Hs, Bs, 0.01, kind, GridField(grid, np.zeros(grid.n_nodes)))
+    return 0.01 * float(u.values[grid.centroid_node()])

@@ -60,5 +60,4 @@ def scalar_field(expr: str, dim: int):
         out = eval(code, {"__builtins__": {}}, names)
         return np.broadcast_to(np.asarray(out, dtype=float), pts.shape[:-1]).copy()
 
-    fn.expr = expr
     return fn

@@ -15,7 +15,7 @@ the reflection pull-back of ``skorokhod`` share one Newton iteration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -37,16 +37,14 @@ class DomainGeometry:
     """Defining-function description of a bounded domain.
 
     rho(pts) evaluates the defining function on points of shape (..., dim);
-    grad_rho(pts) its gradient, shape (..., dim). kind is one of
-    {"interval", "disc", "custom"}.
+    grad_rho(pts) its gradient, shape (..., dim). bounds is the bounding
+    box ((lo, ...), (hi, ...)). The solvers read nothing else of a domain.
     """
 
     dim: int
     rho: Callable[[np.ndarray], np.ndarray]
     grad_rho: Callable[[np.ndarray], np.ndarray]
-    kind: str
-    bounds: tuple  # bounding box ((lo,...), (hi,...))
-    params: dict = field(default_factory=dict)
+    bounds: tuple
 
     def unit_normal(self, pts: np.ndarray) -> np.ndarray:
         """Outward unit normal grad_rho/|grad_rho| (points assumed near the boundary)."""
@@ -76,7 +74,7 @@ def interval(a: float = 0.0, b: float = 1.0) -> DomainGeometry:
         s = np.where(s == 0.0, 1.0, s)
         return s[..., None]
 
-    return DomainGeometry(1, rho, grad, "interval", ((a,), (b,)), {"a": a, "b": b})
+    return DomainGeometry(1, rho, grad, ((a,), (b,)))
 
 
 def disc(cx: float = 0.0, cy: float = 0.0, r: float = 1.0) -> DomainGeometry:
@@ -96,13 +94,11 @@ def disc(cx: float = 0.0, cy: float = 0.0, r: float = 1.0) -> DomainGeometry:
         g[..., 0] = np.where(n[..., 0] == 0.0, 1.0, g[..., 0])
         return g
 
-    return DomainGeometry(2, rho, grad, "disc",
-                          ((cx - r, cy - r), (cx + r, cy + r)),
-                          {"cx": cx, "cy": cy, "r": r})
+    return DomainGeometry(2, rho, grad, ((cx - r, cy - r), (cx + r, cy + r)))
 
 
-def custom(dim: int, rho, grad_rho, bounds, params=None) -> DomainGeometry:
-    return DomainGeometry(dim, rho, grad_rho, "custom", bounds, params or {})
+def custom(dim: int, rho, grad_rho, bounds) -> DomainGeometry:
+    return DomainGeometry(dim, rho, grad_rho, bounds)
 
 
 def project_to_closure(geom: DomainGeometry, x):
@@ -171,7 +167,9 @@ class Grid:
     boundary: (N,) bool flags. normals: (N, dim), unit outward normal on
     boundary nodes, zero elsewhere. neighbors[side][axis]: (N,) index of
     the lattice neighbor on that side (-1 if absent) and gaps[side][axis]
-    the corresponding positive axis gap after snapping. node_at maps every
+    the corresponding positive axis gap after snapping (inf if absent), so
+    a difference quotient across a missing side is 0: index -1 reads a
+    finite node value and the inf gap zeroes it. node_at maps every
     slot of the lattice box (axis counts as in build_grid) to the node
     addressed there, -1 where there is none.
     """
@@ -282,23 +280,20 @@ def build_grid(geom: DomainGeometry, h: float) -> Grid:
 
     # every boundary node must reach the interior through kept nodes
     # (coarse grids may interpose another boundary node on the way)
-    reached = (~boundary).copy()
-    frontier = list(np.flatnonzero(reached))
-    while frontier:
-        k = frontier.pop()
-        for j in neighbors[:, :, k].ravel():
-            if j >= 0 and not reached[j]:
-                reached[j] = True
-                frontier.append(int(j))
+    reached, size = ~boundary, 0
+    while reached.sum() > size:
+        size = reached.sum()
+        nb = neighbors[:, :, reached]
+        reached[nb[nb >= 0]] = True
     if not np.all(reached):
         bad = int(np.flatnonzero(~reached)[0])
         raise GeometryError(f"boundary node {bad} at {nodes[bad]} is disconnected "
                             "from the interior")
-    for k in np.flatnonzero(~boundary):
-        for ax in range(geom.dim):
-            if neighbors[0, ax, k] < 0 or neighbors[1, ax, k] < 0:
-                raise GeometryError(
-                    f"interior node {k} at {nodes[k]} lacks a one-sided stencil on axis {ax}")
+    lacking = np.argwhere((neighbors.min(axis=0) < 0).T & ~boundary[:, None])
+    if lacking.size:
+        k, ax = lacking[0]
+        raise GeometryError(
+            f"interior node {k} at {nodes[k]} lacks a one-sided stencil on axis {ax}")
 
     neighbors.setflags(write=False)
     gaps.setflags(write=False)

@@ -49,8 +49,9 @@ AUDIT_TOL = 1e-7
 
 @dataclass(frozen=True)
 class Hamiltonian:
-    """Hamiltonian H(x, p) with the metadata the solvers need.
+    """Hamiltonian H(x, p) with what the solvers read of it.
 
+    convex gates audit (A7) and the control representation of ``value``.
     conjugate, when set, is the closed form of L(x, xi) = sup_p (xi . p -
     H(x, p)) on paired rows (X, XI); the conjugate engine serves the rest.
     A radial model H(x, p) = H(x, 0) + profile(|p|) sets profile, and
@@ -61,7 +62,6 @@ class Hamiltonian:
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     dim: int
     convex: bool
-    params: dict = field(default_factory=dict)
     conjugate: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     lip_form: Callable[[float], float] | None = None
     profile: Callable[[float], float] | None = None
@@ -106,6 +106,7 @@ class Hamiltonian:
 class BoundaryOperator:
     """Boundary operator B(x, p) with obliqueness theta and Lipschitz bound M_B.
 
+    convex gates audit (A5); geom is the domain whose normals B was built on.
     forms holds the affine pieces ((gamma_k, g_k), ...) of a catalog model,
     B = max_k (gamma_k(x) . p - g_k(x)), as callables on point arrays; it is
     None for custom models.
@@ -117,7 +118,6 @@ class BoundaryOperator:
     theta: float
     lip: float
     convex: bool
-    params: dict = field(default_factory=dict)
     geom: DomainGeometry | None = None
     forms: tuple | None = None
 
@@ -137,9 +137,7 @@ def quadratic(dim: int = 1, potential: Callable | str | None = None,
     def conjugate(X, XI):
         return np.sum(XI ** 2, axis=-1) / (4 * coeff) - H(X, np.zeros(dim))
 
-    H = Hamiltonian("quadratic", fn, dim, True,
-                    {"coeff": coeff, "potential": getattr(V, "expr", None)},
-                    conjugate if coeff > 0 else None,
+    H = Hamiltonian("quadratic", fn, dim, True, conjugate if coeff > 0 else None,
                     lambda r: 2.0 * abs(coeff) * r, lambda s: coeff * s ** 2)
     return H
 
@@ -155,18 +153,18 @@ def eikonal(dim: int = 1, speed: Callable | str | None = None) -> Hamiltonian:
     def conjugate(X, XI):
         return np.where(np.linalg.norm(XI, axis=-1) <= 1.0, -fn(X, np.zeros(dim)), np.inf)
 
-    return Hamiltonian("eikonal", fn, dim, True, {"speed": getattr(f, "expr", None)},
-                       conjugate, lambda r: 1.0, lambda s: s)
+    return Hamiltonian("eikonal", fn, dim, True, conjugate, lambda r: 1.0, lambda s: s)
 
 
-def double_well(dim: int = 1, offset: float = 0.0) -> Hamiltonian:
-    """H(x, p) = (|p|^2 - 1)^2 - offset. Nonconvex; satisfies (A6)."""
+def double_well(dim: int = 1) -> Hamiltonian:
+    """H(x, p) = (|p|^2 - 1)^2. Nonconvex; satisfies (A6). An offset is a
+    shift_hamiltonian."""
 
     def fn(x, p):
         q = np.sum(np.broadcast_arrays(np.asarray(p, float))[0] ** 2, axis=-1)
-        return (q - 1.0) ** 2 - offset
+        return (q - 1.0) ** 2
 
-    return Hamiltonian("double_well", fn, dim, False, {"offset": offset})
+    return Hamiltonian("double_well", fn, dim, False)
 
 
 def poly1d(coeffs) -> Hamiltonian:
@@ -177,36 +175,33 @@ def poly1d(coeffs) -> Hamiltonian:
         return np.polyval(c[::-1], np.asarray(p, float)[..., 0])
 
     conv = bool(len(c) >= 3 and np.all(c[3:] == 0) and c[2] > 0) if len(c) > 2 else len(c) <= 2
-    return Hamiltonian("poly1d", fn, 1, conv, {"coeffs": list(map(float, c))})
+    return Hamiltonian("poly1d", fn, 1, conv)
 
 
 def shift_hamiltonian(H: Hamiltonian, c: float) -> Hamiltonian:
     if c == 0.0:
         return H
     conj = None if H.conjugate is None else (lambda X, XI: H.conjugate(X, XI) + c)
-    return replace(H, fn=lambda x, p: H.fn(x, p) - c, conjugate=conj,
-                   params={**H.params, "shift": H.params.get("shift", 0.0) + c})
+    return replace(H, fn=lambda x, p: H.fn(x, p) - c, conjugate=conj)
 
 
 def neumann(geom: DomainGeometry) -> BoundaryOperator:
     """Homogeneous Neumann condition B(x, p) = p . n(x)."""
-    return _affine_forms("neumann", geom, [(None, 0.0)], {}, lip=1.0)
+    return _affine_forms("neumann", geom, [(None, 0.0)], lip=1.0)
 
 
 def affine(geom: DomainGeometry, gamma: Callable | np.ndarray | None = None,
            g: Callable | str | float = 0.0) -> BoundaryOperator:
     """Linear oblique condition B(x, p) = gamma(x) . p - g(x)."""
-    gfun = _as_field(g, geom.dim)
-    return _affine_forms("affine", geom, [(gamma, gfun)],
-                         {"g": getattr(gfun, "expr", g)})
+    return _affine_forms("affine", geom, [(gamma, g)])
 
 
 def max_affine(geom: DomainGeometry, forms) -> BoundaryOperator:
     """Control-type condition B(x, p) = max_k (gamma_k(x) . p - g_k(x))."""
-    return _affine_forms("max_affine", geom, forms, {"n_forms": len(forms)})
+    return _affine_forms("max_affine", geom, forms)
 
 
-def _affine_forms(name, geom, forms, params, lip=None) -> BoundaryOperator:
+def _affine_forms(name, geom, forms, lip=None) -> BoundaryOperator:
     """max_k (gamma_k . p - g_k) kept as forms; M_B defaults to max |gamma_k|."""
     forms = tuple((_as_direction(gm, geom), _as_field(gv, geom.dim)) for gm, gv in forms)
     bpts = _boundary_samples(geom)
@@ -218,12 +213,13 @@ def _affine_forms(name, geom, forms, params, lip=None) -> BoundaryOperator:
         vals = [np.sum(p * gm(x), axis=-1) - gf(x) for gm, gf in forms]
         return vals[0] if len(vals) == 1 else np.max(np.stack(vals, axis=0), axis=0)
 
-    return BoundaryOperator(name, fn, geom.dim, theta, lip, True, params, geom, forms)
+    return BoundaryOperator(name, fn, geom.dim, theta, lip, True, geom, forms)
 
 
-def custom_boundary(geom: DomainGeometry, fn, theta: float, lip: float,
-                    convex: bool = False) -> BoundaryOperator:
-    return BoundaryOperator("custom", fn, geom.dim, theta, lip, convex, {}, geom)
+def custom_boundary(geom: DomainGeometry, fn, theta: float, lip: float) -> BoundaryOperator:
+    """B = fn with declared theta and M_B; not taken as convex, so (A5) is
+    informational."""
+    return BoundaryOperator("custom", fn, geom.dim, theta, lip, False, geom)
 
 
 def shift_boundary(Bm: BoundaryOperator, c: float) -> BoundaryOperator:
@@ -232,9 +228,7 @@ def shift_boundary(Bm: BoundaryOperator, c: float) -> BoundaryOperator:
     forms = None if Bm.forms is None else tuple(
         (gm, lambda x, gf=gf: gf(x) + c) for gm, gf in Bm.forms)
     return BoundaryOperator(Bm.name, lambda x, p: Bm.fn(x, p) - c, Bm.dim,
-                            Bm.theta, Bm.lip, Bm.convex,
-                            {**Bm.params, "shift": Bm.params.get("shift", 0.0) + c},
-                            Bm.geom, forms)
+                            Bm.theta, Bm.lip, Bm.convex, Bm.geom, forms)
 
 
 def _as_field(v, dim):
@@ -244,9 +238,7 @@ def _as_field(v, dim):
         return scalar_field(v, dim)
     if isinstance(v, (int, float)):
         c = float(v)
-        fn = lambda pts: np.full(np.asarray(pts, float).shape[:-1], c)  # noqa: E731
-        fn.expr = repr(c)
-        return fn
+        return lambda pts: np.full(np.asarray(pts, float).shape[:-1], c)
     return v
 
 
@@ -263,8 +255,8 @@ def _as_direction(gamma, geom):
     return lambda pts: np.broadcast_to(vec, np.asarray(pts, float).shape).copy()
 
 
-def _boundary_samples(geom, n: int = BOUNDARY_SAMPLES):
-    g = build_grid(geom, geom.diameter / n)
+def _boundary_samples(geom):
+    g = build_grid(geom, geom.diameter / BOUNDARY_SAMPLES)
     return g.nodes[g.boundary]
 
 
@@ -309,7 +301,7 @@ def _lattice(dim: int, radius: float, n_axis: int) -> np.ndarray:
                     axis=-1).reshape(-1, dim)
 
 
-def _conjugate(fun, X, XI, radius: float, max_doublings: int = 7):
+def _conjugate(fun, X, XI, radius: float):
     """sup_p (xi . p - fun(x, p)) over the paired rows (x, xi) of (X, XI).
 
     fun(X, P) broadcasts over points X and momenta P of shape (..., dim).
@@ -324,7 +316,7 @@ def _conjugate(fun, X, XI, radius: float, max_doublings: int = 7):
     arg = np.full((m, dim), np.nan)
     cell = np.zeros(m)
     rows, prev = np.arange(m), None
-    for _ in range(max_doublings + 1):
+    for _ in range(8):      # the first lattice and at most 7 doublings
         best, p0, on_edge = _lattice_max(fun, X[rows], XI[rows], radius, n_axis)
         fin = rows[~on_edge]
         val[fin], arg[fin] = best[~on_edge], p0[~on_edge]
@@ -378,13 +370,14 @@ def _lattice_max(fun, X, XI, radius, n_axis):
     return best, lat[k], edge[k]
 
 
-def _polish(fun, X, XI, P, cell, sweeps: int = 3, xtol: float = 1e-13):
-    """Axiswise polish around lattice maximizers, vectorized over rows.
+def _polish(fun, X, XI, P, cell):
+    """Axiswise polish around lattice maximizers, vectorized over rows, in 3
+    sweeps.
 
     On each axis a row takes the parabolic step through (-cell, 0, +cell).
     The step is kept when the objective there equals the parabola's value
     to roundoff (quadratic objectives); other rows also run a golden-section
-    search of [-cell, cell] down to xtol, which wins only by more than
+    search of [-cell, cell] down to width 1e-13, which wins only by more than
     roundoff. The cell halves after each sweep. Returns the best value
     seen and the point where it was seen.
     """
@@ -397,7 +390,7 @@ def _polish(fun, X, XI, P, cell, sweeps: int = 3, xtol: float = 1e-13):
     every = np.arange(len(P))
     cur = obj(every, 0, 0.0)
     best, arg = cur.copy(), P.copy()
-    for _ in range(sweeps):
+    for _ in range(3):
         for ax in range(P.shape[-1]):
             fm, fp = obj(every, ax, -cell), obj(every, ax, cell)
             den = 2 * cur - fm - fp
@@ -407,7 +400,7 @@ def _polish(fun, X, XI, P, cell, sweeps: int = 3, xtol: float = 1e-13):
             exact = (den > 0) & (np.abs(ft - pred) <= 1e-12 * (1 + np.abs(cur)))
             r = np.flatnonzero(~exact)
             if r.size:
-                tg, fg = _golden(lambda s: obj(r, ax, s), cell[r], xtol)
+                tg, fg = _golden(lambda s: obj(r, ax, s), cell[r], 1e-13)
                 win = fg > ft[r] + 4e-16 * (1 + np.abs(ft[r]))
                 t[r[win]], ft[r[win]] = tg[win], fg[win]
             P[:, ax] += t
@@ -533,12 +526,12 @@ class ObliqueSelection:
 
     For a single affine form, B(x, p) = gamma(x) . p - g(x), (gamma, g) is
     the form itself. Otherwise gamma comes from the Moreau gradient at
-    p = 0 and g is the boundary conjugate G(x, gamma(x)), the smallest
-    admissible offset. gamma and g take points of shape (..., dim).
+    p = 0, with the delta of oblique_selection, and g is the boundary
+    conjugate G(x, gamma(x)), the smallest admissible offset. gamma and g
+    take points of shape (..., dim).
     """
 
     Bm: BoundaryOperator
-    delta: float
     gamma: Callable[[np.ndarray], np.ndarray]
     g: Callable[[np.ndarray], np.ndarray]
 
@@ -567,7 +560,7 @@ def oblique_selection(Bm: BoundaryOperator, delta: float = 0.05) -> ObliqueSelec
     """
     if Bm.forms is not None and len(Bm.forms) == 1:
         (gam, gfun), = Bm.forms
-        return ObliqueSelection(Bm, delta, gam, gfun)
+        return ObliqueSelection(Bm, gam, gfun)
 
     cache: dict[tuple, tuple[np.ndarray, float]] = {}
 
@@ -588,7 +581,7 @@ def oblique_selection(Bm: BoundaryOperator, delta: float = 0.05) -> ObliqueSelec
             return np.array(vals, dtype=float).reshape(x.shape[:-1] + tail)
         return fn
 
-    return ObliqueSelection(Bm, delta, rows(0, (Bm.dim,)), rows(1, ()))
+    return ObliqueSelection(Bm, rows(0, (Bm.dim,)), rows(1, ()))
 
 
 # ---------------------------------------------------------------------------
@@ -617,22 +610,16 @@ class AuditReport:
         pool = names or [e.name for e in self.entries]
         return all(self.entry(n).passed is not False for n in pool)
 
-    def lines(self) -> list[str]:
-        out = []
-        for e in self.entries:
-            mark = "pass" if e.passed else ("skip" if e.passed is None else "FAIL")
-            out.append(f"{e.name:6s} {mark:4s}  {e.detail}")
-        return out
 
-
-def audit_assumptions(H: Hamiltonian, Bm: BoundaryOperator, geom: DomainGeometry,
-                      eigenvalue: float = 0.0) -> AuditReport:
+def audit_assumptions(H: Hamiltonian, Bm: BoundaryOperator,
+                      geom: DomainGeometry) -> AuditReport:
     """Sample the standing assumptions and report pass/fail with witnesses.
 
     Each check draws AUDIT_SAMPLES points from a generator seeded with 0.
     (A6)/(A7) are sampled inequalities only: the moduli they assert are
     estimated at the drawn points, never constructed as functions. (A7) is
-    audited around the level set H = eigenvalue and skipped for nonconvex H.
+    audited around the level set H = 0, which is the eigenvalue's level on a
+    model normalized by ergodic.normalize, and skipped for nonconvex H.
     """
     rng = np.random.default_rng(0)
     grid = build_grid(geom, geom.diameter / 24)
@@ -699,7 +686,7 @@ def audit_assumptions(H: Hamiltonian, Bm: BoundaryOperator, geom: DomainGeometry
                               + ("" if Bm.convex else " (flag off, informational)")))
 
     entries.append(_audit_a6(H, xs, rng, AUDIT_SAMPLES))
-    entries.append(_audit_a7(H, xs, rng, AUDIT_SAMPLES, eigenvalue))
+    entries.append(_audit_a7(H, xs, rng, AUDIT_SAMPLES))
     return AuditReport(entries)
 
 
@@ -743,21 +730,21 @@ def _audit_a6(H, xs, rng, budget):
                       f"psi+ ~ {psi_plus:.3g}{vac_p}, psi- ~ {psi_minus:.3g}{vac_m} at eta={eta}")
 
 
-def _audit_a7(H, xs, rng, budget, c):
+def _audit_a7(H, xs, rng, budget):
     if not H.convex:
         return AuditEntry("A7", None, "skipped (H nonconvex)")
     dim = xs.shape[-1]
     P = rng.uniform(-3, 3, (budget * 8, dim))
     X = xs[rng.integers(0, len(xs), len(P))]
-    near = np.abs(H(X, P) - c) <= 0.05
+    near = np.abs(H(X, P)) <= 0.05
     X, P = X[near], P[near]
     if len(X) == 0:
-        return AuditEntry("A7", None, f"no samples near the level set H = {c:g}")
+        return AuditEntry("A7", None, "no samples near the level set H = 0")
     eps = 1e-5
     XI = np.stack([(H(X, P + eps * np.eye(dim)[i]) - H(X, P - eps * np.eye(dim)[i]))
                    / (2 * eps) for i in range(dim)], axis=-1)
     Q = rng.uniform(-2, 2, P.shape)
-    slack = H(X, P + Q) - c - np.einsum("md,md->m", XI, Q)
+    slack = H(X, P + Q) - np.einsum("md,md->m", XI, Q)
     proj = np.einsum("md,md->m", XI, Q)
     r = 0.5
     band = np.abs(proj) >= r
@@ -765,4 +752,4 @@ def _audit_a7(H, xs, rng, budget, c):
         return AuditEntry("A7", None, "no samples with |xi.q| above the probe radius")
     omega = float(slack[band].min())
     return AuditEntry("A7", bool(omega > -1e-6),
-                      f"omega({r:g}) ~ {max(omega, 0):.3g} near H = {c:g}")
+                      f"omega({r:g}) ~ {max(omega, 0):.3g} near H = 0")

@@ -197,9 +197,9 @@ class Stepper:
         self.sigma = self.H.lip_p(self.radius, grid.nodes)
         self.sig_n = np.sum(self.sigma[None, :] * np.abs(self.bn), axis=-1)
 
-        inv = np.where(np.isfinite(self.gap), 1.0 / self.gap, 0.0)
+        inv = 1.0 / self.gap
         coef = np.sum(self.sigma[:, None] * np.maximum(inv[0], inv[1]), axis=0)
-        binv = np.where(np.isfinite(self.inw_gap), 1.0 / self.inw_gap, 0.0)
+        binv = 1.0 / self.inw_gap
         if self.kind == "cn":
             fac = 1.0 if grid.dim == 1 else 2.0
             bco = fac * self.sig_n * np.sum(np.abs(self.bn).T * binv, axis=0)
@@ -293,13 +293,12 @@ def stencil_colouring(grid: Grid) -> np.ndarray:
 
 
 def one_sided(grid: Grid, u: np.ndarray):
-    """(pW, pE) arrays of shape (dim, N); zero where a side is missing."""
-    iw, ie = grid.neighbors[0], grid.neighbors[1]
-    gw, ge = grid.gaps[0], grid.gaps[1]
-    pW = np.where(iw >= 0, (u[None, :] - u[np.maximum(iw, 0)])
-                  / np.where(np.isfinite(gw), gw, 1.0), 0.0)
-    pE = np.where(ie >= 0, (u[np.maximum(ie, 0)] - u[None, :])
-                  / np.where(np.isfinite(ge), ge, 1.0), 0.0)
+    """(pW, pE) arrays of shape (dim, N); zero where a side is missing (the
+    inf gap of ``Grid``)."""
+    iw, ie = grid.neighbors
+    gw, ge = grid.gaps
+    pW = (u[None, :] - u[iw]) / gw
+    pE = (u[ie] - u[None, :]) / ge
     return pW, pE
 
 

@@ -292,10 +292,6 @@ class CrosscheckReport:
     def final_error(self) -> float:
         return float(self.sup_errors[-1])
 
-    def lines(self) -> list[str]:
-        return [f"t={t:8.4f}  sup|U-u| = {e:.5g}"
-                for t, e in zip(self.times, self.sup_errors)]
-
 
 def crosscheck(table: SpaceTimeField, evolution: SpaceTimeField,
                times=None) -> CrosscheckReport:

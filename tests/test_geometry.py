@@ -129,3 +129,58 @@ def test_dense_index_stencil_matches_key_lookup():
         slots = np.argwhere(grid.node_at >= 0)
         assert len(slots) == grid.n_nodes
         np.testing.assert_array_equal(grid.lattice_index[grid.node_at[tuple(slots.T)]], slots)
+
+
+def _central_grad(rho, step=1e-6):
+    def grad(p):
+        p = np.asarray(p, float)
+        return np.stack([(rho(p + step * e) - rho(p - step * e)) / (2 * step)
+                         for e in np.eye(p.shape[-1])], axis=-1)
+    return grad
+
+
+def test_dumbbell_neck_lacks_interior_stencil():
+    # two r = 0.3 discs at (+-1, 0) joined by the strip |y| <= 0.02: the
+    # neck is thinner than h, so the discs' inner nodes on it miss axis 1
+    def rho(p):
+        p = np.asarray(p, float)
+        strip = np.maximum(np.abs(p[..., 1]) - 0.02, np.abs(p[..., 0]) - 1.0)
+        return np.minimum(np.minimum(np.linalg.norm(p - [-1.0, 0.0], axis=-1) - 0.3,
+                                     np.linalg.norm(p - [1.0, 0.0], axis=-1) - 0.3), strip)
+    geom = G.custom(2, rho, _central_grad(rho), ((-1.3, -0.3), (1.3, 0.3)))
+    with pytest.raises(GeometryError,
+                       match=r"interior node 37 at .* lacks a one-sided stencil on axis 1"):
+        G.build_grid(geom, 0.1)
+
+
+def test_satellite_disc_is_disconnected():
+    # the unit disc and a disc of radius 0.05 at (1.7, 0): the small disc's
+    # nodes are all boundary nodes and reach no interior node
+    centres, radii = np.array([[0.0, 0.0], [1.7, 0.0]]), np.array([1.0, 0.05])
+
+    def rho(p):
+        d = np.linalg.norm(np.asarray(p, float)[..., None, :] - centres, axis=-1)
+        return np.min(d - radii, axis=-1)
+
+    def grad(p):
+        diff = np.asarray(p, float)[..., None, :] - centres
+        d = np.linalg.norm(diff, axis=-1)
+        k = np.argmin(d - radii, axis=-1)[..., None, None]
+        unit = diff / np.where(d > 0, d, 1.0)[..., None]
+        return np.take_along_axis(unit, k, axis=-2)[..., 0, :]
+
+    geom = G.custom(2, rho, grad, ((-1.0, -1.0), (1.75, 1.0)))
+    with pytest.raises(GeometryError, match=r"boundary node 349 at .* is disconnected"):
+        G.build_grid(geom, 0.1)
+
+
+def test_thin_ellipse_has_no_interior_node():
+    # x^2 + (y / 0.05)^2 = 1 at h = 0.08: its lattice rows y = -0.05 and 0.03
+    # both lie within BAND * h of the boundary
+    def rho(p):
+        p = np.asarray(p, float)
+        return p[..., 0] ** 2 + (p[..., 1] / 0.05) ** 2 - 1
+
+    geom = G.custom(2, rho, _central_grad(rho), ((-1.0, -0.05), (1.0, 0.05)))
+    with pytest.raises(GeometryError, match="no interior node"):
+        G.build_grid(geom, 0.08)

@@ -96,12 +96,13 @@ def test_quadratic_closed_form_matches_engine():
 def radial_models():
     """Catalog models with closed-form lip_p and coercivity_radius, and the
     exact sup of |dH/dp_i| over |p|_inf <= r of each."""
-    quad = [M.quadratic(1, coeff=0.5), M.quadratic(1, "0.2*cos(2*pi*x)", coeff=2.0),
-            M.quadratic(2, "0.3*cos(pi*x)*cos(pi*y)"), M.quadratic(2, coeff=2.0),
-            M.shift_hamiltonian(M.quadratic(2, "-0.5*(x**2 + y**2)", coeff=2.0), 0.37)]
+    # (coeff, model) pairs
+    quad = [(0.5, M.quadratic(1, coeff=0.5)), (2.0, M.quadratic(1, "0.2*cos(2*pi*x)", coeff=2.0)),
+            (0.5, M.quadratic(2, "0.3*cos(pi*x)*cos(pi*y)")), (2.0, M.quadratic(2, coeff=2.0)),
+            (2.0, M.shift_hamiltonian(M.quadratic(2, "-0.5*(x**2 + y**2)", coeff=2.0), 0.37))]
     eik = [M.eikonal(1, "1 + 0.3*x"), M.eikonal(2, "1 + 0.2*x*y"),
            M.shift_hamiltonian(M.eikonal(2, "1 + 0.2*x"), -0.2)]
-    return ([(H, lambda r, c=H.params["coeff"]: 2.0 * c * r) for H in quad]
+    return ([(H, lambda r, c=c: 2.0 * c * r) for c, H in quad]
             + [(H, lambda r: 1.0) for H in eik])
 
 
@@ -111,7 +112,7 @@ def test_closed_forms_match_sampling():
               2: G.build_grid(G.disc(0.0, 0.0, 1.0), 0.1).nodes}
     for H, exact in radial_models():
         assert H.lip_form is not None and H.profile is not None
-        Hs = M.Hamiltonian(H.name, H.fn, H.dim, H.convex, H.params)
+        Hs = M.Hamiltonian(H.name, H.fn, H.dim, H.convex)
         X = points[H.dim]
         # levels off the ties coeff*r_k^2 + min V = level, where the sampled
         # |r dir|^2 falls an ulp short of r^2 in some directions

@@ -470,6 +470,28 @@ def test_2d_disc_evolution_runs_and_contracts():
     assert (su.values[-1] <= sv.values[-1] + 1e-10).all()
 
 
+ELLIPSE = G.custom(2, lambda p: np.asarray(p)[..., 0] ** 2 + (np.asarray(p)[..., 1] / 0.6) ** 2 - 1,
+                   lambda p: np.stack([2 * np.asarray(p)[..., 0],
+                                       2 * np.asarray(p)[..., 1] / 0.36], axis=-1),
+                   ((-1.0, -0.6), (1.0, 0.6)))
+
+
+@pytest.mark.parametrize("geom,h", [(IV, 0.05), (DISC, 0.25), (ELLIPSE, 0.1)])
+def test_one_sided_is_zero_across_missing_sides(geom, h):
+    # a missing side reads node -1 (set large here) over an inf gap
+    grid = G.build_grid(geom, h)
+    u = np.random.default_rng(3).uniform(-1.0, 1.0, grid.n_nodes)
+    u[-1] = 1e12
+    pW, pE = P.one_sided(grid, u)
+    (iw, ie), (gw, ge) = grid.neighbors, grid.gaps
+    assert np.any(iw < 0) and np.any(ie < 0)
+    assert np.all(pW[iw < 0] == 0.0) and np.all(pE[ie < 0] == 0.0)
+    ax, k = np.nonzero(iw >= 0)
+    np.testing.assert_array_equal(pW[ax, k], (u[k] - u[iw[ax, k]]) / gw[ax, k])
+    ax, k = np.nonzero(ie >= 0)
+    np.testing.assert_array_equal(pE[ax, k], (u[ie[ax, k]] - u[k]) / ge[ax, k])
+
+
 JACOBIAN_GRIDS = [(IV, 0.05), (DISC, 0.25), (DISC, 0.2), (DISC, 0.1)]
 
 

@@ -16,9 +16,13 @@ value iteration of the weak-KAM module share. The tables are built as
 whole-array operations: all landing points of a batch go through one
 projection, one evaluation of the selection and one pull-back (both are
 the geometry's Newton iteration onto the boundary), the
-stencils are read off the grid's dense lattice index, and the stage costs
-come from the Hamiltonian's closed-form conjugate where it has one
-(``quadratic``), else from the conjugate engine.
+stencils are read off the grid's dense lattice index one axis at a time,
+and the stage costs come from the Hamiltonian's closed-form conjugate
+where it has one (``quadratic``), else from the conjugate engine. The
+free tables are control-major (all nodes of one velocity, then the next),
+so the min of a DP step over the free controls runs over the leading,
+contiguous axis; the boundary tables, with few nodes and many controls,
+keep each node's controls contiguous.
 """
 
 from __future__ import annotations
@@ -80,28 +84,34 @@ def _interp_weights(grid: Grid, pts: np.ndarray) -> sparse.csr_matrix:
     Snapped boundary nodes are addressed at their original lattice slots
     (grid.node_at); missing corners get their weight redistributed over the
     present ones, keeping the stencil nonnegative with unit sum. A point
-    with no present corner takes the nearest node.
+    with no present corner takes the nearest node. Weights and lattice
+    offsets are built one axis at a time, and the corners are read from
+    node_at padded with two empty slots per side in one flat take.
     """
-    d = grid.dim
+    M = pts.shape[0]
     frac = (pts - np.asarray(grid.geom.bounds[0], dtype=float)) / grid.h
     base = np.floor(frac + 1e-12).astype(np.int64)
-    rem = np.clip(frac - base, 0.0, 1.0)[:, None, :]
-    corners = np.stack(np.meshgrid(*([np.array([0, 1])] * d), indexing="ij"),
-                       axis=-1).reshape(-1, d)
-    w = np.prod(np.where(corners == 1, rem, 1.0 - rem), axis=-1)     # (M, K)
-    t = base[:, None, :] + corners                                   # (M, K, dim)
-    inbox = np.all((t >= 0) & (t < grid.node_at.shape), axis=-1)
-    idx = np.full(w.shape, -1, dtype=np.int64)
-    idx[inbox] = grid.node_at[tuple(t[inbox].T)]
+    rem = np.clip(frac - base, 0.0, 1.0)
+    pad = np.pad(grid.node_at, 2, constant_values=-1)
+    # a base cell outside the lattice clips to one whose corners are pads
+    cell = np.clip(base + 2, 0, np.array(pad.shape) - 2)
+    offs, w = np.zeros(1, dtype=np.int64), np.ones((M, 1))
+    for k, stride in enumerate(np.array(pad.strides) // pad.itemsize):
+        offs = (offs[:, None] + np.array([0, stride])).ravel()
+        f = np.stack([1.0 - rem[:, k], rem[:, k]], axis=1)
+        w = (w[:, :, None] * f[:, None, :]).reshape(M, -1)          # (M, 2^(k+1))
+    idx = pad.ravel()[np.ravel_multi_index(tuple(cell.T), pad.shape)[:, None] + offs]
     wgt = np.where((idx >= 0) & (w > 0), w, 0.0)
     idx = np.maximum(idx, 0)
     tot = wgt.sum(axis=1)
-    for m in np.flatnonzero(tot <= 0):
-        idx[m, 0] = int(np.argmin(np.linalg.norm(grid.nodes - pts[m], axis=-1)))
-        wgt[m, 0] = tot[m] = 1.0
+    miss = np.flatnonzero(tot <= 0)
+    if miss.size:
+        dist = np.linalg.norm(grid.nodes[None, :, :] - pts[miss, None, :], axis=-1)
+        idx[miss, 0] = np.argmin(dist, axis=1)
+        wgt[miss, 0] = tot[miss] = 1.0
     wgt /= tot[:, None]
-    op = sparse.csr_matrix((wgt.ravel(), idx.ravel(), np.arange(0, idx.size + 1, 2 ** d)),
-                           shape=(pts.shape[0], grid.n_nodes))
+    op = sparse.csr_matrix((wgt.ravel(), idx.ravel(), np.arange(0, idx.size + 1, offs.size)),
+                           shape=(M, grid.n_nodes))
     op.eliminate_zeros()
     return op
 
@@ -130,30 +140,30 @@ def _land_and_cost(grid: Grid, sel: ObliqueSelection, pts: np.ndarray,
 class DPTables:
     """Stage costs and interpolation stencils for one (grid, H, B, controls, dt).
 
-    Operator row n*C + c interpolates at the landing point of control c
-    from node n; values of u (N,) or (N, S) come out as (n, C) or (n, C, S).
+    The free tables are control-major: operator row c*N + n interpolates at
+    the landing point of velocity c from node n and stages are (Cv, N), so
+    values of u (N,) or (N, S) come out as (Cv, N) or (Cv, N, S) and the min
+    over controls runs over the leading, contiguous axis. The boundary
+    tables stay node-major, row j*Cb + c and stages (Nb, Cb), values (Nb, Cb)
+    or (Nb, Cb, S): with Nb much smaller than Cb, each node's controls are
+    one long contiguous row, which is where a single vector's min is cheap.
     """
 
     grid: Grid
     controls: ControlSet
     dt: float
-    free_stage: np.ndarray     # (N, Cv)
-    free_op: sparse.csr_matrix  # (N*Cv, N)
+    free_stage: np.ndarray     # (Cv, N)
+    free_op: sparse.csr_matrix  # (Cv*N, N)
     bnd_rows: np.ndarray       # boundary node ids (Nb,)
     bnd_stage: np.ndarray      # (Nb, Cb)
     bnd_op: sparse.csr_matrix  # (Nb*Cb, N)
     bnd_l: np.ndarray          # (Cb,) intensity of each boundary control
 
-    def free_values(self, u: np.ndarray) -> np.ndarray:
-        return _stage_plus(self.free_stage, self.free_op @ u)
-
-    def boundary_values(self, u: np.ndarray) -> np.ndarray:
-        return _stage_plus(self.bnd_stage, self.bnd_op @ u)
-
 
 def _stage_plus(stage: np.ndarray, land: np.ndarray) -> np.ndarray:
-    """stage (n, C) plus landing values (n*C,) or (n*C, S), reshaped to match;
-    adds in place into land, a fresh product that nothing else holds."""
+    """stage (C, n) or (n, C) plus landing values (C*n,) or (C*n, S) in the
+    same row order, reshaped to match; adds in place into land, a fresh
+    product that nothing else holds."""
     land = land.reshape(stage.shape + land.shape[1:])
     land += stage.reshape(stage.shape + (1,) * (land.ndim - 2))
     return land
@@ -177,14 +187,14 @@ def build_tables(grid: Grid, H: Hamiltonian, Bm: BoundaryOperator,
     sgn = 1.0 if reverse else -1.0
     radius = max(6.0, 2.0 * controls.v_max)
 
-    X = np.repeat(grid.nodes, Cv, axis=0)
-    XI = np.tile(sgn * W, (N, 1))
-    L = lagrangian_batch(H, X, XI, radius=radius).reshape(N, Cv)
+    X = np.tile(grid.nodes, (Cv, 1))
+    XI = np.repeat(sgn * W, N, axis=0)
+    L = lagrangian_batch(H, X, XI, radius=radius).reshape(Cv, N)
 
-    pts = (grid.nodes[:, None, :] + dt * W[None, :, :]).reshape(-1, grid.dim)
+    pts = (grid.nodes[None, :, :] + dt * W[:, None, :]).reshape(-1, grid.dim)
     pts, corr = _land_and_cost(grid, sel, pts, dt)
     free_op = _interp_weights(grid, pts)
-    free_stage = dt * L + corr.reshape(N, Cv)
+    free_stage = dt * L + corr.reshape(Cv, N)
     free_stage[L >= STAGE_CAP] = np.inf
 
     rows = grid.boundary_idx
@@ -201,8 +211,8 @@ def build_tables(grid: Grid, H: Hamiltonian, Bm: BoundaryOperator,
     drift = np.concatenate([W + sgn * refl[:, :, None, :],
                             np.zeros(refl.shape[:2] + (1, grid.dim))], axis=2)
     bnd_pts = xb[:, None, None, :] + dt * drift                        # (Nb, m, Cv+1, dim)
-    run = np.concatenate([np.broadcast_to(L[rows][:, None, :], Lp.shape[:2] + (Cv,)), Lp],
-                         axis=2)
+    run = np.concatenate([np.broadcast_to(L[:, rows].T[:, None, :], Lp.shape[:2] + (Cv,)),
+                          Lp], axis=2)
     bnd_stage = dt * (run + lad[:, None] * sel.g(xb)[:, None, None])
     bnd_l = np.repeat(lad, Cv + 1)
     flat, corr_b = _land_and_cost(grid, sel, bnd_pts.reshape(-1, grid.dim), dt)
@@ -210,19 +220,32 @@ def build_tables(grid: Grid, H: Hamiltonian, Bm: BoundaryOperator,
     bnd_stage = (bnd_stage + corr_b.reshape(bnd_stage.shape)).reshape(rows.size, -1)
     bnd_stage[~np.isfinite(bnd_stage)] = np.inf
 
-    if np.any(~np.isfinite(free_stage).any(axis=1)):
+    if np.any(~np.isfinite(free_stage).any(axis=0)):
         raise NumericalError("a node has no admissible control; enlarge the "
                              "velocity lattice or reduce dt")
     return DPTables(grid, controls, dt, free_stage, free_op, rows, bnd_stage,
                     bnd_op, bnd_l)
 
 
+def _boundary_min(land: np.ndarray, rungs: int) -> np.ndarray:
+    """min over the controls of boundary values (Nb, Cb) or (Nb, Cb, S).
+
+    With S columns the min first runs across the rungs of the intensity
+    ladder, whose blocks of Cb/rungs controls are long contiguous rows: numpy
+    then makes about Nb*(rungs + Cb/rungs) passes, the first ones over long
+    rows, instead of Nb*Cb passes over S columns.
+    """
+    if land.ndim == 3:
+        land = land.reshape((land.shape[0], rungs, -1, land.shape[2])).min(axis=1)
+    return land.min(axis=1)
+
+
 def dp_step_cn(u: np.ndarray, tables: DPTables) -> np.ndarray:
     """One backward-horizon step of the Neumann recursion on u (N,) or (N, S)."""
-    vals = tables.free_values(u)
-    out = vals.min(axis=1)
+    out = _stage_plus(tables.free_stage, tables.free_op @ u).min(axis=0)
     if tables.bnd_rows.size:
-        bv = tables.boundary_values(u).min(axis=1)
+        bv = _boundary_min(_stage_plus(tables.bnd_stage, tables.bnd_op @ u),
+                           tables.controls.intensities.size)
         out[tables.bnd_rows] = np.minimum(out[tables.bnd_rows], bv)
     return out
 
@@ -234,9 +257,7 @@ def dp_step_dbc(slices: list[np.ndarray], tables: DPTables) -> np.ndarray:
     advances physical time by dt*(1+l), so boundary controls look back
     through linear interpolation in the stored stack (clamped at 0).
     """
-    u_prev = slices[-1]
-    vals = tables.free_values(u_prev)
-    out = vals.min(axis=1)
+    out = _stage_plus(tables.free_stage, tables.free_op @ slices[-1]).min(axis=0)
     if tables.bnd_rows.size:
         j_new = len(slices)            # index of the slice being built
         back = j_new - (1.0 + tables.bnd_l)

@@ -69,19 +69,24 @@ class MonotonicityTrace:
 
 
 def _chunks(tables: DPTables, S: int) -> list[slice]:
-    """Column slices of an (N, S) stack so that each DP product holds ~2e6 entries."""
+    """Column slices of an (N, S) stack so that each DP product, (Cv, N, S)
+    over the free controls or (Nb, Cb, S) over the boundary ones, holds
+    ~2e6 entries."""
     step = max(1, int(2e6 // max(tables.free_stage.size, tables.bnd_stage.size)))
     return [slice(s, s + step) for s in range(0, S, step)]
 
 
 def _distances(tables: DPTables, sources: np.ndarray, tol: float) -> np.ndarray:
     """Columns d(., y), y in sources: monotone value iteration d <- min(d, T d)
-    from big with d(y) = 0, until max (d - T d)/dt <= tol off the pins."""
+    from big with d(y) = 0, until max (d - T d)/dt <= tol off the pins.
+
+    The stay-put stages, the zero velocity's row of the control-major free
+    stages, must be nonnegative."""
     grid = tables.grid
     # a negative stay-put stage means inf_p H(x, p) > 0 somewhere: the
     # eigenvalue is positive and the fixed point is -infinity
-    col0 = int(np.argmin(np.linalg.norm(tables.controls.velocities, axis=-1)))
-    stay = tables.free_stage[:, col0]
+    c0 = int(np.argmin(np.linalg.norm(tables.controls.velocities, axis=-1)))
+    stay = tables.free_stage[c0]
     if float(stay.min()) < -1e-12 * (1 + float(np.abs(stay).max())):
         raise NormalizationError(
             "zero-velocity stage cost is negative at some node: the models "

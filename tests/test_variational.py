@@ -1,7 +1,10 @@
 """Control representation: monotone DP steps, crosschecks against marching."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hj_neumann import geometry as G, models as M, pde as P, variational as V
 from hj_neumann.errors import NumericalError
@@ -197,7 +200,8 @@ def _dbc_per_control(slices, tables):
     for c in range(Cb):
         uc = (1 - a[c]) * slices[k0[c]] + a[c] * slices[k1[c]]
         best = np.minimum(best, tables.bnd_stage[:, c] + tables.bnd_op[c::Cb] @ uc)
-    out = tables.free_values(slices[-1]).min(axis=1)
+    out = (tables.free_stage
+           + (tables.free_op @ slices[-1]).reshape(tables.free_stage.shape)).min(axis=0)
     out[tables.bnd_rows] = np.minimum(out[tables.bnd_rows], best)
     return out
 
@@ -395,3 +399,110 @@ def test_table_build_batches_landing_and_uses_closed_form(monkeypatch):
     assert 1 <= calls["project"] <= 2
     assert 1 <= calls["pullback"] <= 2
     assert calls["conjugate"] == 0
+
+
+def test_interp_fallback_and_renormalisation_match_per_point_oracle():
+    # points outside the closure and more than a cell outside the lattice
+    # box, whose cells have no present corner and take the nearest node;
+    # others lose only a few corners and renormalise the rest
+    rng = np.random.default_rng(11)
+    for grid in (G.build_grid(IV, 0.05), G.build_grid(DISC, 0.1), G.build_grid(ELLIPSE, 0.1)):
+        lo, hi = np.asarray(grid.geom.bounds[0]), np.asarray(grid.geom.bounds[1])
+        pts = rng.uniform(lo - 0.6, hi + 0.6, (600, grid.dim))
+        assert np.any(np.any((pts < lo - grid.h) | (pts > hi + grid.h), axis=1))
+        assert np.any(grid.geom.rho(pts) > 1e-12)
+        new, ref = V._interp_weights(grid, pts), _interp_weights_ref(grid, pts)
+        assert all(np.array_equal(getattr(new, f), getattr(ref, f))
+                   for f in ("indptr", "indices", "data"))
+
+
+# -- the row-major DP step, kept as the oracle of the control-major one -------
+# (free rows n*C + c with the min over axis 1; the boundary tables keep that
+# layout in both)
+
+def _row_major(stage, op):
+    # stage (n, C) and operator row n*C + c, from the control-major (C, n)
+    C, n = stage.shape
+    return stage.T, op[(np.arange(C) * n + np.arange(n)[:, None]).ravel()]
+
+
+def _stage_plus_ref(stage, land):
+    land = land.reshape(stage.shape + land.shape[1:])
+    land += stage.reshape(stage.shape + (1,) * (land.ndim - 2))
+    return land
+
+
+def _dp_step_cn_ref(u, tables):
+    stage, op = _row_major(tables.free_stage, tables.free_op)
+    out = _stage_plus_ref(stage, op @ u).min(axis=1)
+    if tables.bnd_rows.size:
+        bv = _stage_plus_ref(tables.bnd_stage, tables.bnd_op @ u).min(axis=1)
+        out[tables.bnd_rows] = np.minimum(out[tables.bnd_rows], bv)
+    return out
+
+
+def _dp_step_dbc_ref(slices, tables):
+    stage, op = _row_major(tables.free_stage, tables.free_op)
+    out = _stage_plus_ref(stage, op @ slices[-1]).min(axis=1)
+    if tables.bnd_rows.size:
+        j_new = len(slices)
+        back = j_new - (1.0 + tables.bnd_l)
+        k0 = np.clip(np.floor(back).astype(int), 0, len(slices) - 1)
+        k1 = np.clip(k0 + 1, 0, len(slices) - 1)
+        a = np.clip(back - k0, 0.0, 1.0)
+        lo = int(k0.min())
+        land = (tables.bnd_op @ np.stack(slices[lo:], axis=1)).reshape(
+            tables.bnd_stage.shape + (-1,))
+        c = np.arange(tables.bnd_l.size)
+        lerp = (1 - a) * land[:, c, k0 - lo] + a * land[:, c, k1 - lo]
+        best = (tables.bnd_stage + lerp).min(axis=1)
+        out[tables.bnd_rows] = np.minimum(out[tables.bnd_rows], best)
+    return out
+
+
+@functools.cache
+def _fixture_tables(k):
+    grid, H, Bm, kw = table_fixtures()[k]
+    ctl = V.build_control_set(H, Bm, grid, **kw)
+    return V.build_tables(grid, H, Bm, ctl, grid.h / ctl.v_max)
+
+
+def test_control_major_steps_match_row_major_oracle():
+    rng = np.random.default_rng(13)
+    for k in range(len(table_fixtures())):
+        tables = _fixture_tables(k)
+        N = tables.grid.n_nodes
+        for U in (rng.uniform(-1, 1, N), rng.uniform(-1, 1, (N, 5))):
+            assert np.array_equal(V.dp_step_cn(U, tables), _dp_step_cn_ref(U, tables))
+        slices = [rng.uniform(-1, 1, N)]
+        for _ in range(12):
+            step = V.dp_step_dbc(slices, tables)
+            assert np.array_equal(step, _dp_step_dbc_ref(slices, tables))
+            slices.append(step)
+
+
+# the 1-D max_affine and the two h = 0.1 disc fixtures
+PROPERTY_FIXTURES = [1, 2, 3]
+
+
+def _steps(tables, stack):
+    # the Neumann step on the last slice and the slow-clock step on the stack
+    return V.dp_step_cn(stack[-1], tables), V.dp_step_dbc(list(stack), tables)
+
+
+@pytest.mark.parametrize("k", PROPERTY_FIXTURES)
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(1e-3, 1e2),
+       gap=st.floats(0.0, 10.0), shift=st.floats(-1e3, 1e3))
+def test_dp_steps_monotone_nonexpansive_commute_with_constants(k, seed, scale, gap, shift):
+    tables = _fixture_tables(k)
+    rng = np.random.default_rng(seed)
+    u = scale * rng.uniform(-1, 1, (4, tables.grid.n_nodes))
+    up = u + gap * rng.uniform(0, 1, u.shape) * (rng.uniform(size=u.shape) < 0.5)
+    w = u + gap * rng.uniform(-1, 1, u.shape)
+    Tu, Tup, Tw, Tk = (_steps(tables, v) for v in (u, up, w, u + shift))
+    dist = np.abs(u - w).max()
+    for a, b, c, d in zip(Tu, Tup, Tw, Tk):
+        assert np.all(a <= b)                                  # u <= up => Tu <= Tup
+        assert np.abs(a - c).max() <= dist + 1e-12 * (1 + scale + gap)
+        assert np.abs(d - (a + shift)).max() <= 1e-12 * (1 + scale + abs(shift))

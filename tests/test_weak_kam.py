@@ -131,8 +131,8 @@ def gauss_seidel_distance(tables, pinned, tol, max_sweeps=20000):
     # per-node Gauss-Seidel fast sweeping, the distance engine that value
     # iteration replaced; a reference for the fixed point
     grid = tables.grid
-    Cv, Cb = tables.free_stage.shape[1], tables.bnd_stage.shape[1]
-    free = [tables.free_op[i * Cv:(i + 1) * Cv] for i in range(grid.n_nodes)]
+    N, Cb = grid.n_nodes, tables.bnd_stage.shape[1]
+    free = [tables.free_op[i::N] for i in range(N)]
     bnd = {int(k): (tables.bnd_stage[j], tables.bnd_op[j * Cb:(j + 1) * Cb])
            for j, k in enumerate(tables.bnd_rows)}
     d = np.full(grid.n_nodes, 1e7)
@@ -144,7 +144,7 @@ def gauss_seidel_distance(tables, pinned, tol, max_sweeps=20000):
         for i in orders[it % len(orders)]:
             if i == pinned:
                 continue
-            cand = np.min(tables.free_stage[i] + free[i] @ d)
+            cand = np.min(tables.free_stage[:, i] + free[i] @ d)
             if i in bnd:
                 cand = min(cand, np.min(bnd[i][0] + bnd[i][1] @ d))
             if cand < d[i] - 1e-15:

@@ -49,8 +49,8 @@ class DomainGeometry:
     def unit_normal(self, pts: np.ndarray) -> np.ndarray:
         """Outward unit normal grad_rho/|grad_rho| (points assumed near the boundary)."""
         g = np.asarray(self.grad_rho(np.asarray(pts, dtype=float)), dtype=float)
-        norm = np.linalg.norm(g, axis=-1, keepdims=True)
-        if np.any(norm <= 0):
+        norm = np.sqrt((g * g).sum(axis=-1, keepdims=True))
+        if (norm <= 0).any():
             raise GeometryError("grad_rho vanishes at a requested boundary point")
         return g / norm
 
@@ -88,7 +88,7 @@ def disc(cx: float = 0.0, cy: float = 0.0, r: float = 1.0) -> DomainGeometry:
 
     def grad(pts):
         d = np.asarray(pts, float) - c
-        n = np.linalg.norm(d, axis=-1, keepdims=True)
+        n = np.sqrt((d * d).sum(axis=-1, keepdims=True))
         safe = np.where(n == 0.0, 1.0, n)
         g = d / safe
         g[..., 0] = np.where(n[..., 0] == 0.0, 1.0, g[..., 0])

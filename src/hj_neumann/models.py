@@ -131,7 +131,7 @@ def quadratic(dim: int = 1, potential: Callable | str | None = None,
     V = _as_field(potential, dim)
 
     def fn(x, p):
-        base = coeff * np.sum(np.broadcast_arrays(np.asarray(p, float))[0] ** 2, axis=-1)
+        base = coeff * (p ** 2).sum(axis=-1)
         return base + (V(x) if V is not None else 0.0)
 
     def conjugate(X, XI):
@@ -147,7 +147,7 @@ def eikonal(dim: int = 1, speed: Callable | str | None = None) -> Hamiltonian:
     f = _as_field(speed, dim)
 
     def fn(x, p):
-        base = np.linalg.norm(np.broadcast_arrays(np.asarray(p, float))[0], axis=-1)
+        base = np.sqrt((p * p).sum(axis=-1))
         return base - (f(x) if f is not None else 0.0)
 
     def conjugate(X, XI):
@@ -161,7 +161,7 @@ def double_well(dim: int = 1) -> Hamiltonian:
     shift_hamiltonian."""
 
     def fn(x, p):
-        q = np.sum(np.broadcast_arrays(np.asarray(p, float))[0] ** 2, axis=-1)
+        q = (p ** 2).sum(axis=-1)
         return (q - 1.0) ** 2
 
     return Hamiltonian("double_well", fn, dim, False)
@@ -210,8 +210,8 @@ def _affine_forms(name, geom, forms, lip=None) -> BoundaryOperator:
         lip = max(float(np.linalg.norm(gm(bpts), axis=-1).max()) for gm, _ in forms)
 
     def fn(x, p):
-        vals = [np.sum(p * gm(x), axis=-1) - gf(x) for gm, gf in forms]
-        return vals[0] if len(vals) == 1 else np.max(np.stack(vals, axis=0), axis=0)
+        vals = [(p * gm(x)).sum(axis=-1) - gf(x) for gm, gf in forms]
+        return vals[0] if len(vals) == 1 else np.stack(vals).max(axis=0)
 
     return BoundaryOperator(name, fn, geom.dim, theta, lip, True, geom, forms)
 

@@ -8,11 +8,15 @@ normal (strong ghost sense; unique by obliqueness), and add Lax-Friedrichs
 dissipation along the normal. Under the dynamical condition the boundary
 carries its own explicit update with the inward reconstruction.
 
-A ``Stepper`` fixes its boundary data at build. For a catalog B the root is
-then closed and certified by one call of B; custom ones bisect
-(``_ghost_solve_many``). sigma is closed-form for the radial catalog H and
-sampled for the rest. The CFL bound comes from the actual stencil gaps;
-it does not make the scheme monotone at curved boundaries (ROADMAP item 2).
+A ``Stepper`` fixes its boundary data at build, down to the flat index of
+each inward slope. For a catalog B the root is then closed and certified by
+one call of B, kept because it is the only check that the forms match B;
+custom ones bisect (``_ghost_solve_many``). Each ``rhs`` makes one H call:
+under the Neumann condition the ghost gradients take the place of the
+boundary rows' mean slopes before it. sigma is closed-form for the radial
+catalog H and sampled for the rest. The CFL bound comes from the actual
+stencil gaps; it does not make the scheme monotone at curved boundaries
+(ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -37,6 +41,9 @@ SCHEME_KIND = {"cn": "cn", "e1": "cn", "dbc": "dbc", "e2": "dbc"}
 # |u| is too coarse for the slopes of discounted solutions, which grow like
 # 1/eps
 FD_STEP = 1e-9
+
+# the slot an inward slope with no neighbour on either side reads
+_ZERO = np.zeros(1)
 
 
 @dataclass
@@ -93,8 +100,8 @@ def _form_values(Bm: BoundaryOperator, X, N):
     """gamma_k(X), g_k(X) and gamma_k . N stacked over the forms of Bm;
     ObliquenessError where some gamma_k . n <= 0."""
     gam = np.stack([gm(X) for gm, _ in Bm.forms])
-    slope = np.sum(gam * N, axis=-1)
-    if np.any(slope <= 0):
+    slope = (gam * N).sum(axis=-1)
+    if (slope <= 0).any():
         raise ObliquenessError(f"boundary form with gamma.n = {slope.min():g} <= 0")
     return gam, np.stack([gf(X) for _, gf in Bm.forms]), slope
 
@@ -111,10 +118,10 @@ def _ghost_solve_many(Bm: BoundaryOperator, X, QT, N, tol: float,
     """
     if Bm.forms is not None:
         gam, g, slope = _form_values(Bm, X, N) if forms is None else forms
-        lam = np.min((g - np.sum(gam * QT, axis=-1)) / slope, axis=0)
+        lam = ((g - (gam * QT).sum(axis=-1)) / slope).min(axis=0)
         ghost = QT + lam[:, None] * N
-        res = np.abs(np.asarray(Bm(X, ghost), dtype=float))
-        if not np.all(res <= tol * (1.0 + np.abs(ghost).max(axis=-1))):
+        res = np.abs(Bm(X, ghost))
+        if not (res <= tol * (1.0 + np.abs(ghost).max(axis=-1))).all():
             raise NumericalError(
                 f"closed-form boundary root misses B = 0 by {res.max():.3g}; "
                 "the forms do not match B")
@@ -176,6 +183,12 @@ class Stepper:
         self.inw_idx = np.take_along_axis(self.idx[:, :, b], side, 0)[0]
         self.inw_gap = np.take_along_axis(self.gap[:, :, b], side, 0)[0]
         self.inw_sgn = np.where(self.inw_idx >= 0, 1.0 - 2.0 * side[0], 0.0)
+        # flat index of each inward slope in concatenate((pW, pE, [0]), None);
+        # an axis with no neighbour reads the trailing 0
+        dim, n = grid.dim, grid.n_nodes
+        at = side[0] * dim * n + np.arange(dim)[:, None] * n + b
+        self.q_at = np.where(self.inw_sgn != 0, at, 2 * dim * n).T
+        self._pattern = None
 
         self.tol = min(1e-12, Bm.theta * grid.h ** 2)
         self.forms = (_form_values(Bm, self.xb, self.bn)
@@ -217,28 +230,32 @@ class Stepper:
         row is the Lax-Friedrichs flux H(x, (pW + pE)/2) - sum_i sigma_i
         (pE_i - pW_i)/2 on the one-sided slopes: nonincreasing in pE and
         nondecreasing in pW while each sigma_i bounds |dH/dp_i| over the
-        slopes reached. A boundary row reads its inward gradient off the
-        same slopes.
+        slopes reached. A boundary row reads its inward gradient q off the
+        same slopes by one gather. Under "cn" its ghost gradient takes the
+        place of the mean slope, so one H call over all nodes serves both
+        kinds of row; the closed-form root keeps its one certifying B call,
+        which is what catches forms that do not match B.
         """
         grid = self.grid
         pW, pE = one_sided(grid, u) if slopes is None else slopes
         pbar = 0.5 * (pW + pE).T
-        phi = np.asarray(self.H(grid.nodes, pbar), dtype=float)
-        phi -= 0.5 * np.sum(self.sigma[:, None] * (pE - pW), axis=0)
+        diss = 0.5 * (self.sigma[:, None] * (pE - pW)).sum(axis=0)
+        if not self.bidx.size:
+            return np.asarray(self.H(grid.nodes, pbar), dtype=float) - diss
 
-        if self.bidx.size:
-            b, xb, bn = self.bidx, self.xb, self.bn
-            q = np.where(self.inw_sgn > 0, pW[:, b],
-                         np.where(self.inw_sgn < 0, pE[:, b], 0.0)).T
-            if self.kind == "cn":
-                qn = np.sum(q * bn, axis=-1)
-                qt = q - qn[:, None] * bn
-                lam = _ghost_solve_many(self.Bm, xb, qt, bn, self.tol, self.forms)
-                gstar = qt + lam[:, None] * bn
-                phi[b] = (np.asarray(self.H(xb, gstar), dtype=float)
-                          - self.sig_n * (lam - qn))
-            else:
-                phi[b] = np.asarray(self.Bm(xb, q), dtype=float)
+        b, bn = self.bidx, self.bn
+        q = np.concatenate((pW, pE, _ZERO), axis=None)[self.q_at]
+        if self.kind == "dbc":
+            phi = np.asarray(self.H(grid.nodes, pbar), dtype=float) - diss
+            phi[b] = self.Bm(self.xb, q)
+            return phi
+        qn = (q * bn).sum(axis=-1)
+        qt = q - qn[:, None] * bn
+        lam = _ghost_solve_many(self.Bm, self.xb, qt, bn, self.tol, self.forms)
+        pbar[b] = qt + lam[:, None] * bn
+        hv = np.asarray(self.H(grid.nodes, pbar), dtype=float)
+        phi = hv - diss
+        phi[b] = hv[b] - self.sig_n * (lam - qn)
         return phi
 
     # -- Jacobian -------------------------------------------------------------
@@ -247,18 +264,23 @@ class Stepper:
         """CSR matrix d rhs / du at u by forward differences of rhs itself.
 
         phi is rhs(u); one further rhs call per colour of
-        ``stencil_colouring``. The step FD_STEP is absolute.
+        ``stencil_colouring``. The step FD_STEP is absolute. The colouring
+        and the CSR pattern depend on the grid alone and are built on the
+        first call.
         """
         n = self.grid.n_nodes
-        colour = stencil_colouring(self.grid)
+        if self._pattern is None:
+            colour = stencil_colouring(self.grid)
+            nb = self.idx.reshape(-1, n)
+            rows = np.concatenate([np.arange(n), np.tile(np.arange(n), nb.shape[0])])
+            cols = np.concatenate([np.arange(n), nb.ravel()])
+            rows, cols = rows[cols >= 0], cols[cols >= 0]
+            masks = colour == np.arange(int(colour.max()) + 1)[:, None]
+            self._pattern = masks, rows, cols, colour[cols]
+        masks, rows, cols, col_colour = self._pattern
         up = u + FD_STEP
-        dphi = np.stack([self.rhs(np.where(colour == c, up, u))
-                         for c in range(int(colour.max()) + 1)]) - phi
-        nb = self.idx.reshape(-1, n)
-        rows = np.concatenate([np.arange(n), np.tile(np.arange(n), nb.shape[0])])
-        cols = np.concatenate([np.arange(n), nb.ravel()])
-        rows, cols = rows[cols >= 0], cols[cols >= 0]
-        vals = dphi[colour[cols], rows] / (up - u)[cols]
+        dphi = np.stack([self.rhs(np.where(m, up, u)) for m in masks]) - phi
+        vals = dphi[col_colour, rows] / (up - u)[cols]
         return sparse.csr_array((vals, (rows, cols)), shape=(n, n))
 
     def check_dt(self, dt: float):

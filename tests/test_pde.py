@@ -542,3 +542,116 @@ def test_jacobian_calls_rhs_once_per_colour(geom, h):
         n_colours = int(P.stencil_colouring(stp.grid).max()) + 1
         stp.jacobian(u, rhs(u))
         assert len(calls) == n_colours
+
+
+def rhs_reference(stp, u):
+    """Stepper.rhs as it was with two H calls and a nested-where inward slope."""
+    grid = stp.grid
+    pW, pE = P.one_sided(grid, u)
+    pbar = 0.5 * (pW + pE).T
+    phi = np.asarray(stp.H(grid.nodes, pbar), dtype=float)
+    phi -= 0.5 * np.sum(stp.sigma[:, None] * (pE - pW), axis=0)
+    if stp.bidx.size:
+        b, xb, bn = stp.bidx, stp.xb, stp.bn
+        q = np.where(stp.inw_sgn > 0, pW[:, b],
+                     np.where(stp.inw_sgn < 0, pE[:, b], 0.0)).T
+        if stp.kind == "cn":
+            qn = np.sum(q * bn, axis=-1)
+            qt = q - qn[:, None] * bn
+            lam = P._ghost_solve_many(stp.Bm, xb, qt, bn, stp.tol, stp.forms)
+            gstar = qt + lam[:, None] * bn
+            phi[b] = (np.asarray(stp.H(xb, gstar), dtype=float)
+                      - stp.sig_n * (lam - qn))
+        else:
+            phi[b] = np.asarray(stp.Bm(xb, q), dtype=float)
+    return phi
+
+
+def tilted_on(geom, s):
+    """gamma(x) = n(x) + s t(x) on a 2-D geom, t the counterclockwise tangent."""
+    def gamma(pts):
+        n = geom.unit_normal(pts)
+        return n + s * np.stack([-n[..., 1], n[..., 0]], axis=-1)
+    return gamma
+
+
+def operator_fixtures():
+    """(grid, H, B, u) over interval, disc and ellipse, each with neumann,
+    affine (gamma = n + t/2 in 2-D) and max_affine, a quadratic H with a
+    potential and an eikonal H, and a seeded u."""
+    out = []
+    for geom, h in ((IV, 0.04), (DISC, 0.2), (DISC, 0.1), (ELLIPSE, 0.1)):
+        grid = G.build_grid(geom, h)
+        if grid.dim == 1:
+            Hs = (M.quadratic(1, "0.8*cos(2*pi*x)"), M.eikonal(1, "1 + 0.3*x"))
+            Bs = (M.neumann(geom), M.affine(geom, 1.5, "0.3 + x"),
+                  M.max_affine(geom, [(1.0, 0.5), (2.0, 2.0)]))
+        else:
+            Hs = (M.quadratic(2, "0.3*cos(pi*x)*cos(pi*y)"), M.eikonal(2, "1 + 0.2*y"))
+            Bs = (M.neumann(geom), M.affine(geom, tilted_on(geom, 0.5), "0.2*x"),
+                  M.max_affine(geom, [(tilted_on(geom, 0.5), 0.0),
+                                      (tilted_on(geom, -0.5), 0.2)]))
+        u = np.random.default_rng(int(100 * h) + grid.n_nodes).uniform(-1.0, 1.0, grid.n_nodes)
+        for H in Hs:
+            for Bm in Bs:
+                out.append((grid, H, Bm, u))
+    return out
+
+
+def same_bits(a, b):
+    """Equal arrays down to the sign of zero."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["cn", "dbc"])
+def test_rhs_matches_two_call_reference(kind):
+    # the one-H-call operator equals the old one bit for bit, before and
+    # after a refresh for slopes beyond the radius
+    for grid, H, Bm, u in operator_fixtures():
+        stp = P.Stepper(grid, H, Bm, kind, grad_bound=1.0)
+        steep = 4.0 * u
+        assert P.discrete_lipschitz(grid, steep) > stp.radius
+        for w in (u, steep):
+            assert same_bits(stp.rhs(w), rhs_reference(stp, w))
+        stp.refresh(2.0 * P.discrete_lipschitz(grid, steep))
+        ref = rhs_reference(stp, steep)
+        assert same_bits(stp.rhs(steep), ref)
+        assert same_bits(stp.rhs(steep, P.one_sided(grid, steep)), ref)
+
+
+@pytest.mark.parametrize("kind", ["cn", "dbc"])
+def test_rhs_calls_each_model_once(monkeypatch, kind):
+    for grid, H, Bm, u in operator_fixtures():
+        stp = P.Stepper(grid, H, Bm, kind, grad_bound=2.0)
+        calls = {"H": 0, "B": 0}
+        h_call, b_call = M.Hamiltonian.__call__, M.BoundaryOperator.__call__
+
+        def count(name, call):
+            def counted(self, x, p):
+                calls[name] += 1
+                return call(self, x, p)
+            return counted
+
+        monkeypatch.setattr(M.Hamiltonian, "__call__", count("H", h_call))
+        monkeypatch.setattr(M.BoundaryOperator, "__call__", count("B", b_call))
+        stp.rhs(u)
+        monkeypatch.undo()
+        assert calls == {"H": 1, "B": 1}
+
+
+def test_jacobian_pattern_fixed_per_stepper(monkeypatch):
+    # the colouring and CSR pattern are built on the first call only, and
+    # the matrix is the one a fresh pattern gives
+    for stp, u in jacobian_setups(DISC, 0.2):
+        calls, colouring = [], P.stencil_colouring
+        monkeypatch.setattr(P, "stencil_colouring", lambda g: calls.append(1) or colouring(g))
+        phi = stp.rhs(u)
+        first = stp.jacobian(u, phi)
+        again = stp.jacobian(u, phi)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        fresh = P.Stepper(stp.grid, stp.H, stp.Bm, stp.kind, grad_bound=2.0).jacobian(u, phi)
+        for a in (again, fresh):
+            assert np.array_equal(first.indptr, a.indptr)
+            assert np.array_equal(first.indices, a.indices)
+            assert np.array_equal(first.data, a.data)

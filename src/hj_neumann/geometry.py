@@ -9,8 +9,10 @@ may have any nonzero gradient there.
 ``build_grid`` clips a regular lattice to the closure, flags the nodes
 within a band of the boundary, snaps them onto the boundary along
 ``grad_rho`` and stores unit outward normals plus the axis-neighbor
-stencil with exact post-snap gaps. The snap, ``project_to_closure`` and
-the reflection pull-back of ``skorokhod`` share one Newton iteration.
+stencil with exact post-snap gaps. The grid is one connected piece: two
+pieces have a critical value c each, and u(., t) + ct converges for none.
+The snap, ``project_to_closure`` and the reflection pull-back of
+``skorokhod`` share one Newton iteration.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.sparse import csgraph, csr_array
+from scipy.spatial import cKDTree
 
 from .errors import GeometryError, ObliquenessError
 
@@ -171,7 +175,7 @@ class Grid:
     a difference quotient across a missing side is 0: index -1 reads a
     finite node value and the inf gap zeroes it. node_at maps every
     slot of the lattice box (axis counts as in build_grid) to the node
-    addressed there, -1 where there is none.
+    addressed there, -1 where there is none. The neighbor graph is connected.
     """
 
     geom: DomainGeometry
@@ -211,9 +215,11 @@ def build_grid(geom: DomainGeometry, h: float) -> Grid:
 
     Nodes with estimated signed distance rho/|grad_rho| in
     (-BAND*h, BAND*h] are flagged as boundary and snapped onto rho = 0
-    along grad_rho; interior nodes stay on the lattice. Raises when the
-    result is degenerate (no interior node, isolated boundary node,
-    missing interior stencil).
+    along grad_rho; interior nodes stay on the lattice. Drops one of two
+    boundary nodes snapped within 0.3h of each other, and a boundary node
+    left with no neighbor. GeometryError when the result has no interior
+    node, collapses an interior gap, comes apart in pieces, or leaves an
+    interior node with no neighbor on some axis.
     """
     if h <= 0:
         raise GeometryError("h must be positive")
@@ -223,11 +229,8 @@ def build_grid(geom: DomainGeometry, h: float) -> Grid:
     hi = np.asarray(geom.bounds[1], dtype=float)
     # one extra layer beyond the bounding box; the band rule trims the excess
     counts = [int(np.floor((hi[i] - lo[i]) / h + 1e-9)) + 2 for i in range(geom.dim)]
-    axes = [lo[i] + h * np.arange(counts[i]) for i in range(geom.dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    idx = np.stack([m.ravel() for m in np.meshgrid(
-        *[np.arange(c) for c in counts], indexing="ij")], axis=-1)
+    idx = np.indices(counts).reshape(geom.dim, -1).T
+    pts = lo + h * idx
 
     r = np.asarray(geom.rho(pts), dtype=float)
     g = np.asarray(geom.grad_rho(pts), dtype=float)
@@ -237,58 +240,49 @@ def build_grid(geom: DomainGeometry, h: float) -> Grid:
     keep = sdist <= BAND * h
     if not np.any(keep):
         raise GeometryError("no lattice node inside the domain")
-    pts, idx, sdist = pts[keep], idx[keep], sdist[keep]
+    nodes, idx, sdist = pts[keep], idx[keep], sdist[keep]
     boundary = sdist > -BAND * h
 
-    nodes = pts.copy()
-    _newton_to_boundary(geom, nodes, np.flatnonzero(boundary), "boundary snap")
+    bsel = np.flatnonzero(boundary)
+    _newton_to_boundary(geom, nodes, bsel, "boundary snap")
 
     # two band layers can snap onto near-identical boundary points (poles of
-    # curved boundaries); keep the one coming from the nearer lattice point
-    bsel = np.flatnonzero(boundary)
-    if bsel.size > 1:
-        from scipy.spatial import cKDTree
-        tree = cKDTree(nodes[bsel])
-        near = tree.query_ball_point(nodes[bsel], 0.3 * h)
-        # inside-band nodes win collisions: interior stencils point at them
-        outside = (sdist[bsel] > 0).astype(int)
-        order = np.lexsort((bsel, np.abs(sdist[bsel]), outside))
-        accepted = np.zeros(bsel.size, dtype=bool)
-        drop = np.zeros(nodes.shape[0], dtype=bool)
-        for o in order:
-            if any(accepted[j] for j in near[o] if j != o):
-                drop[bsel[o]] = True
-            else:
-                accepted[o] = True
-        if np.any(drop):
-            nodes, idx, boundary = nodes[~drop], idx[~drop], boundary[~drop]
+    # curved boundaries); of a pair within 0.3h the inside-band node wins, as
+    # interior stencils point at it, then the one from the nearer lattice point
+    pairs = cKDTree(nodes[bsel]).query_pairs(0.3 * h, output_type="ndarray")
+    rank = np.empty(bsel.size, dtype=np.int64)
+    rank[np.lexsort((bsel, np.abs(sdist[bsel]), sdist[bsel] > 0))] = np.arange(bsel.size)
+    kept = np.ones(nodes.shape[0], dtype=bool)
+    kept[bsel[np.where(rank[pairs[:, 0]] > rank[pairs[:, 1]], pairs[:, 0], pairs[:, 1])]] = False
+    nodes, idx, boundary = nodes[kept], idx[kept], boundary[kept]
 
     if not np.any(~boundary):
         raise GeometryError("no interior node; reduce h")
 
     node_at, neighbors, gaps = _stencil(nodes, idx, boundary, counts, h)
-    # drop boundary nodes without any kept neighbor (no edge reaches them
-    # either: edges are pruned in pairs), then validate
-    isolated = boundary & (neighbors.max(axis=(0, 1)) < 0)
+    # one piece: a boundary node with no kept neighbor is dropped, and a piece
+    # apart from the largest is an error. Edges are pruned in pairs, so the
+    # graph is symmetric and its strong components, which scipy finds without
+    # a transpose, are its pieces; a missing neighbor is a self-loop
+    n = nodes.shape[0]
+    nb = np.where(neighbors >= 0, neighbors, np.arange(n)).reshape(-1, n).T
+    graph = csr_array((np.ones(nb.size), nb.ravel(), np.arange(0, nb.size + 1, nb.shape[1])),
+                      (n, n))
+    labels = csgraph.connected_components(graph, connection="strong")[1]
+    isolated = boundary & (np.bincount(labels)[labels] == 1)
     if np.any(isolated):
-        nodes, idx, boundary = nodes[~isolated], idx[~isolated], boundary[~isolated]
+        nodes, idx, boundary, labels = (a[~isolated] for a in (nodes, idx, boundary, labels))
         node_at, neighbors, gaps = _stencil(nodes, idx, boundary, counts, h)
+    apart = labels != np.argmax(np.bincount(labels))
+    if np.any(apart):
+        k = int(np.argmax(apart))
+        raise GeometryError(f"{'boundary' if boundary[k] else 'interior'} node {k} at "
+                            f"{nodes[k]} is disconnected from the largest piece")
 
     normals = np.zeros_like(nodes)
     bidx = np.flatnonzero(boundary)
     normals[bidx] = geom.unit_normal(nodes[bidx])
 
-    # every boundary node must reach the interior through kept nodes
-    # (coarse grids may interpose another boundary node on the way)
-    reached, size = ~boundary, 0
-    while reached.sum() > size:
-        size = reached.sum()
-        nb = neighbors[:, :, reached]
-        reached[nb[nb >= 0]] = True
-    if not np.all(reached):
-        bad = int(np.flatnonzero(~reached)[0])
-        raise GeometryError(f"boundary node {bad} at {nodes[bad]} is disconnected "
-                            "from the interior")
     lacking = np.argwhere((neighbors.min(axis=0) < 0).T & ~boundary[:, None])
     if lacking.size:
         k, ax = lacking[0]
@@ -311,24 +305,18 @@ def _stencil(nodes, idx, boundary, counts, h):
     boundary neighbors; such edges are not load-bearing and are pruned. A
     collapsed edge touching an interior node is a real degeneracy.
     """
-    node_at = -np.ones(counts, dtype=np.int64)
-    node_at[tuple(idx.T)] = np.arange(idx.shape[0])
-    dim, n = idx.shape[1], idx.shape[0]
-    neighbors = -np.ones((2, dim, n), dtype=np.int64)
-    gaps = np.full((2, dim, n), np.inf)
-    for ax in range(dim):
-        for side, step in ((0, -1), (1, +1)):
-            t = idx.copy()
-            t[:, ax] += step
-            k = np.flatnonzero((t[:, ax] >= 0) & (t[:, ax] < counts[ax]))
-            j = node_at[tuple(t[k].T)]
-            k, j = k[j >= 0], j[j >= 0]
-            neighbors[side, ax, k] = j
-            gaps[side, ax, k] = np.abs(nodes[j, ax] - nodes[k, ax])
+    n, dim = idx.shape
+    # an empty layer around the lattice box keeps every axis step inside it
+    pad = -np.ones([c + 2 for c in counts], dtype=np.int64)
+    pad[tuple(idx.T + 1)] = np.arange(n)
+    step = np.array([[-1], [1]]) * (np.array(pad.strides) // pad.itemsize)
+    neighbors = pad.ravel()[step[:, :, None] + np.ravel_multi_index(idx.T + 1, pad.shape)]
+    gaps = np.abs(nodes.T[np.arange(dim)[:, None], neighbors] - nodes.T)
+    gaps[neighbors < 0] = np.inf
     short = gaps < 0.2 * h
     k = np.nonzero(short)[2]
     if not np.all(boundary[k] & boundary[neighbors[short]]):
         raise GeometryError("snapped boundary node collapsed an interior stencil gap")
     neighbors[short] = -1
     gaps[short] = np.inf
-    return node_at, neighbors, gaps
+    return pad[(slice(1, -1),) * dim].copy(), neighbors, gaps

@@ -177,17 +177,16 @@ def dp_residual(tables: DPTables, u: np.ndarray) -> np.ndarray:
 def aubry_set(action: ActionMatrix) -> AubryMask:
     """Sources where pinning was inactive: d(., y) solves the recursion at y.
 
-    residual_margin = (d(y,y) - DP right-hand side at y) / dt, a
-    supersolution residual in equation units: <= 0 up to iteration tolerance
-    everywhere, == 0 on the discrete Aubry set. The tolerance 5*(h + dt)
-    tracks the discretization inflation of the exact set.
+    residual_margin is the `dp_residual` of d(., y) at y, a supersolution
+    residual in equation units: <= 0 up to iteration tolerance everywhere,
+    == 0 on the discrete Aubry set. The tolerance 5*(h + dt) tracks the
+    discretization inflation of the exact set.
     """
     tables = action.tables
     aubry_tol = 5.0 * (action.grid.h + tables.dt)
     margins = np.empty(action.sources.size)
     for sl in _chunks(tables, action.sources.size):
-        stepped = dp_step_cn(action.d[:, sl], tables)
-        margins[sl] = -np.diag(stepped[action.sources[sl]]) / tables.dt   # d(y,y) = 0
+        margins[sl] = np.diag(dp_residual(tables, action.d[:, sl])[action.sources[sl]])
     mask = margins >= -aubry_tol
     if not np.any(mask):
         raise NumericalError("empty Aubry mask: the eigenvalue normalization "

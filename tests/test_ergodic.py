@@ -41,6 +41,22 @@ def test_discount_bound_along_schedule():
         assert np.abs(eps * u.values).max() <= m1 + 1e-6
 
 
+def test_discounted_solve_refreshes_for_steep_solution(monkeypatch):
+    # g = 5 on both ends of [0, 1] drives slopes past the radius 3.38 fixed
+    # from u = 0: the solve refreshes once and then solves the refreshed
+    # operator
+    grid = G.build_grid(IV, 0.05)
+    H, Bm = M.quadratic(1), M.affine(IV, g=5.0)
+    bounds = []
+    refresh = P.Stepper.refresh
+    monkeypatch.setattr(P.Stepper, "refresh", lambda st, b: bounds.append(b) or refresh(st, b))
+    u = E.discounted_solve(H, Bm, 0.1, "e2", P.constant_field(grid, 0.0)).values
+    assert len(bounds) == 2                      # the build, then one refresh
+    st = P.Stepper(grid, H, Bm, "e2", grad_bound=bounds[-1])
+    assert st.radius > P.discrete_lipschitz(grid, u) + 1.0
+    assert np.abs(0.1 * u + st.rhs(u)).max() <= 1e-10
+
+
 def test_equi_lipschitz_in_eps():
     grid = G.build_grid(IV, 0.02)
     H = M.quadratic(1, potential="0.8*cos(2*pi*x)")

@@ -184,3 +184,164 @@ def test_thin_ellipse_has_no_interior_node():
     geom = G.custom(2, rho, _central_grad(rho), ((-1.0, -0.05), (1.0, 0.05)))
     with pytest.raises(GeometryError, match="no interior node"):
         G.build_grid(geom, 0.08)
+
+
+def _build_grid_ref(geom, h):
+    # build_grid as it was with a greedy collision walk, an isolated-node
+    # test, a reachability sweep and a per-axis stencil loop, kept as the
+    # oracle of its graph code
+    if h <= 0:
+        raise GeometryError("h must be positive")
+    if h > geom.diameter / 4:
+        raise GeometryError(f"h={h:g} too coarse for domain diameter {geom.diameter:g}")
+    lo = np.asarray(geom.bounds[0], dtype=float)
+    hi = np.asarray(geom.bounds[1], dtype=float)
+    counts = [int(np.floor((hi[i] - lo[i]) / h + 1e-9)) + 2 for i in range(geom.dim)]
+    axes = [lo[i] + h * np.arange(counts[i]) for i in range(geom.dim)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    idx = np.stack([m.ravel() for m in np.meshgrid(
+        *[np.arange(c) for c in counts], indexing="ij")], axis=-1)
+
+    r = np.asarray(geom.rho(pts), dtype=float)
+    g = np.asarray(geom.grad_rho(pts), dtype=float)
+    gnorm = np.linalg.norm(g, axis=-1)
+    sdist = r / np.where(gnorm > 0, gnorm, 1.0)
+
+    keep = sdist <= G.BAND * h
+    if not np.any(keep):
+        raise GeometryError("no lattice node inside the domain")
+    pts, idx, sdist = pts[keep], idx[keep], sdist[keep]
+    boundary = sdist > -G.BAND * h
+
+    nodes = pts.copy()
+    G._newton_to_boundary(geom, nodes, np.flatnonzero(boundary), "boundary snap")
+
+    bsel = np.flatnonzero(boundary)
+    if bsel.size > 1:
+        from scipy.spatial import cKDTree
+        tree = cKDTree(nodes[bsel])
+        near = tree.query_ball_point(nodes[bsel], 0.3 * h)
+        outside = (sdist[bsel] > 0).astype(int)
+        order = np.lexsort((bsel, np.abs(sdist[bsel]), outside))
+        accepted = np.zeros(bsel.size, dtype=bool)
+        drop = np.zeros(nodes.shape[0], dtype=bool)
+        for o in order:
+            if any(accepted[j] for j in near[o] if j != o):
+                drop[bsel[o]] = True
+            else:
+                accepted[o] = True
+        if np.any(drop):
+            nodes, idx, boundary = nodes[~drop], idx[~drop], boundary[~drop]
+
+    if not np.any(~boundary):
+        raise GeometryError("no interior node; reduce h")
+
+    node_at, neighbors, gaps = _stencil_ref(nodes, idx, boundary, counts, h)
+    isolated = boundary & (neighbors.max(axis=(0, 1)) < 0)
+    if np.any(isolated):
+        nodes, idx, boundary = nodes[~isolated], idx[~isolated], boundary[~isolated]
+        node_at, neighbors, gaps = _stencil_ref(nodes, idx, boundary, counts, h)
+
+    normals = np.zeros_like(nodes)
+    bidx = np.flatnonzero(boundary)
+    normals[bidx] = geom.unit_normal(nodes[bidx])
+
+    reached, size = ~boundary, 0
+    while reached.sum() > size:
+        size = reached.sum()
+        nb = neighbors[:, :, reached]
+        reached[nb[nb >= 0]] = True
+    if not np.all(reached):
+        bad = int(np.flatnonzero(~reached)[0])
+        raise GeometryError(f"boundary node {bad} at {nodes[bad]} is disconnected "
+                            "from the interior")
+    lacking = np.argwhere((neighbors.min(axis=0) < 0).T & ~boundary[:, None])
+    if lacking.size:
+        k, ax = lacking[0]
+        raise GeometryError(
+            f"interior node {k} at {nodes[k]} lacks a one-sided stencil on axis {ax}")
+    return G.Grid(geom, float(h), nodes, boundary, normals, idx, neighbors, gaps, node_at)
+
+
+def _stencil_ref(nodes, idx, boundary, counts, h):
+    node_at = -np.ones(counts, dtype=np.int64)
+    node_at[tuple(idx.T)] = np.arange(idx.shape[0])
+    dim, n = idx.shape[1], idx.shape[0]
+    neighbors = -np.ones((2, dim, n), dtype=np.int64)
+    gaps = np.full((2, dim, n), np.inf)
+    for ax in range(dim):
+        for side, step in ((0, -1), (1, +1)):
+            t = idx.copy()
+            t[:, ax] += step
+            k = np.flatnonzero((t[:, ax] >= 0) & (t[:, ax] < counts[ax]))
+            j = node_at[tuple(t[k].T)]
+            k, j = k[j >= 0], j[j >= 0]
+            neighbors[side, ax, k] = j
+            gaps[side, ax, k] = np.abs(nodes[j, ax] - nodes[k, ax])
+    short = gaps < 0.2 * h
+    k = np.nonzero(short)[2]
+    if not np.all(boundary[k] & boundary[neighbors[short]]):
+        raise GeometryError("snapped boundary node collapsed an interior stencil gap")
+    neighbors[short] = -1
+    gaps[short] = np.inf
+    return node_at, neighbors, gaps
+
+
+def _gauge_ellipse(a, b, cx=0.0, cy=0.0):
+    # the ellipse ((x - cx)/a)^2 + ((y - cy)/b)^2 = 1 as the zero set of the
+    # gauge rho = |((x - cx)/a, (y - cy)/b)| - 1
+    def rho(p):
+        p = np.asarray(p, float)
+        return np.hypot((p[..., 0] - cx) / a, (p[..., 1] - cy) / b) - 1
+
+    def grad(p):
+        p = np.asarray(p, float)
+        s = rho(p) + 1
+        s = np.where(s > 0, s, 1.0)
+        return np.stack([(p[..., 0] - cx) / (a * a * s), (p[..., 1] - cy) / (b * b * s)], -1)
+
+    return G.custom(2, rho, grad, ((cx - a, cy - b), (cx + a, cy + b)))
+
+
+def test_build_grid_matches_walk_oracle(monkeypatch):
+    # equal bytes, or the same error type, against the greedy walks; the
+    # disc at h = 0.26382 and the ellipse x^2 + (y/0.6)^2 = 1 at h = 0.12054
+    # drop an isolated boundary node, a second _stencil call
+    stencils = []
+    stencil = G._stencil
+    monkeypatch.setattr(G, "_stencil", lambda *a: stencils.append(1) or stencil(*a))
+    geoms = [G.interval(0, 1), G.disc(), G.disc(0.13, -0.31, 0.77), _gauge_ellipse(1, 0.6),
+             _gauge_ellipse(1, 0.3), _gauge_ellipse(0.8, 0.5, 0.1, 0.2)]
+    cases = [(geom, h, False) for geom in geoms for h in np.geomspace(0.015, 0.3, 40)]
+    for geom, h, drops in cases + [(G.disc(), 0.26382, True), (geoms[3], 0.12054, True)]:
+        try:
+            ref = _build_grid_ref(geom, h)
+        except GeometryError:
+            with pytest.raises(GeometryError):
+                G.build_grid(geom, h)
+            continue
+        stencils.clear()
+        grid = G.build_grid(geom, h)
+        for f in ("nodes", "boundary", "normals", "lattice_index", "neighbors", "gaps",
+                  "node_at"):
+            a, b = getattr(grid, f), getattr(ref, f)
+            assert (a.dtype, a.shape, a.strides) == (b.dtype, b.shape, b.strides), f
+            assert a.tobytes() == b.tobytes(), f
+        assert len(stencils) == 2 or not drops
+
+
+def test_satellite_disc_with_central_grad_comes_apart():
+    # the satellite disc with a central-difference grad_rho: |grad rho| ~ 2e-10
+    # at (1.7, 0) counts that node interior, so the small disc is a 5-node
+    # piece of its own, with its own critical value
+    centres, radii = np.array([[0.0, 0.0], [1.7, 0.0]]), np.array([1.0, 0.05])
+
+    def rho(p):
+        return np.min(np.linalg.norm(np.asarray(p, float)[..., None, :] - centres, axis=-1)
+                      - radii, axis=-1)
+
+    geom = G.custom(2, rho, _central_grad(rho), ((-1.0, -1.0), (1.75, 1.0)))
+    assert _build_grid_ref(geom, 0.1).n_nodes == 354
+    with pytest.raises(GeometryError, match=r"boundary node 349 at .* is disconnected"):
+        G.build_grid(geom, 0.1)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hj_neumann import geometry as G, models as M, pde as P
-from hj_neumann.errors import CFLError, NumericalError
+from hj_neumann.errors import CFLError, NumericalError, ObliquenessError
 
 IV = G.interval(0.0, 1.0)
 DISC = G.disc(0.0, 0.0, 1.0)
@@ -131,6 +131,22 @@ def test_closed_form_root_matches_custom_bisection():
         rhs = P.Stepper(grid, H, Bm, "cn", grad_bound=2.0).rhs(u)
         ref = P.Stepper(grid, H, Bc, "cn", grad_bound=2.0).rhs(u)
         np.testing.assert_allclose(rhs, ref, rtol=0, atol=1e-11)
+
+
+def test_custom_root_beyond_the_bracket_expands_it():
+    # B = a p.n - 1 declares theta = 1, so the first bracket is |B(x, 0)| + 1
+    # = 2; the root 1/a lies beyond it up to 2 * 2^10
+    grid = G.build_grid(DISC, 0.25)
+    X, N = grid.nodes[grid.boundary], grid.normals[grid.boundary]
+
+    def model(a):
+        return M.custom_boundary(DISC, lambda x, p: a * (p * DISC.unit_normal(x)).sum(-1) - 1.0,
+                                 1.0, a)
+
+    lam = P._ghost_solve_many(model(0.01), X, np.zeros_like(X), N, 1e-12)
+    np.testing.assert_allclose(lam, 100.0, rtol=0, atol=1e-9)
+    with pytest.raises(ObliquenessError, match="bracket expansion"):
+        P._ghost_solve_many(model(1e-4), X, np.zeros_like(X), N, 1e-12)
 
 
 def test_rhs_calls_catalog_boundary_once(monkeypatch):

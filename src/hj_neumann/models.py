@@ -9,11 +9,12 @@ representation and the reflection cost G = B*, come from one engine over
 paired rows (x, xi): a dense lattice argmax per row, with plateaus broken
 toward the lattice center, then a vectorized axiswise polish that returns
 the value and the maximizer. Models are never differentiated analytically,
-so nonsmooth and nonconvex ones are handled uniformly. ``lagrangian`` and
-``boundary_conjugate`` are one-row calls, ``lagrangian_batch`` and
-``effective_velocity_bound`` batch calls, and ``moreau`` takes the
-conjugate of B(x, .) + |.|^2 / (2 delta). Every caller gets one
-certification rule:
+so nonsmooth and nonconvex ones are handled uniformly. ``lagrangian`` is a
+one-row call and ``lagrangian_batch`` and ``effective_velocity_bound``
+batch calls; ``boundary_conjugate`` and ``moreau``, the conjugate of
+B(x, .) + |.|^2 / (2 delta), take paired rows of shape (..., dim) like H
+and B, in one engine call, and return scalars for one row. Every caller
+gets one certification rule:
 
 - a row whose argmax touches the lattice edge doubles its radius, at most
   7 times;
@@ -438,14 +439,14 @@ def lagrangian(H: Hamiltonian, x: np.ndarray, xi: np.ndarray) -> float:
                                   np.asarray(xi, float)[None], 4.0)[0])
 
 
-def boundary_conjugate(Bm: BoundaryOperator, x: np.ndarray, xi: np.ndarray) -> float:
-    """Reflection cost G(x, xi) = sup_p (xi . p - B(x, p)); CAP outside dom G.
-
-    The first lattice has radius 4 (1 + M_B).
-    """
-    val, _ = _conjugate(Bm, np.asarray(x, float)[None], np.asarray(xi, float)[None],
+def boundary_conjugate(Bm: BoundaryOperator, x: np.ndarray, xi: np.ndarray):
+    """Reflection cost G(x, xi) = sup_p (xi . p - B(x, p)) over paired rows
+    (..., dim), a float for one row; CAP outside dom G. The first lattice has
+    radius 4 (1 + M_B)."""
+    X, XI = np.broadcast_arrays(np.asarray(x, float), np.asarray(xi, float))
+    val, _ = _conjugate(Bm, X.reshape(-1, Bm.dim), XI.reshape(-1, Bm.dim),
                         4.0 * (1.0 + Bm.lip))
-    return float(val[0])
+    return val.reshape(X.shape[:-1])[()]
 
 
 def lagrangian_batch(H: Hamiltonian, X: np.ndarray, XI: np.ndarray,
@@ -496,44 +497,51 @@ def effective_velocity_bound(H: Hamiltonian, points: np.ndarray, v_cap: float) -
 # ---------------------------------------------------------------------------
 
 def moreau(Bm: BoundaryOperator, x: np.ndarray, p: np.ndarray, delta: float):
-    """Moreau envelope of B(x, .) at p: (value, gradient).
+    """Moreau envelope of B(x, .) at p: (value, gradient) over paired rows
+    (..., dim) of x and p, with a float value for one row.
 
     value = min_q B(x, q) + |p - q|^2 / (2 delta) = |p|^2 / (2 delta)
     - f*(p / delta) with f = B(x, .) + |.|^2 / (2 delta); the gradient is
     (p - q*) / delta, q* the maximizer of the conjugate, and has norm at
-    most M_B. The first lattice covers the ball |q - p| <= 1.5 delta M_B
+    most M_B. The first lattice covers the balls |q - p| <= 1.5 delta M_B
     that must contain q*.
     """
     if delta <= 0:
         raise NumericalError("moreau needs delta > 0")
-    x = np.asarray(x, float)
-    p = np.asarray(p, float)
+    x, p = np.broadcast_arrays(np.asarray(x, float), np.asarray(p, float))
+    X, P = x.reshape(-1, Bm.dim), p.reshape(-1, Bm.dim)
 
     def f(X, Q):
         return Bm(X, Q) + np.sum(Q ** 2, axis=-1) / (2 * delta)
 
-    radius = float(np.abs(p).max()) + 1.5 * delta * Bm.lip + 1e-9
-    val, q = _conjugate(f, x[None], p[None] / delta, radius)
-    value = float(p @ p) / (2 * delta) - float(val[0])
-    if not (np.isfinite(value) and val[0] < CAP):
-        raise NumericalError(f"moreau minimization failed at x={x}")
-    return value, (p - q[0]) / delta
+    radius = float(np.abs(P).max()) + 1.5 * delta * Bm.lip + 1e-9
+    val, q = _conjugate(f, X, P / delta, radius)
+    value = (P * P).sum(axis=-1) / (2 * delta) - val
+    bad = ~np.isfinite(value) | (val >= CAP)
+    if bad.any():
+        raise NumericalError(f"moreau minimization failed at x={X[bad][0]}")
+    return value.reshape(p.shape[:-1])[()], ((P - q) / delta).reshape(p.shape)
 
 
 @dataclass(frozen=True)
 class ObliqueSelection:
     """Continuous selection (gamma, g) with B(x, p) >= gamma(x).p - g(x).
 
-    For a single affine form, B(x, p) = gamma(x) . p - g(x), (gamma, g) is
-    the form itself. Otherwise gamma comes from the Moreau gradient at
-    p = 0, with the delta of oblique_selection, and g is the boundary
-    conjugate G(x, gamma(x)), the smallest admissible offset. gamma and g
-    take points of shape (..., dim).
+    at maps points (..., dim) to (gamma, g), with no state kept between
+    calls. For a single affine form, B(x, p) = gamma(x) . p - g(x), (gamma,
+    g) is the form itself. Otherwise gamma is the Moreau gradient at p = 0,
+    with the delta of oblique_selection, and g the boundary conjugate
+    G(x, gamma(x)), the smallest admissible offset.
     """
 
     Bm: BoundaryOperator
-    gamma: Callable[[np.ndarray], np.ndarray]
-    g: Callable[[np.ndarray], np.ndarray]
+    at: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+    def gamma(self, x: np.ndarray) -> np.ndarray:
+        return self.at(x)[0]
+
+    def g(self, x: np.ndarray) -> np.ndarray:
+        return self.at(x)[1]
 
     def tightness_gap(self, points: np.ndarray) -> float:
         """Worst B(x, 0) - (gamma.0 - g) = B(x, 0) + g(x) over sample points
@@ -545,8 +553,9 @@ class ObliqueSelection:
         """Worst violation of gamma.p - g <= B(x, p) over a dense sample of
         |p|_inf <= 8."""
         X = np.atleast_2d(points)
+        gam, g = self.at(X)
         P = _lattice(self.Bm.dim, 8.0, 129 if self.Bm.dim == 1 else 33)
-        lhs = P @ self.gamma(X).T - self.g(X)                           # (p, x)
+        lhs = P @ gam.T - g                                             # (p, x)
         return float((lhs - self.Bm(X[None, :, :], P[:, None, :])).max())
 
 
@@ -555,33 +564,18 @@ def oblique_selection(Bm: BoundaryOperator, delta: float = 0.05) -> ObliqueSelec
 
     A boundary with a single affine form (neumann, affine, and their shifts)
     returns that form, exact and tight at every p. Other boundaries
-    (max_affine, custom) go through the Moreau gradient at p = 0 and the
-    boundary conjugate, memoized per point.
+    (max_affine, custom) make one Moreau and one conjugate call per batch.
     """
     if Bm.forms is not None and len(Bm.forms) == 1:
         (gam, gfun), = Bm.forms
-        return ObliqueSelection(Bm, gam, gfun)
+        return ObliqueSelection(Bm, lambda x: (gam(x), gfun(x)))
 
-    cache: dict[tuple, tuple[np.ndarray, float]] = {}
+    def at(x):
+        x = np.asarray(x, float)
+        _, gam = moreau(Bm, x, np.zeros(x.shape), delta)
+        return gam, boundary_conjugate(Bm, x, gam)
 
-    def entry(x):
-        # points that differ by round-off (projected landing points) share
-        # one entry; + 0.0 folds -0.0 into 0.0
-        key = tuple(np.round(np.asarray(x, float), 12) + 0.0)
-        if key not in cache:
-            _, grad = moreau(Bm, x, np.zeros(Bm.dim), delta)
-            gval = boundary_conjugate(Bm, x, grad)
-            cache[key] = (grad, float(gval))
-        return cache[key]
-
-    def rows(k, tail):
-        def fn(x):
-            x = np.asarray(x, float)
-            vals = [entry(r)[k] for r in x.reshape(-1, x.shape[-1])]
-            return np.array(vals, dtype=float).reshape(x.shape[:-1] + tail)
-        return fn
-
-    return ObliqueSelection(Bm, rows(0, (Bm.dim,)), rows(1, ()))
+    return ObliqueSelection(Bm, at)
 
 
 # ---------------------------------------------------------------------------

@@ -340,17 +340,19 @@ def evolve(u0: GridField, H: Hamiltonian, Bm: BoundaryOperator, kind: str,
     """March u_t + H = 0 (with the kind's boundary treatment) up to time T.
 
     Snapshots are recorded at t = 0, then whenever a multiple of
-    record_every is crossed, and at T. Each step's one-sided slopes feed
-    its rhs and the check after the previous step. The dissipation range is
-    refreshed if discrete slopes outgrow the certified radius; when that
-    lowers the CFL bound below dt, a dt chosen here is re-chosen as 0.95
-    dt_max for the rest of the horizon, and a dt given by the caller raises
-    CFLError. Each refresh at least doubles the radius; slopes that outgrow
-    it more than MAX_REFRESHES times are an unstable march, not a Lipschitz
-    solution, and raise NumericalError.
+    record_every (positive, default T / 8) is crossed, and at T. Each
+    step's one-sided slopes feed its rhs and the check after the previous
+    step. The dissipation range is refreshed if discrete slopes outgrow the
+    certified radius; when that lowers the CFL bound below dt, a dt chosen
+    here is re-chosen as 0.95 dt_max for the rest of the horizon, and a dt
+    given by the caller raises CFLError. Each refresh at least doubles the
+    radius; slopes that outgrow it more than MAX_REFRESHES times are an
+    unstable march, not a Lipschitz solution, and raise NumericalError.
     """
     if T < 0:
         raise NumericalError("T must be nonnegative")
+    if record_every is not None and not record_every > 0:
+        raise NumericalError(f"record_every must be positive, not {record_every:g}")
     grid = u0.grid
     u = u0.values.copy()
     slopes = one_sided(grid, u)

@@ -71,7 +71,8 @@ def integrate(geom: DomainGeometry, Bm: BoundaryOperator, x0, v_fn,
     v_fn maps a time to a velocity vector. Steps whose free move stays in
     the closure carry l = f = 0 exactly; constrained steps land on the
     boundary (within projection tolerance) with f = l * g at the contact
-    point.
+    point. The selection is evaluated once per contact point of the run,
+    keyed to 1e-12 (a pressed path returns to one point step after step).
     """
     if dt <= 0 or T <= 0:
         raise NumericalError("need T > 0 and dt > 0")
@@ -85,6 +86,7 @@ def integrate(geom: DomainGeometry, Bm: BoundaryOperator, x0, v_fn,
     ls = np.zeros(n_steps)
     fs = np.zeros(n_steps)
     gammas = np.full((n_steps, d), np.nan)
+    contacts: dict[tuple, tuple] = {}
     eta[0] = x0
     for k in range(n_steps):
         t = k * dt
@@ -95,7 +97,11 @@ def integrate(geom: DomainGeometry, Bm: BoundaryOperator, x0, v_fn,
             eta[k + 1] = y
             continue
         hat = project_to_closure(geom, y)
-        gam = np.asarray(selection.gamma(hat), dtype=float)
+        key = tuple(np.round(hat, 12) + 0.0)          # + 0.0 folds -0.0 into 0.0
+        if key not in contacts:
+            contacts[key] = selection.at(hat)
+        gam, g = contacts[key]
+        gam = np.asarray(gam, dtype=float)
         nt = geom.unit_normal(hat)
         if float(gam @ nt) < Bm.theta / 2:
             raise ObliquenessError(
@@ -103,7 +109,7 @@ def integrate(geom: DomainGeometry, Bm: BoundaryOperator, x0, v_fn,
                 f"gamma.n = {float(gam @ nt):.3g} < theta/2")
         ls[k] = _pullback_intensity(geom, y[None], gam[None], dt)[0]
         eta[k + 1] = y - dt * ls[k] * gam
-        fs[k] = ls[k] * float(selection.g(hat))
+        fs[k] = ls[k] * float(g)
         gammas[k] = gam
     times = dt * np.arange(n_steps + 1)
     return SkorokhodTriple(geom, times, eta, vs, ls, fs, gammas,
@@ -167,17 +173,16 @@ def cost_track(triple: SkorokhodTriple, Bm: BoundaryOperator) -> np.ndarray:
     reflection direction left the effective domain and is reported as an
     inconsistency.
     """
-    ed = triple.eta_dot()
     out = np.zeros_like(triple.l)
     speed = np.linalg.norm(triple.v, axis=-1)
-    floor = 1e-9 * (1.0 + speed)
-    for k in np.flatnonzero(triple.l > floor):
-        xi = (triple.v[k] - ed[k]) / triple.l[k]
-        x = triple.eta[k + 1]
-        val = boundary_conjugate(Bm, x, xi)
-        if val >= CAP:
+    ks = np.flatnonzero(triple.l > 1e-9 * (1.0 + speed))
+    if ks.size:
+        xi = (triple.v[ks] - triple.eta_dot()[ks]) / triple.l[ks, None]
+        val = boundary_conjugate(Bm, triple.eta[ks + 1], xi)
+        capped = np.flatnonzero(val >= CAP)
+        if capped.size:
             raise NumericalError(
-                f"cost track: reflection direction {xi} at step {k} lies "
-                "outside the effective domain of the conjugate")
-        out[k] = triple.l[k] * val
+                f"cost track: reflection direction {xi[capped[0]]} at step "
+                f"{ks[capped[0]]} lies outside the effective domain of the conjugate")
+        out[ks] = triple.l[ks] * val
     return out

@@ -13,9 +13,9 @@ Stage costs and interpolation stencils are independent of the value being
 iterated; they are precomputed once into tables (stencils as sparse
 operators) whose DP step the time-marching values here and the stationary
 value iteration of the weak-KAM module share. The tables are built as
-whole-array operations: all landing points of a batch go through one
-projection, one evaluation of the selection and one pull-back (both are
-the geometry's Newton iteration onto the boundary), the
+whole-array operations: all landing points go through one projection,
+one evaluation of the selection and one pull-back (both are the
+geometry's Newton iteration onto the boundary), the
 stencils are read off the grid's dense lattice index one axis at a time,
 and the stage costs come from the Hamiltonian's closed-form conjugate
 where it has one (``quadratic``), else from the conjugate engine. The
@@ -121,18 +121,18 @@ def _land_and_cost(grid: Grid, sel: ObliqueSelection, pts: np.ndarray,
     """Skorokhod single-step correction for landing points; returns cost.
 
     The points outside the closure go through one projection, one
-    evaluation of the selection and one pull-back as a batch.
+    evaluation of the selection at their contact points and one pull-back.
     """
     geom = grid.geom
     cost = np.zeros(pts.shape[0])
     out = pts.copy()
     m = np.flatnonzero(np.asarray(geom.rho(pts), dtype=float) > 1e-12)
     if m.size:
-        hat = project_to_closure(geom, pts[m])
-        gam = np.asarray(sel.gamma(hat), dtype=float)
+        gam, g = sel.at(project_to_closure(geom, pts[m]))
+        gam = np.asarray(gam, dtype=float)
         lc = _pullback_intensity(geom, pts[m], gam, dt)
         out[m] = pts[m] - dt * lc[:, None] * gam
-        cost[m] = dt * lc * sel.g(hat)
+        cost[m] = dt * lc * g
     return out, cost
 
 
@@ -173,7 +173,9 @@ def build_tables(grid: Grid, H: Hamiltonian, Bm: BoundaryOperator,
                  controls: ControlSet, dt: float, reverse: bool = False) -> DPTables:
     """Precompute stages and stencils; reverse=True builds the tables of the
     time-reversed trajectories (stage L(x, +w), reflections entering). The
-    conjugate engine starts from the radius max(6, 2 v_max)."""
+    conjugate engine starts from the radius max(6, 2 v_max). The selection
+    is evaluated at the boundary nodes and in one `_land_and_cost` of all
+    free and boundary landing points."""
     if dt <= 0:
         raise NumericalError("dt must be positive")
     if dt * controls.v_max > 2.0 * grid.h + 1e-12:
@@ -191,16 +193,10 @@ def build_tables(grid: Grid, H: Hamiltonian, Bm: BoundaryOperator,
     XI = np.repeat(sgn * W, N, axis=0)
     L = lagrangian_batch(H, X, XI, radius=radius).reshape(Cv, N)
 
-    pts = (grid.nodes[None, :, :] + dt * W[:, None, :]).reshape(-1, grid.dim)
-    pts, corr = _land_and_cost(grid, sel, pts, dt)
-    free_op = _interp_weights(grid, pts)
-    free_stage = dt * L + corr.reshape(Cv, N)
-    free_stage[L >= STAGE_CAP] = np.inf
-
     rows = grid.boundary_idx
     xb, lad = grid.nodes[rows], controls.intensities
-    gam_b = np.asarray(sel.gamma(xb), dtype=float)
-    refl = lad[:, None] * gam_b[:, None, :]                            # (Nb, m, dim)
+    gam_b, g_b = sel.at(xb)
+    refl = lad[:, None] * np.asarray(gam_b, dtype=float)[:, None, :]  # (Nb, m, dim)
 
     # boundary controls, per intensity l: every (w, l) pair, landing at
     # x + dt*(w - l*gamma) (reversed paths flip the reflection term only),
@@ -213,11 +209,15 @@ def build_tables(grid: Grid, H: Hamiltonian, Bm: BoundaryOperator,
     bnd_pts = xb[:, None, None, :] + dt * drift                        # (Nb, m, Cv+1, dim)
     run = np.concatenate([np.broadcast_to(L[:, rows].T[:, None, :], Lp.shape[:2] + (Cv,)),
                           Lp], axis=2)
-    bnd_stage = dt * (run + lad[:, None] * sel.g(xb)[:, None, None])
+    bnd_stage = dt * (run + lad[:, None] * g_b[:, None, None])
     bnd_l = np.repeat(lad, Cv + 1)
-    flat, corr_b = _land_and_cost(grid, sel, bnd_pts.reshape(-1, grid.dim), dt)
-    bnd_op = _interp_weights(grid, flat)
-    bnd_stage = (bnd_stage + corr_b.reshape(bnd_stage.shape)).reshape(rows.size, -1)
+    pts = np.concatenate([(grid.nodes[None, :, :] + dt * W[:, None, :]).reshape(-1, grid.dim),
+                          bnd_pts.reshape(-1, grid.dim)])
+    pts, corr = _land_and_cost(grid, sel, pts, dt)
+    free_op, bnd_op = _interp_weights(grid, pts[:Cv * N]), _interp_weights(grid, pts[Cv * N:])
+    free_stage = dt * L + corr[:Cv * N].reshape(Cv, N)
+    free_stage[L >= STAGE_CAP] = np.inf
+    bnd_stage = (bnd_stage + corr[Cv * N:].reshape(bnd_stage.shape)).reshape(rows.size, -1)
     bnd_stage[~np.isfinite(bnd_stage)] = np.inf
 
     if np.any(~np.isfinite(free_stage).any(axis=0)):

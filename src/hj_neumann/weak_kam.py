@@ -81,8 +81,11 @@ def _distances(tables: DPTables, sources: np.ndarray, tol: float) -> np.ndarray:
     from big with d(y) = 0, until max (d - T d)/dt <= tol off the pins.
 
     The stay-put stages, the zero velocity's row of the control-major free
-    stages, must be nonnegative."""
+    stages, must be nonnegative. Every source must be a node id in [0, N)."""
     grid = tables.grid
+    if sources.size and not (0 <= sources.min() and sources.max() < grid.n_nodes):
+        raise NumericalError(f"source node ids must lie in [0, {grid.n_nodes}); "
+                             f"got {sources.min()} to {sources.max()}")
     # a negative stay-put stage means inf_p H(x, p) > 0 somewhere: the
     # eigenvalue is positive and the fixed point is -infinity
     c0 = int(np.argmin(np.linalg.norm(tables.controls.velocities, axis=-1)))

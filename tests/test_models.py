@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hj_neumann import geometry as G, models as M
-from hj_neumann.errors import NumericalError
+from hj_neumann.errors import NumericalError, RadiusError
 
 IV = G.interval(0.0, 1.0)
 XR = np.array([1.0])   # right endpoint, n = +1
@@ -122,6 +122,15 @@ def test_closed_forms_match_sampling():
             lip, ref = H.lip_p(r, X), Hs.lip_p(r, X)
             assert np.all(np.abs(lip - ref) <= 1e-10 * ref)
             assert np.all(lip >= exact(r))
+
+
+def test_lagrangian_without_growth_at_the_edge_raises():
+    # sup_p min(p, 4) + 1e-7 max(p - 4, 0): the argmax sits on the edge at
+    # radius 4 and, doubled to 8, gains 4e-7, within the noise of no growth
+    H = M.Hamiltonian("flat", lambda x, p: -np.minimum(p[..., 0], 4.0)
+                      - 1e-7 * np.maximum(p[..., 0] - 4.0, 0.0), 1, True)
+    with pytest.raises(RadiusError, match="at radius 8 without growth"):
+        M.lagrangian(H, np.array([0.5]), np.array([0.0]))
 
 
 # -- boundary conjugate -------------------------------------------------------
@@ -255,6 +264,26 @@ def test_selection_of_shifted_single_form_is_the_shifted_form():
         assert sel.tightness_gap(pts) <= 1e-12
         assert sel.g(pts[0]) == pytest.approx(M.oblique_selection(Bm).g(pts[0]) + 0.3,
                                               abs=1e-14)
+
+
+def test_batched_selection_matches_one_row_calls():
+    # sel.at is one moreau and one boundary_conjugate call over all points;
+    # each row must equal its one-row call, on the boundary nodes and on
+    # contact points of exterior points
+    disc = G.disc(0.0, 0.0, 1.0)
+    grid = G.build_grid(disc, 0.25)
+    Bm = M.max_affine(disc, [(1.0, 0.2), (2.0, 0.5)])
+    rng = np.random.default_rng(23)
+    ang, rad = rng.uniform(0, 2 * np.pi, 40), rng.uniform(1.0, 1.3, 40)
+    out = np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=-1)
+    pts = np.concatenate([grid.nodes[grid.boundary], G.project_to_closure(disc, out)])
+    sel = M.oblique_selection(Bm)
+    gam, g = sel.at(pts)
+    assert gam.shape == pts.shape and g.shape == pts.shape[:1]
+    for x, gk, vk in zip(pts, gam, g):
+        _, ref = M.moreau(Bm, x, np.zeros(2), 0.05)
+        np.testing.assert_allclose(gk, ref, rtol=0, atol=1e-12)
+        assert abs(vk - M.boundary_conjugate(Bm, x, ref)) <= 1e-12
 
 
 # -- Fenchel-Young sweeps -----------------------------------------------------

@@ -1,5 +1,7 @@
 """Monotone scheme: consistency, boundary roots, comparison and contraction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -133,6 +135,17 @@ def test_closed_form_root_matches_custom_bisection():
         np.testing.assert_allclose(rhs, ref, rtol=0, atol=1e-11)
 
 
+def test_closed_form_root_rejects_forms_that_miss_b():
+    # forms of the Neumann condition under a B shifted by 0.1: the one
+    # certifying B call of rhs catches the mismatch
+    Bn = M.neumann(DISC)
+    Bbad = dataclasses.replace(Bn, fn=lambda x, p: Bn.fn(x, p) + 0.1)
+    grid = G.build_grid(DISC, 0.25)
+    stp = P.Stepper(grid, M.quadratic(2), Bbad, "cn", grad_bound=1.0)
+    with pytest.raises(NumericalError, match="misses B = 0 by 0.1; the forms do not match B"):
+        stp.rhs(np.zeros(grid.n_nodes))
+
+
 def test_custom_root_beyond_the_bracket_expands_it():
     # B = a p.n - 1 declares theta = 1, so the first bracket is |B(x, 0)| + 1
     # = 2; the root 1/a lies beyond it up to 2 * 2^10
@@ -222,6 +235,15 @@ def test_evolve_t0_returns_initial():
     stf = P.evolve(u0, M.quadratic(1), M.neumann(IV), "cn", T=0.0)
     assert stf.times.tolist() == [0.0]
     np.testing.assert_array_equal(stf.values[0], u0.values)
+
+
+@pytest.mark.parametrize("record_every", [0.0, -0.1])
+def test_evolve_rejects_nonpositive_record_every(record_every):
+    # the record mark would never move past t
+    grid = G.build_grid(IV, 0.1)
+    u0 = P.field_from(grid, lambda x: np.sin(x[:, 0]))
+    with pytest.raises(NumericalError, match="record_every must be positive"):
+        P.evolve(u0, M.quadratic(1), M.neumann(IV), "cn", T=0.5, record_every=record_every)
 
 
 def test_evolve_eikonal_matches_hopf_lax():

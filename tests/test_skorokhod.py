@@ -117,6 +117,35 @@ def test_cost_track_envelope_inequality():
                 assert f[k] <= tr.l[k] * s * g0 + 1e-7
 
 
+def bouncing_path(Bm, sel):
+    """v = 3 cos(2t) from x = 0.5 on [0, 1]: pressed against both ends."""
+    return make(IV, Bm, [0.5], lambda t: np.array([3.0 * np.cos(2.0 * t)]), T=3.0, sel=sel)
+
+
+def test_cost_track_matches_per_step_reference(monkeypatch):
+    Bk = M.max_affine(IV, [(1.0, 0.2), (2.0, 0.5)])
+    tr = bouncing_path(Bk, M.oblique_selection(Bk, delta=0.02))
+    ed = tr.eta_dot()
+    ks = np.flatnonzero(tr.l > 1e-9 * (1.0 + np.linalg.norm(tr.v, axis=-1)))
+    assert ks.size > 100 and np.ptp(tr.eta[ks + 1, 0]) == pytest.approx(1.0)
+    ref = np.zeros_like(tr.l)
+    for k in ks:
+        ref[k] = tr.l[k] * M.boundary_conjugate(Bk, tr.eta[k + 1], (tr.v[k] - ed[k]) / tr.l[k])
+    calls = []
+    conj = S.boundary_conjugate
+    monkeypatch.setattr(S, "boundary_conjugate", lambda *a: calls.append(1) or conj(*a))
+    np.testing.assert_allclose(S.cost_track(tr, Bk), ref, rtol=0, atol=1e-12)
+    assert len(calls) == 1
+
+
+def test_integrate_evaluates_the_selection_once_per_contact_point():
+    Bk = M.max_affine(IV, [(1.0, 0.2), (2.0, 0.5)])
+    sel = M.oblique_selection(Bk, delta=0.02)
+    seen = []
+    tr = bouncing_path(Bk, M.ObliqueSelection(Bk, lambda x: seen.append(x) or sel.at(x)))
+    assert np.count_nonzero(tr.l) > 100 and len(seen) == 2
+
+
 def test_dt_refinement_first_order_on_disc():
     Bo = M.affine(DISC, gamma=lambda p: DISC.unit_normal(p)
                   + 0.3 * np.stack([-np.asarray(p, float)[..., 1],

@@ -187,6 +187,23 @@ def test_selection_solved_once_per_boundary_node(monkeypatch):
     assert 0 < len(calls) <= grid.boundary_idx.size
 
 
+def test_max_affine_disc_tables_evaluate_the_selection_twice(monkeypatch):
+    # once at the boundary nodes, once at the contact points of all landing
+    # points, free and boundary alike
+    calls = {"moreau": 0, "boundary_conjugate": 0}
+    for name in calls:
+        fn = getattr(M, name)
+        monkeypatch.setattr(M, name, lambda *a, fn=fn, name=name, **k:
+                            calls.__setitem__(name, calls[name] + 1) or fn(*a, **k))
+    disc = G.disc()
+    grid = G.build_grid(disc, 0.25)
+    H = M.quadratic(2, "0.3*cos(pi*x)*cos(pi*y)")
+    Bm = M.max_affine(disc, [(1.0, 0.2), (2.0, 0.5)])
+    ctl = V.build_control_set(H, Bm, grid, n_velocity=3)
+    V.build_tables(grid, H, Bm, ctl, grid.h / ctl.v_max)
+    assert calls == {"moreau": 2, "boundary_conjugate": 2}
+
+
 def _dbc_per_control(slices, tables):
     # the boundary recursion one control at a time: time interpolation
     # first, then the spatial stencil rows of that control

@@ -226,3 +226,15 @@ def test_sweep_divergence_flags_bad_normalization():
     Bm = M.neumann(IV)
     with pytest.raises(NormalizationError):
         W.distance_from(grid, H, Bm, grid.centroid_node())
+
+
+@pytest.mark.parametrize("call", ["from -1", "from N", "matrix -1"])
+def test_sources_outside_the_grid_rejected(call):
+    # a negative id would read node N-1's column, N would index past it
+    grid, H, Bm, ctrl = cosine_setup(0.1, nv=17)
+    N = grid.n_nodes
+    with pytest.raises(NumericalError, match=rf"source node ids must lie in \[0, {N}\)"):
+        if call == "matrix -1":
+            W.action_matrix(grid, H, Bm, controls=ctrl, sources=np.array([-1, 0]))
+        else:
+            W.distance_from(grid, H, Bm, -1 if call == "from -1" else N, controls=ctrl)

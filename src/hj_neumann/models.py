@@ -564,16 +564,25 @@ def oblique_selection(Bm: BoundaryOperator, delta: float = 0.05) -> ObliqueSelec
 
     A boundary with a single affine form (neumann, affine, and their shifts)
     returns that form, exact and tight at every p. Other boundaries
-    (max_affine, custom) make one Moreau and one conjugate call per batch.
+    (max_affine, custom) make one Moreau and one conjugate call per batch,
+    over its distinct points.
     """
     if Bm.forms is not None and len(Bm.forms) == 1:
         (gam, gfun), = Bm.forms
         return ObliqueSelection(Bm, lambda x: (gam(x), gfun(x)))
 
-    def at(x):
-        x = np.asarray(x, float)
+    def engine(x):
         _, gam = moreau(Bm, x, np.zeros(x.shape), delta)
         return gam, boundary_conjugate(Bm, x, gam)
+
+    def at(x):
+        x = np.asarray(x, float)
+        if x.ndim != 2:
+            return engine(x)
+        # the rows of a point array go to the engine once per distinct point
+        pts, back = np.unique(x, axis=0, return_inverse=True)
+        gam, g = engine(pts)
+        return gam[back], g[back]
 
     return ObliqueSelection(Bm, at)
 

@@ -9,14 +9,14 @@ dissipation along the normal. Under the dynamical condition the boundary
 carries its own explicit update with the inward reconstruction.
 
 A ``Stepper`` fixes its boundary data at build, down to the flat index of
-each inward slope. For a catalog B the root is then closed and certified by
-one call of B, kept because it is the only check that the forms match B;
-custom ones bisect (``_ghost_solve_many``). Each ``rhs`` makes one H call:
-under the Neumann condition the ghost gradients take the place of the
-boundary rows' mean slopes before it. sigma is closed-form for the radial
-catalog H and sampled for the rest. The CFL bound comes from the actual
-stencil gaps; it does not make the scheme monotone at curved boundaries
-(ROADMAP item 2).
+each inward slope. For a catalog B the root is then closed, and one call of
+B at build certifies that the forms match B on a fixed set of tangential
+probe slopes (``_certify_forms``); custom ones bisect (``_ghost_solve_many``).
+Each ``rhs`` makes one H call, and no B call for a catalog B under the
+Neumann condition: the ghost gradients take the place of the boundary rows'
+mean slopes before it. sigma is closed-form for the radial catalog H and
+sampled for the rest. The CFL bound comes from the actual stencil gaps; it
+does not make the scheme monotone at curved boundaries (ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -106,26 +106,43 @@ def _form_values(Bm: BoundaryOperator, X, N):
     return gam, np.stack([gf(X) for _, gf in Bm.forms]), slope
 
 
+def _form_root(forms, QT) -> np.ndarray:
+    """lambda = min_k (g_k - gamma_k . q_T) / (gamma_k . n) over the forms of
+    _form_values, the root along n since each form increases along it."""
+    gam, g, slope = forms
+    return ((g - (gam * QT).sum(axis=-1)) / slope).min(axis=0)
+
+
+def _certify_forms(Bm: BoundaryOperator, X, QTs, N, tol: float, forms):
+    """NumericalError unless the closed-form root for each q_T block of QTs
+    (rows as X) zeroes B to within tol times 1 + |q_T + lambda n|_inf.
+
+    One call of B covers every block; it is the only check that the forms
+    match B, so it sees only the q_T it is given.
+    """
+    ghost = np.concatenate([QT + _form_root(forms, QT)[:, None] * N for QT in QTs])
+    res = np.abs(Bm(np.tile(X, (len(QTs), 1)), ghost))
+    if not (res <= tol * (1.0 + np.abs(ghost).max(axis=-1))).all():
+        raise NumericalError(
+            f"closed-form boundary root misses B = 0 by {res.max():.3g}; "
+            "the forms do not match B")
+
+
 def _ghost_solve_many(Bm: BoundaryOperator, X, QT, N, tol: float,
                       forms: tuple | None = None) -> np.ndarray:
     """Roots lambda of B(x, q_T + lambda n) = 0 for the rows of (X, QT, N).
 
-    With forms, lambda = min_k (g_k - gamma_k . q_T) / (gamma_k . n), since
-    each form increases along n; one call of B certifies it to within tol
-    times 1 + |q_T + lambda n|_inf; forms defaults to _form_values(Bm, X, N).
-    Custom models bisect from the bracket |B(x, q_T)| / theta + 1, expanded
-    geometrically at most 10 times.
+    With forms, lambda is _form_root. Given forms (a Stepper's) were
+    certified where they were built, so no B call is made; without them
+    _form_values(Bm, X, N) is computed here and its roots at QT certified
+    by one call of B. Custom models bisect from the bracket |B(x, q_T)| /
+    theta + 1, expanded geometrically at most 10 times.
     """
     if Bm.forms is not None:
-        gam, g, slope = _form_values(Bm, X, N) if forms is None else forms
-        lam = ((g - (gam * QT).sum(axis=-1)) / slope).min(axis=0)
-        ghost = QT + lam[:, None] * N
-        res = np.abs(Bm(X, ghost))
-        if not (res <= tol * (1.0 + np.abs(ghost).max(axis=-1))).all():
-            raise NumericalError(
-                f"closed-form boundary root misses B = 0 by {res.max():.3g}; "
-                "the forms do not match B")
-        return lam
+        if forms is None:
+            forms = _form_values(Bm, X, N)
+            _certify_forms(Bm, X, [QT], N, tol, forms)
+        return _form_root(forms, QT)
 
     def bval(lam):
         return np.asarray(Bm(X, QT + lam[:, None] * N), dtype=float)
@@ -165,7 +182,9 @@ class Stepper:
     boundary); self.kind holds the scheme's "cn" or "dbc". The inward
     reconstruction and, for a catalog B under "cn", gamma_k, g_k and
     gamma_k . n at the boundary nodes are fixed at build (ObliquenessError
-    there if some gamma_k . n <= 0); ``refresh`` resets sigma and dt_max.
+    there if some gamma_k . n <= 0) and certified against B by one call
+    (NumericalError if they do not match); ``refresh`` resets sigma and
+    dt_max and calls no B.
     """
 
     def __init__(self, grid: Grid, H: Hamiltonian, Bm: BoundaryOperator,
@@ -191,8 +210,6 @@ class Stepper:
         self._pattern = None
 
         self.tol = min(1e-12, Bm.theta * grid.h ** 2)
-        self.forms = (_form_values(Bm, self.xb, self.bn)
-                      if self.kind == "cn" and Bm.forms is not None else None)
 
         # the dissipation radius is anchored at p = 0 so that every solver
         # (marching, discounted sweeps, slope estimator) shares one discrete
@@ -201,6 +218,16 @@ class Stepper:
         level = 2.0 * float(np.abs(H(grid.nodes, np.zeros(grid.dim))).max()) + 2.0
         self.base_radius = H.coercivity_radius(level, grid.nodes) + 1.0
         self.refresh(grad_bound)
+
+        self.forms = None
+        if self.kind == "cn" and Bm.forms is not None:
+            self.forms = _form_values(Bm, self.xb, self.bn)
+            # q_T = 0 and +-r (e_i - (e_i . n) n), r the dissipation radius:
+            # opposite tangential slopes turn the root onto different pieces
+            # of a max of forms
+            tang = np.eye(grid.dim)[:, None, :] - self.bn.T[:, :, None] * self.bn
+            probes = [np.zeros_like(self.bn), *(self.radius * tang), *(-self.radius * tang)]
+            _certify_forms(Bm, self.xb, probes, self.bn, self.tol, self.forms)
 
     def refresh(self, grad_bound: float):
         """Set sigma and the CFL bound dt_max for slopes up to grad_bound."""
@@ -233,8 +260,8 @@ class Stepper:
         slopes reached. A boundary row reads its inward gradient q off the
         same slopes by one gather. Under "cn" its ghost gradient takes the
         place of the mean slope, so one H call over all nodes serves both
-        kinds of row; the closed-form root keeps its one certifying B call,
-        which is what catches forms that do not match B.
+        kinds of row. Its closed-form root calls no B: the forms were
+        certified against B at build.
         """
         grid = self.grid
         pW, pE = one_sided(grid, u) if slopes is None else slopes

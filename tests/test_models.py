@@ -286,6 +286,25 @@ def test_batched_selection_matches_one_row_calls():
         assert abs(vk - M.boundary_conjugate(Bm, x, ref)) <= 1e-12
 
 
+def test_selection_rows_with_repeats_match_row_calls(monkeypatch):
+    # repeated rows reach the engine once; each row equals its one-row call
+    # bit for bit, also rows that differ from another by roundoff only
+    disc = G.disc(0.0, 0.0, 1.0)
+    nodes = G.build_grid(disc, 0.5).nodes[:3]
+    for geom, pts in (
+            (G.interval(0.0, 1.0), np.array([[0.0], [1.0], [0.0], [1e-17], [1.0], [0.0]])),
+            (disc, np.concatenate([nodes, nodes[::-1], nodes[:1] + 1e-16]))):
+        sel = M.oblique_selection(M.max_affine(geom, [(1.0, 0.2), (2.0, 0.5)]))
+        rows, moreau = [], M.moreau
+        monkeypatch.setattr(M, "moreau", lambda Bm, x, *a: rows.append(len(x)) or moreau(Bm, x, *a))
+        gam, g = sel.at(pts)
+        monkeypatch.undo()
+        assert rows == [len(np.unique(pts, axis=0))] and rows[0] < len(pts)
+        for x, gk, vk in zip(pts, gam, g):
+            gr, vr = sel.at(x)
+            assert gk.tobytes() == gr.tobytes() and vk.tobytes() == np.float64(vr).tobytes()
+
+
 # -- Fenchel-Young sweeps -----------------------------------------------------
 
 def test_fenchel_young_sampled():

@@ -137,13 +137,29 @@ def test_closed_form_root_matches_custom_bisection():
 
 def test_closed_form_root_rejects_forms_that_miss_b():
     # forms of the Neumann condition under a B shifted by 0.1: the one
-    # certifying B call of rhs catches the mismatch
+    # certifying B call of the Stepper build catches the mismatch
     Bn = M.neumann(DISC)
     Bbad = dataclasses.replace(Bn, fn=lambda x, p: Bn.fn(x, p) + 0.1)
     grid = G.build_grid(DISC, 0.25)
-    stp = P.Stepper(grid, M.quadratic(2), Bbad, "cn", grad_bound=1.0)
     with pytest.raises(NumericalError, match="misses B = 0 by 0.1; the forms do not match B"):
-        stp.rhs(np.zeros(grid.n_nodes))
+        P.Stepper(grid, M.quadratic(2), Bbad, "cn", grad_bound=1.0)
+
+
+def test_certification_probes_tangential_slopes():
+    # B = p.n + 0.1 p.t has the Neumann root along n at q_T = 0, so only
+    # the +-r t probes of the build see that the forms miss it
+    Bn = M.neumann(DISC)
+
+    def fn(x, p):
+        n = DISC.unit_normal(x)
+        return Bn.fn(x, p) + 0.1 * (p * np.stack([-n[..., 1], n[..., 0]], axis=-1)).sum(-1)
+
+    Bbad = dataclasses.replace(Bn, fn=fn)
+    grid = G.build_grid(DISC, 0.25)
+    xb, nb = grid.nodes[grid.boundary], grid.normals[grid.boundary]
+    assert np.abs(P._ghost_solve_many(Bbad, xb, np.zeros_like(xb), nb, 1e-12)).max() == 0.0
+    with pytest.raises(NumericalError, match="the forms do not match B"):
+        P.Stepper(grid, M.quadratic(2), Bbad, "cn", grad_bound=1.0)
 
 
 def test_custom_root_beyond_the_bracket_expands_it():
@@ -163,14 +179,17 @@ def test_custom_root_beyond_the_bracket_expands_it():
 
 
 def test_rhs_calls_catalog_boundary_once(monkeypatch):
-    # the closed-form root costs one call of B, its residual check; a
-    # return of the bisection would show here as dozens
+    # the closed-form root is certified by one call of B at build and
+    # costs rhs none; a return of the bisection would show here as dozens
     for grid, H, Bm, u in catalog_boundaries():
-        stp = P.Stepper(grid, H, Bm, "cn", grad_bound=2.0)
         calls = []
         call = M.BoundaryOperator.__call__
         monkeypatch.setattr(M.BoundaryOperator, "__call__",
                             lambda self, x, p: calls.append(1) or call(self, x, p))
+        stp = P.Stepper(grid, H, Bm, "cn", grad_bound=2.0)
+        assert len(calls) == 1
+        stp.rhs(u)
+        stp.refresh(4.0)
         stp.rhs(u)
         monkeypatch.undo()
         assert len(calls) == 1
@@ -674,7 +693,9 @@ def test_rhs_calls_each_model_once(monkeypatch, kind):
         monkeypatch.setattr(M.BoundaryOperator, "__call__", count("B", b_call))
         stp.rhs(u)
         monkeypatch.undo()
-        assert calls == {"H": 1, "B": 1}
+        # under "cn" the forms were certified against B at build; a "dbc"
+        # boundary row is a B call
+        assert calls == {"H": 1, "B": 0 if kind == "cn" else 1}
 
 
 def test_jacobian_pattern_fixed_per_stepper(monkeypatch):

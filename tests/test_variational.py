@@ -333,10 +333,11 @@ def _land_and_cost_ref(grid, sel, pts, dt):
     out = pts.copy()
     for m in np.flatnonzero(rho > 1e-12):
         hat = _project_ref(geom, pts[m])
-        gam = np.asarray(sel.gamma(hat), dtype=float)
+        gam, g = sel.at(hat)
+        gam = np.asarray(gam, dtype=float)
         lc = _pullback_ref(geom, pts[m], gam, dt)
         out[m] = pts[m] - dt * lc * gam
-        cost[m] = dt * lc * float(sel.g(hat))
+        cost[m] = dt * lc * float(g)
     return out, cost
 
 

@@ -4,17 +4,21 @@ Evaluators are vectorized: ``H(x, p)`` and ``B(x, p)`` take point arrays of
 shape (..., dim) and momentum arrays broadcastable against them, returning
 value arrays of shape (...).
 
-Both convex conjugates, the running cost L = H* of the control
-representation and the reflection cost G = B*, come from one engine over
-paired rows (x, xi): a dense lattice argmax per row, with plateaus broken
-toward the lattice center, then a vectorized axiswise polish that returns
-the value and the maximizer. Models are never differentiated analytically,
-so nonsmooth and nonconvex ones are handled uniformly. ``lagrangian`` is a
-one-row call and ``lagrangian_batch`` and ``effective_velocity_bound``
-batch calls; ``boundary_conjugate`` and ``moreau``, the conjugate of
-B(x, .) + |.|^2 / (2 delta), take paired rows of shape (..., dim) like H
-and B, in one engine call, and return scalars for one row. Every caller
-gets one certification rule:
+The convex conjugates, the running cost L = H* of the control
+representation and the reflection cost G = B*, are closed forms where the
+catalog model has one: ``quadratic`` and ``eikonal`` carry L, and a
+catalog boundary B = max_k (gamma_k . p - g_k) gives G and the Moreau
+envelope exactly, as small problems over the simplex of its K forms
+(``_simplex``). The rest, nonconvex or ``custom`` models, go to one engine
+over paired rows (x, xi): a dense lattice argmax per row, with plateaus
+broken toward the lattice center, then a vectorized axiswise polish that
+returns the value and the maximizer. The engine never differentiates a
+model, so nonsmooth and nonconvex ones are handled uniformly.
+``lagrangian`` is a one-row call and ``lagrangian_batch`` and
+``effective_velocity_bound`` batch calls; ``boundary_conjugate`` and
+``moreau``, the conjugate of B(x, .) + |.|^2 / (2 delta), take paired rows
+of shape (..., dim) like H and B, in one call, and return scalars for one
+row. Every engine caller gets one certification rule:
 
 - a row whose argmax touches the lattice edge doubles its radius, at most
   7 times;
@@ -26,6 +30,7 @@ gets one certification rule:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import combinations
 from typing import Callable
 
 import numpy as np
@@ -35,6 +40,10 @@ from .expressions import scalar_field
 from .geometry import DomainGeometry, build_grid
 
 CAP = 1.0e9
+
+# a simplex weight >= -HULL_TOL counts as feasible, and xi counts as in
+# conv{gamma_k} when a face reaches it to HULL_TOL (1 + |xi|_inf)
+HULL_TOL = 1e-12
 
 # boundary samples per domain diameter, for obliqueness and M_B estimates
 BOUNDARY_SAMPLES = 48
@@ -428,6 +437,65 @@ def _golden(f, half, xtol):
     return np.where(left, a, b), np.where(left, fa, fb)
 
 
+def _forms_at(Bm: BoundaryOperator, X):
+    """gamma (m, K, d) and g (m, K): the K forms of a catalog boundary at the
+    rows X (m, d)."""
+    gam = np.stack([np.broadcast_to(gm(X), X.shape) for gm, _ in Bm.forms], axis=1)
+    g = np.stack([np.broadcast_to(gf(X), X.shape[:-1]) for _, gf in Bm.forms], axis=1)
+    return gam, g
+
+
+def _simplex(gam, g, p, delta=None):
+    """Closed forms of a catalog boundary B = max_k (gamma_k . p - g_k) per
+    row of gam (m, K, d), g (m, K) and p (m, d), over lambda in the simplex
+    with v = sum_k lambda_k gamma_k. Returns (value, v).
+
+    - delta None: G = B* at xi = p, the LP min sum_k lambda_k g_k subject to
+      v = p; +inf where no face reaches p (p off conv{gamma_k}).
+    - delta > 0: the Moreau envelope of B at p, the dual max of
+      sum_k lambda_k (gamma_k . p - g_k) - (delta/2)|v|^2 (Moreau 1965); v
+      is its gradient.
+
+    An optimum sits on a face of at most d + 1 forms with affinely
+    independent gamma's (Caratheodory): a face of affinely dependent ones is
+    skipped, since a smaller face attains the same optimum. On a face
+    gamma_0, ..., gamma_s, with D the rows gamma_j - gamma_0 and v = gamma_0
+    + mu . D, both problems are one linear system, (D D^T) mu = D (y -
+    gamma_0) - c (g_j - g_0), with (y, c) = (p, 0) for the LP, the
+    barycentric coordinates, and (p / delta, 1 / delta) for the envelope,
+    its stationarity. Each face is solved for all rows at once; the best
+    face with lambda >= 0, and v = p for the LP, wins.
+    """
+    m, K, d = gam.shape
+    lp = delta is None
+    y, c = (p, 0.0) if lp else (p / delta, 1.0 / delta)
+    best, arg = np.full(m, np.inf), np.zeros((m, d))
+    for size in range(1, min(K, d + 1) + 1):
+        for face in combinations(range(K), size):
+            k0, rest = face[0], list(face[1:])
+            D = gam[:, rest] - gam[:, k0, None]
+            mu, ok = np.zeros((m, 0)), np.ones(m, bool)
+            if rest:
+                gram = (D[:, :, None] * D[:, None]).sum(axis=-1)
+                # affinely dependent: det(D D^T) = 0, relative to the edges
+                ok = np.linalg.det(gram) > 1e-12 * np.prod(
+                    np.diagonal(gram, axis1=1, axis2=2), axis=-1)
+                rhs = (D * (y - gam[:, k0])[:, None]).sum(axis=-1) - c * (g[:, rest] - g[:, k0, None])
+                mu = np.linalg.solve(np.where(ok[:, None, None], gram, np.eye(len(rest))),
+                                     rhs[..., None])[..., 0]
+            lf = np.concatenate([1.0 - mu.sum(axis=-1, keepdims=True), mu], axis=-1)
+            v = gam[:, k0] + (mu[..., None] * D).sum(axis=1)
+            ok &= (lf >= -HULL_TOL).all(axis=-1)
+            score = (lf * g[:, face]).sum(axis=-1)
+            if lp:
+                ok &= np.abs(v - p).max(axis=-1) <= HULL_TOL * (1.0 + np.abs(p).max(axis=-1))
+            else:
+                score += 0.5 * delta * (v * v).sum(axis=-1) - (v * p).sum(axis=-1)
+            win = np.flatnonzero(ok & (score < best))
+            best[win], arg[win] = score[win], v[win]
+    return (best if lp else -best), arg
+
+
 def lagrangian(H: Hamiltonian, x: np.ndarray, xi: np.ndarray) -> float:
     """Running cost L(x, xi) = sup_p (xi . p - H(x, p)).
 
@@ -441,11 +509,20 @@ def lagrangian(H: Hamiltonian, x: np.ndarray, xi: np.ndarray) -> float:
 
 def boundary_conjugate(Bm: BoundaryOperator, x: np.ndarray, xi: np.ndarray):
     """Reflection cost G(x, xi) = sup_p (xi . p - B(x, p)) over paired rows
-    (..., dim), a float for one row; CAP outside dom G. The first lattice has
-    radius 4 (1 + M_B)."""
+    (..., dim), a float for one row; CAP outside dom G.
+
+    A catalog boundary takes the closed form G(x, xi) = min sum_k lambda_k
+    g_k(x) over lambda in the simplex with sum_k lambda_k gamma_k(x) = xi,
+    and CAP where xi is off conv{gamma_k(x)} by more than HULL_TOL
+    (``_simplex``). A custom one goes to the engine, whose first lattice has
+    radius 4 (1 + M_B).
+    """
     X, XI = np.broadcast_arrays(np.asarray(x, float), np.asarray(xi, float))
-    val, _ = _conjugate(Bm, X.reshape(-1, Bm.dim), XI.reshape(-1, Bm.dim),
-                        4.0 * (1.0 + Bm.lip))
+    rows, XIr = X.reshape(-1, Bm.dim), XI.reshape(-1, Bm.dim)
+    if Bm.forms is not None:
+        val = np.minimum(_simplex(*_forms_at(Bm, rows), XIr)[0], CAP)
+    else:
+        val, _ = _conjugate(Bm, rows, XIr, 4.0 * (1.0 + Bm.lip))
     return val.reshape(X.shape[:-1])[()]
 
 
@@ -500,16 +577,22 @@ def moreau(Bm: BoundaryOperator, x: np.ndarray, p: np.ndarray, delta: float):
     """Moreau envelope of B(x, .) at p: (value, gradient) over paired rows
     (..., dim) of x and p, with a float value for one row.
 
-    value = min_q B(x, q) + |p - q|^2 / (2 delta) = |p|^2 / (2 delta)
-    - f*(p / delta) with f = B(x, .) + |.|^2 / (2 delta); the gradient is
-    (p - q*) / delta, q* the maximizer of the conjugate, and has norm at
-    most M_B. The first lattice covers the balls |q - p| <= 1.5 delta M_B
-    that must contain q*.
+    value = min_q B(x, q) + |p - q|^2 / (2 delta); the gradient (p - q*) /
+    delta, q* the minimizer, has norm at most M_B. A catalog boundary takes
+    the closed form of ``_simplex``: value = max over lambda in the simplex
+    of sum_k lambda_k (gamma_k . p - g_k) - (delta/2)|v|^2, v = sum_k
+    lambda_k gamma_k, and the gradient is the optimal v, in conv{gamma_k}.
+    A custom one goes to the engine, as |p|^2 / (2 delta) - f*(p / delta)
+    with f = B(x, .) + |.|^2 / (2 delta), whose maximizer is q*; its first
+    lattice covers the balls |q - p| <= 1.5 delta M_B that must contain q*.
     """
     if delta <= 0:
         raise NumericalError("moreau needs delta > 0")
     x, p = np.broadcast_arrays(np.asarray(x, float), np.asarray(p, float))
     X, P = x.reshape(-1, Bm.dim), p.reshape(-1, Bm.dim)
+    if Bm.forms is not None:
+        value, grad = _simplex(*_forms_at(Bm, X), P, delta)
+        return value.reshape(p.shape[:-1])[()], grad.reshape(p.shape)
 
     def f(X, Q):
         return Bm(X, Q) + np.sum(Q ** 2, axis=-1) / (2 * delta)
@@ -531,7 +614,8 @@ class ObliqueSelection:
     calls. For a single affine form, B(x, p) = gamma(x) . p - g(x), (gamma,
     g) is the form itself. Otherwise gamma is the Moreau gradient at p = 0,
     with the delta of oblique_selection, and g the boundary conjugate
-    G(x, gamma(x)), the smallest admissible offset.
+    G(x, gamma(x)), the smallest admissible offset: both in closed form for
+    max_affine, from the conjugate engine for custom boundaries.
     """
 
     Bm: BoundaryOperator
@@ -563,9 +647,10 @@ def oblique_selection(Bm: BoundaryOperator, delta: float = 0.05) -> ObliqueSelec
     """Continuous (gamma, g) in the admissible reflection set, near-tight at p = 0.
 
     A boundary with a single affine form (neumann, affine, and their shifts)
-    returns that form, exact and tight at every p. Other boundaries
-    (max_affine, custom) make one Moreau and one conjugate call per batch,
-    over its distinct points.
+    returns that form, exact and tight at every p. Other boundaries make one
+    moreau and one boundary_conjugate call per batch, over its distinct
+    points: closed forms over the simplex of the forms for max_affine, the
+    conjugate engine for custom.
     """
     if Bm.forms is not None and len(Bm.forms) == 1:
         (gam, gfun), = Bm.forms

@@ -18,7 +18,9 @@ one evaluation of the selection and one pull-back (both are the
 geometry's Newton iteration onto the boundary), the
 stencils are read off the grid's dense lattice index one axis at a time,
 and the stage costs come from the Hamiltonian's closed-form conjugate
-where it has one (``quadratic``), else from the conjugate engine. The
+where it has one (``quadratic``, ``eikonal``), else from the conjugate
+engine. The selection (gamma, g) and its cost are closed forms for every
+catalog boundary; only a custom boundary sends them to the engine. The
 free tables are control-major (all nodes of one velocity, then the next),
 so the min of a DP step over the free controls runs over the leading,
 contiguous axis; the boundary tables, with few nodes and many controls,
@@ -172,10 +174,11 @@ def _stage_plus(stage: np.ndarray, land: np.ndarray) -> np.ndarray:
 def build_tables(grid: Grid, H: Hamiltonian, Bm: BoundaryOperator,
                  controls: ControlSet, dt: float, reverse: bool = False) -> DPTables:
     """Precompute stages and stencils; reverse=True builds the tables of the
-    time-reversed trajectories (stage L(x, +w), reflections entering). The
-    conjugate engine starts from the radius max(6, 2 v_max). The selection
-    is evaluated at the boundary nodes and in one `_land_and_cost` of all
-    free and boundary landing points."""
+    time-reversed trajectories (stage L(x, +w), reflections entering). A
+    stage cost without a closed form comes from the conjugate engine, from
+    the radius max(6, 2 v_max). The selection is evaluated at the boundary
+    nodes and in one `_land_and_cost` of all free and boundary landing
+    points."""
     if dt <= 0:
         raise NumericalError("dt must be positive")
     if dt * controls.v_max > 2.0 * grid.h + 1e-12:

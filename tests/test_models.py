@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hj_neumann import geometry as G, models as M
 from hj_neumann.errors import NumericalError, RadiusError
@@ -196,6 +197,187 @@ def test_moreau_kink_matches_dense_grid():
 def test_moreau_rejects_bad_delta():
     with pytest.raises(NumericalError):
         M.moreau(M.neumann(IV), XR, np.zeros(1), 0.0)
+
+
+# -- closed forms of catalog boundaries ---------------------------------------
+
+DISC = G.disc(0.0, 0.0, 1.0)
+
+
+def tangent(pts):
+    n = DISC.unit_normal(pts)
+    return np.stack([-n[..., 1], n[..., 0]], axis=-1)
+
+
+# two collinear forms, and a third tilted one that makes conv{gamma_k} a triangle
+COLLINEAR = M.max_affine(DISC, [(1.0, 0.2), (2.0, 0.5)])
+TILTED = M.max_affine(DISC, [(1.0, 0.2), (2.0, 0.5),
+                             (lambda x: DISC.unit_normal(x) + 0.3 * tangent(x), 0.1)])
+
+
+def form_arrays(Bm, x):
+    gam = np.stack([gm(x[None])[0] for gm, _ in Bm.forms])
+    return gam, np.array([gf(x[None])[0] for _, gf in Bm.forms])
+
+
+def lp_conjugate(Bm, x, xi):
+    """G(x, xi) as the LP min g . lambda over lambda >= 0, sum lambda = 1,
+    gamma^T lambda = xi, by HiGHS; None when the LP is infeasible."""
+    from scipy.optimize import linprog
+    gam, g = form_arrays(Bm, x)
+    res = linprog(g, A_eq=np.vstack([np.ones(len(g)), gam.T]), b_eq=np.r_[1.0, xi],
+                  bounds=(0, None), method="highs")
+    assert res.status in (0, 2)
+    return res.fun if res.status == 0 else None
+
+
+def test_boundary_conjugate_matches_lp_on_the_disc():
+    # in the hull: G equals the LP optimum; off it: CAP, where the LP is
+    # infeasible. The first off-hull point is finite (1.37) on the engine.
+    x = np.array([0.6, 0.8])
+    n, t = DISC.unit_normal(x), tangent(x)
+    assert lp_conjugate(COLLINEAR, x, 1.5 * n + 0.036 * t) is None
+    assert M.boundary_conjugate(COLLINEAR, x, 1.5 * n + 0.036 * t) == M.CAP
+    grid = G.build_grid(DISC, 0.25)
+    xb = grid.nodes[grid.boundary]
+    rng = np.random.default_rng(29)
+    for Bm in (COLLINEAR, TILTED):
+        inside, outside = [], []
+        for x in xb:
+            gam, _ = form_arrays(Bm, x)
+            inside.append(rng.dirichlet(np.ones(len(gam))) @ gam)
+            outside.append(gam[rng.integers(len(gam))] + 0.05 * (DISC.unit_normal(x) + tangent(x)))
+        G_in = M.boundary_conjugate(Bm, xb, np.array(inside))
+        G_out = M.boundary_conjugate(Bm, xb, np.array(outside))
+        for x, xi, val in zip(xb, inside, G_in):
+            assert abs(val - lp_conjugate(Bm, x, xi)) <= 1e-12
+        for x, xi, val in zip(xb, outside, G_out):
+            ref = lp_conjugate(Bm, x, xi)
+            assert val == M.CAP if ref is None else abs(val - ref) <= 1e-12
+        assert np.any(G_out == M.CAP)
+
+
+def primal_moreau(Bm, x, p, delta):
+    """min_q B(x, q) + |p - q|^2 / (2 delta) by SLSQP on the epigraph
+    (q, s), s >= gamma_k . q - g_k, evaluated at the minimizer q found."""
+    from scipy.optimize import minimize
+    gam, g = form_arrays(Bm, x)
+    d = len(p)
+    cons = {"type": "ineq", "fun": lambda z: z[d] - gam @ z[:d] + g,
+            "jac": lambda z: np.hstack([-gam, np.ones((len(g), 1))])}
+    res = minimize(lambda z: z[d] + np.sum((z[:d] - p) ** 2) / (2 * delta),
+                   np.r_[p, float(Bm(x, p))], jac=lambda z: np.r_[(z[:d] - p) / delta, 1.0],
+                   constraints=[cons], method="SLSQP", options={"ftol": 1e-16, "maxiter": 500})
+    q = res.x[:d]
+    return float(Bm(x, q)) + np.sum((q - p) ** 2) / (2 * delta), q
+
+
+def test_moreau_matches_primal_minimum_on_the_disc():
+    grid = G.build_grid(DISC, 0.25)
+    xb = grid.nodes[grid.boundary]
+    rng = np.random.default_rng(31)
+    for Bm in (COLLINEAR, TILTED):
+        for delta in (0.05, 0.25):
+            P = rng.uniform(-2, 2, xb.shape)
+            val, grad = M.moreau(Bm, xb, P, delta)
+            for x, p, v, gr in zip(xb, P, val, grad):
+                ref, q = primal_moreau(Bm, x, p, delta)
+                assert abs(v - ref) <= 1e-12
+                np.testing.assert_allclose(gr, (p - q) / delta, rtol=0, atol=1e-6)
+
+
+def test_three_form_disc_selection_is_tight_and_admissible():
+    grid = G.build_grid(DISC, 0.25)
+    xb = grid.nodes[grid.boundary]
+    sel = M.oblique_selection(TILTED)
+    assert sel.membership_gap(xb) <= 1e-12
+    assert sel.tightness_gap(xb) <= 1e-12
+
+
+def test_catalog_conjugates_never_reach_the_engine(monkeypatch):
+    def engine(*args):
+        raise AssertionError("catalog boundary sent to the conjugate engine")
+
+    monkeypatch.setattr(M, "_conjugate", engine)
+    grid = G.build_grid(DISC, 0.25)
+    xb = grid.nodes[grid.boundary]
+    for Bm, pts in ((M.max_affine(IV, [(1.0, 1.0), (2.0, 3.0)]), np.stack([XL, XR])),
+                    (COLLINEAR, xb), (TILTED, xb), (M.neumann(DISC), xb)):
+        gam, _ = M.oblique_selection(Bm).at(pts)
+        M.moreau(Bm, pts, np.ones(pts.shape), 0.1)
+        assert np.all(M.boundary_conjugate(Bm, pts, gam) < M.CAP)
+
+
+def test_hull_membership_tolerance():
+    # xi = gamma_k + 1e-13 is in dom G; off the hull by 1e-6 it is not
+    Bk = M.max_affine(IV, [(1.0, 1.0), (2.0, 3.0)])
+    assert M.boundary_conjugate(Bk, XR, np.array([2.0 + 1e-13])) == pytest.approx(3.0, abs=1e-12)
+    assert M.boundary_conjugate(Bk, XR, np.array([1.0 - 1e-13])) == pytest.approx(1.0, abs=1e-12)
+    assert M.boundary_conjugate(Bk, XR, np.array([2.0 + 1e-6])) == M.CAP
+    assert M.boundary_conjugate(Bk, XR, np.array([1.0 - 1e-6])) == M.CAP
+    x = np.array([0.6, 0.8])
+    apex = DISC.unit_normal(x) + 0.3 * tangent(x)
+    assert M.boundary_conjugate(TILTED, x, apex + 1e-13 * tangent(x)) == pytest.approx(0.1, abs=1e-12)
+    assert M.boundary_conjugate(TILTED, x, apex + 1e-6 * tangent(x)) == M.CAP
+
+
+def in_triangle(v, gam):
+    """Barycentric coordinates of v in the triangle gam (3, 2)."""
+    return np.linalg.solve(np.vstack([np.ones(3), gam.T]), np.r_[1.0, v])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.0, 2 * np.pi), st.lists(st.floats(-4.0, 4.0), min_size=2, max_size=2),
+       st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3).filter(lambda w: w[0] + w[1] > 1e-3),
+       st.sampled_from([0.02, 0.05, 0.25, 1.0]))
+def test_closed_forms_fenchel_young_and_hull(ang, p, w, delta):
+    # xi . p <= B(x, p) + G(x, xi) for xi in the hull, and the Moreau
+    # gradient lies in conv{gamma_k}
+    x = np.array([np.cos(ang), np.sin(ang)])
+    p = np.array(p)
+    for Bm in (COLLINEAR, TILTED):
+        gam, _ = form_arrays(Bm, x)
+        lam = np.array(w[:len(gam)]) / sum(w[:len(gam)])
+        xi = lam @ gam
+        Gv = M.boundary_conjugate(Bm, x, xi)
+        assert Gv < M.CAP
+        assert float(xi @ p) <= float(Bm(x, p)) + Gv + 1e-12 * (1 + np.abs(p).sum())
+        _, grad = M.moreau(Bm, x, p, delta)
+        if len(gam) == 3:
+            assert in_triangle(grad, gam).min() >= -1e-12
+        else:
+            s = float(grad @ gam[0])
+            assert 1.0 - 1e-12 <= s <= 2.0 + 1e-12
+            np.testing.assert_allclose(grad, s * gam[0], rtol=0, atol=1e-12)
+
+
+# -- the engine on custom boundaries ------------------------------------------
+
+def test_engine_on_custom_boundary_matches_brute_force_and_closed_form():
+    # the kink and brute-force checks above, through the engine, which only
+    # custom boundaries reach; engine and closed form agree to 1e-9 in value,
+    # and in gradient to the engine's maximizer error (8.8e-9 at p = -1.3)
+    Bk = M.max_affine(IV, [(1.0, 1.0), (2.0, 3.0)])
+    Bc = M.custom_boundary(IV, Bk.fn, Bk.theta, Bk.lip)
+    for t in (0.25, 0.5, 0.75):
+        xi = np.array([t * 1.0 + (1 - t) * 2.0])
+        oracle = dense_sup(lambda p: xi[0] * p[:, 0] - Bk(XR, p), -6, 10)
+        engine = M.boundary_conjugate(Bc, XR, xi)
+        assert engine == pytest.approx(oracle, abs=1e-6)
+        assert abs(engine - M.boundary_conjugate(Bk, XR, xi)) <= 1e-9
+    assert M.boundary_conjugate(Bc, XR, np.array([2.5])) == M.CAP
+    p0, delta = np.array([2.0]), 0.1
+    q = np.arange(-1, 5, 1e-5)[:, None]
+    oracle = float(np.min(Bk(XR, q) + np.sum((q - p0) ** 2, axis=-1) / (2 * delta)))
+    val, grad = M.moreau(Bc, XR, p0, delta)
+    assert val == pytest.approx(oracle, abs=1e-8)
+    assert val <= float(Bk(XR, p0))
+    for x in (XL, XR):
+        for p in (p0, np.zeros(1), np.array([-1.3])):
+            ve, ge = M.moreau(Bc, x, p, delta)
+            vc, gc = M.moreau(Bk, x, p, delta)
+            assert abs(ve - vc) <= 1e-9
+            np.testing.assert_allclose(ge, gc, rtol=0, atol=1e-8)
 
 
 

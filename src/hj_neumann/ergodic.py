@@ -96,8 +96,7 @@ def discounted_solve(H: Hamiltonian, Bm: BoundaryOperator, epsilon: float,
 
     m1 = float(np.abs(H(grid.nodes, np.zeros(grid.dim))).max())
     if st.kind == "dbc":
-        bx = grid.nodes[grid.boundary]
-        m1 += float(np.abs(Bm(bx, np.zeros(grid.dim))).max())
+        m1 += float(np.abs(Bm(grid.nodes[grid.boundary], np.zeros(grid.dim))).max())
     bound = np.abs(epsilon * u).max()
     if bound > m1 + 10 * grid.h ** 2 + 1e-9:
         raise NumericalError(
@@ -125,7 +124,7 @@ def ergodic_limit(H: Hamiltonian, Bm: BoundaryOperator, grid: Grid,
     EIGEN_STEPS steps, ConvergenceError carries the residual history.
     """
     eps = list(epsilon_schedule)
-    if any(b >= a for a, b in zip(eps, eps[1:])) or eps[-1] < 1e-4:
+    if not eps or any(b >= a for a, b in zip(eps, eps[1:])) or eps[-1] < 1e-4:
         raise NumericalError("epsilon schedule must decrease strictly to >= 1e-4")
     x0 = grid.centroid_node()
     n = grid.n_nodes

@@ -175,7 +175,9 @@ class Grid:
     a difference quotient across a missing side is 0: index -1 reads a
     finite node value and the inf gap zeroes it. node_at maps every
     slot of the lattice box (axis counts as in build_grid) to the node
-    addressed there, -1 where there is none. The neighbor graph is connected.
+    addressed there, -1 where there is none. The neighbor graph is connected
+    and has a boundary node: interior nodes have both axis neighbors, so the
+    one furthest along an axis has a boundary neighbor there.
     """
 
     geom: DomainGeometry

@@ -648,26 +648,17 @@ def oblique_selection(Bm: BoundaryOperator, delta: float = 0.05) -> ObliqueSelec
 
     A boundary with a single affine form (neumann, affine, and their shifts)
     returns that form, exact and tight at every p. Other boundaries make one
-    moreau and one boundary_conjugate call per batch, over its distinct
-    points: closed forms over the simplex of the forms for max_affine, the
-    conjugate engine for custom.
+    moreau call at p = 0 and one boundary_conjugate call per point set, over
+    all its rows: closed forms over the simplex of the forms for max_affine,
+    the conjugate engine for custom.
     """
     if Bm.forms is not None and len(Bm.forms) == 1:
         (gam, gfun), = Bm.forms
         return ObliqueSelection(Bm, lambda x: (gam(x), gfun(x)))
 
-    def engine(x):
-        _, gam = moreau(Bm, x, np.zeros(x.shape), delta)
-        return gam, boundary_conjugate(Bm, x, gam)
-
     def at(x):
-        x = np.asarray(x, float)
-        if x.ndim != 2:
-            return engine(x)
-        # the rows of a point array go to the engine once per distinct point
-        pts, back = np.unique(x, axis=0, return_inverse=True)
-        gam, g = engine(pts)
-        return gam[back], g[back]
+        _, gam = moreau(Bm, x, np.zeros(np.shape(x)), delta)
+        return gam, boundary_conjugate(Bm, x, gam)
 
     return ObliqueSelection(Bm, at)
 

@@ -28,7 +28,7 @@ from scipy import sparse
 
 from .errors import CFLError, NumericalError, ObliquenessError
 from .geometry import Grid
-from .models import BoundaryOperator, Hamiltonian
+from .models import BoundaryOperator, Hamiltonian, _forms_at
 
 # dissipation refreshes evolve() allows before it calls the march unstable
 MAX_REFRESHES = 8
@@ -97,20 +97,20 @@ def field_from(grid: Grid, fn) -> GridField:
 
 
 def _form_values(Bm: BoundaryOperator, X, N):
-    """gamma_k(X), g_k(X) and gamma_k . N stacked over the forms of Bm;
+    """``_forms_at``(Bm, X) and gamma_k . N, shapes (m, K, d), (m, K), (m, K);
     ObliquenessError where some gamma_k . n <= 0."""
-    gam = np.stack([gm(X) for gm, _ in Bm.forms])
-    slope = (gam * N).sum(axis=-1)
+    gam, g = _forms_at(Bm, X)
+    slope = (gam * N[:, None]).sum(axis=-1)
     if (slope <= 0).any():
         raise ObliquenessError(f"boundary form with gamma.n = {slope.min():g} <= 0")
-    return gam, np.stack([gf(X) for _, gf in Bm.forms]), slope
+    return gam, g, slope
 
 
 def _form_root(forms, QT) -> np.ndarray:
     """lambda = min_k (g_k - gamma_k . q_T) / (gamma_k . n) over the forms of
     _form_values, the root along n since each form increases along it."""
     gam, g, slope = forms
-    return ((g - (gam * QT).sum(axis=-1)) / slope).min(axis=0)
+    return ((g - (gam * QT[:, None]).sum(axis=-1)) / slope).min(axis=1)
 
 
 def _certify_forms(Bm: BoundaryOperator, X, QTs, N, tol: float, forms):
@@ -267,9 +267,6 @@ class Stepper:
         pW, pE = one_sided(grid, u) if slopes is None else slopes
         pbar = 0.5 * (pW + pE).T
         diss = 0.5 * (self.sigma[:, None] * (pE - pW)).sum(axis=0)
-        if not self.bidx.size:
-            return np.asarray(self.H(grid.nodes, pbar), dtype=float) - diss
-
         b, bn = self.bidx, self.bn
         q = np.concatenate((pW, pE, _ZERO), axis=None)[self.q_at]
         if self.kind == "dbc":

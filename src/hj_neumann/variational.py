@@ -131,7 +131,6 @@ def _land_and_cost(grid: Grid, sel: ObliqueSelection, pts: np.ndarray,
     m = np.flatnonzero(np.asarray(geom.rho(pts), dtype=float) > 1e-12)
     if m.size:
         gam, g = sel.at(project_to_closure(geom, pts[m]))
-        gam = np.asarray(gam, dtype=float)
         lc = _pullback_intensity(geom, pts[m], gam, dt)
         out[m] = pts[m] - dt * lc[:, None] * gam
         cost[m] = dt * lc * g
@@ -171,21 +170,20 @@ def _stage_plus(stage: np.ndarray, land: np.ndarray) -> np.ndarray:
     return land
 
 
-def build_tables(grid: Grid, H: Hamiltonian, Bm: BoundaryOperator,
-                 controls: ControlSet, dt: float, reverse: bool = False) -> DPTables:
+def build_tables(grid: Grid, H: Hamiltonian, controls: ControlSet, dt: float,
+                 reverse: bool = False) -> DPTables:
     """Precompute stages and stencils; reverse=True builds the tables of the
     time-reversed trajectories (stage L(x, +w), reflections entering). A
     stage cost without a closed form comes from the conjugate engine, from
-    the radius max(6, 2 v_max). The selection is evaluated at the boundary
-    nodes and in one `_land_and_cost` of all free and boundary landing
-    points."""
+    the radius max(6, 2 v_max). The boundary enters only through controls:
+    its selection, evaluated at the boundary nodes and in one `_land_and_cost`
+    of all landing points, and its intensity ladder."""
     if dt <= 0:
         raise NumericalError("dt must be positive")
     if dt * controls.v_max > 2.0 * grid.h + 1e-12:
         raise NumericalError(
             f"dt*v_max = {dt * controls.v_max:g} exceeds the interpolation "
             f"locality bound 2h = {2 * grid.h:g}")
-    sel = controls.selection
     W = controls.velocities
     Cv = W.shape[0]
     N = grid.n_nodes
@@ -198,7 +196,7 @@ def build_tables(grid: Grid, H: Hamiltonian, Bm: BoundaryOperator,
 
     rows = grid.boundary_idx
     xb, lad = grid.nodes[rows], controls.intensities
-    gam_b, g_b = sel.at(xb)
+    gam_b, g_b = controls.selection.at(xb)
     refl = lad[:, None] * np.asarray(gam_b, dtype=float)[:, None, :]  # (Nb, m, dim)
 
     # boundary controls, per intensity l: every (w, l) pair, landing at
@@ -216,7 +214,7 @@ def build_tables(grid: Grid, H: Hamiltonian, Bm: BoundaryOperator,
     bnd_l = np.repeat(lad, Cv + 1)
     pts = np.concatenate([(grid.nodes[None, :, :] + dt * W[:, None, :]).reshape(-1, grid.dim),
                           bnd_pts.reshape(-1, grid.dim)])
-    pts, corr = _land_and_cost(grid, sel, pts, dt)
+    pts, corr = _land_and_cost(grid, controls.selection, pts, dt)
     free_op, bnd_op = _interp_weights(grid, pts[:Cv * N]), _interp_weights(grid, pts[Cv * N:])
     free_stage = dt * L + corr[:Cv * N].reshape(Cv, N)
     free_stage[L >= STAGE_CAP] = np.inf
@@ -246,10 +244,9 @@ def _boundary_min(land: np.ndarray, rungs: int) -> np.ndarray:
 def dp_step_cn(u: np.ndarray, tables: DPTables) -> np.ndarray:
     """One backward-horizon step of the Neumann recursion on u (N,) or (N, S)."""
     out = _stage_plus(tables.free_stage, tables.free_op @ u).min(axis=0)
-    if tables.bnd_rows.size:
-        bv = _boundary_min(_stage_plus(tables.bnd_stage, tables.bnd_op @ u),
-                           tables.controls.intensities.size)
-        out[tables.bnd_rows] = np.minimum(out[tables.bnd_rows], bv)
+    bv = _boundary_min(_stage_plus(tables.bnd_stage, tables.bnd_op @ u),
+                       tables.controls.intensities.size)
+    out[tables.bnd_rows] = np.minimum(out[tables.bnd_rows], bv)
     return out
 
 
@@ -261,42 +258,44 @@ def dp_step_dbc(slices: list[np.ndarray], tables: DPTables) -> np.ndarray:
     through linear interpolation in the stored stack (clamped at 0).
     """
     out = _stage_plus(tables.free_stage, tables.free_op @ slices[-1]).min(axis=0)
-    if tables.bnd_rows.size:
-        j_new = len(slices)            # index of the slice being built
-        back = j_new - (1.0 + tables.bnd_l)
-        k0 = np.clip(np.floor(back).astype(int), 0, len(slices) - 1)
-        k1 = np.clip(k0 + 1, 0, len(slices) - 1)
-        a = np.clip(back - k0, 0.0, 1.0)
-        # space-interpolate only the slices reached, then lerp per control
-        lo = int(k0.min())
-        land = (tables.bnd_op @ np.stack(slices[lo:], axis=1)).reshape(
-            tables.bnd_stage.shape + (-1,))
-        c = np.arange(tables.bnd_l.size)
-        lerp = (1 - a) * land[:, c, k0 - lo] + a * land[:, c, k1 - lo]
-        best = (tables.bnd_stage + lerp).min(axis=1)
-        out[tables.bnd_rows] = np.minimum(out[tables.bnd_rows], best)
+    back = len(slices) - (1.0 + tables.bnd_l)   # from the new slice, index len(slices)
+    k0 = np.clip(np.floor(back).astype(int), 0, len(slices) - 1)
+    k1 = np.clip(k0 + 1, 0, len(slices) - 1)
+    a = np.clip(back - k0, 0.0, 1.0)
+    # space-interpolate only the slices reached, then lerp per control
+    lo = int(k0.min())
+    land = (tables.bnd_op @ np.stack(slices[lo:], axis=1)).reshape(
+        tables.bnd_stage.shape + (-1,))
+    c = np.arange(tables.bnd_l.size)
+    lerp = (1 - a) * land[:, c, k0 - lo] + a * land[:, c, k1 - lo]
+    best = (tables.bnd_stage + lerp).min(axis=1)
+    out[tables.bnd_rows] = np.minimum(out[tables.bnd_rows], best)
     return out
 
 
 def value(u0: GridField, H: Hamiltonian, Bm: BoundaryOperator, kind: str,
           T: float, controls: ControlSet | None = None) -> SpaceTimeField:
-    """Control-representation value up to horizon T.
+    """Control-representation value up to horizon T >= 0.
 
-    The step is dt = T / n for the fewest n steps of at most h / v_max.
-    Monotone and nonexpansive in u0 slice by slice. Requires a convex
-    Hamiltonian for the representation to match the PDE solution.
+    The step is dt = T / n for the fewest n steps of at most h / v_max; T = 0
+    gives the one slice u0. Monotone and nonexpansive in u0 slice by slice.
+    Needs a convex H for the representation to match the PDE solution.
     """
     if kind not in ("cn", "dbc"):
         raise NumericalError(f"unknown kind {kind!r}")
     if not H.convex:
         raise NumericalError("the control representation needs a convex H")
+    if T < 0:
+        raise NumericalError("T must be nonnegative")
     grid = u0.grid
     if controls is None:
         controls = build_control_set(H, Bm, grid)
     dt = grid.h / max(controls.v_max, 1e-9)
+    if T == 0:
+        return SpaceTimeField(grid, np.array([0.0]), u0.values[None, :].copy(), dt)
     n = max(1, int(np.ceil(T / dt - 1e-12)))
     dt = T / n
-    tables = build_tables(grid, H, Bm, controls, dt)
+    tables = build_tables(grid, H, controls, dt)
     slices = [u0.values.copy()]
     for _ in range(n):
         if kind == "cn":

@@ -151,7 +151,7 @@ def distance_tables(grid: Grid, H: Hamiltonian, Bm: BoundaryOperator,
     if controls is None:
         controls = build_control_set(H, Bm, grid)
     dt = grid.h / max(controls.v_max, 1e-9)
-    return build_tables(grid, H, Bm, controls, dt, reverse=reverse)
+    return build_tables(grid, H, controls, dt, reverse=reverse)
 
 
 def action_matrix(grid: Grid, H: Hamiltonian, Bm: BoundaryOperator,

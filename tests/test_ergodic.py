@@ -165,6 +165,8 @@ def test_schedule_validation():
         E.ergodic_limit(M.quadratic(1), BN, grid, epsilon_schedule=(0.01, 0.1))
     with pytest.raises(NumericalError):
         E.ergodic_limit(M.quadratic(1), BN, grid, epsilon_schedule=(0.1, 1e-5))
+    with pytest.raises(NumericalError, match="epsilon schedule"):
+        E.ergodic_limit(M.quadratic(1), BN, grid, epsilon_schedule=())
     with pytest.raises(NumericalError):
         E.discounted_solve(M.quadratic(1), BN, 1.5, "e1",
                            P.constant_field(grid, 0.0))

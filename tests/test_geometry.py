@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hj_neumann import geometry as G
 from hj_neumann.errors import GeometryError
@@ -345,3 +346,19 @@ def test_satellite_disc_with_central_grad_comes_apart():
     assert _build_grid_ref(geom, 0.1).n_nodes == 354
     with pytest.raises(GeometryError, match=r"boundary node 349 at .* is disconnected"):
         G.build_grid(geom, 0.1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["interval", "disc", "ellipse"]), a=st.floats(0.2, 2.0),
+       b=st.floats(0.2, 2.0), cx=st.floats(-1.0, 1.0), cy=st.floats(-1.0, 1.0),
+       frac=st.floats(0.01, 0.25))
+def test_every_grid_has_a_boundary_node(kind, a, b, cx, cy, frac):
+    # the schemes and DP steps carry no branch for a grid without boundary
+    # nodes; build_grid must never return one
+    geom = {"interval": G.interval(cx, cx + a), "disc": G.disc(cx, cy, a),
+            "ellipse": _gauge_ellipse(a, b, cx, cy)}[kind]
+    try:
+        grid = G.build_grid(geom, frac * geom.diameter)
+    except GeometryError:
+        return
+    assert grid.boundary.any()

@@ -38,6 +38,23 @@ def test_quadratic_zero_data_stays_zero():
     assert np.abs(tab.values).max() <= 1e-12
 
 
+@pytest.mark.parametrize("kind", ["cn", "dbc"])
+def test_value_t0_returns_initial(kind):
+    # as evolve does: one slice at t = 0, the data itself
+    grid = G.build_grid(IV, 0.05)
+    u0 = P.field_from(grid, lambda x: np.sin(x[:, 0]))
+    tab = V.value(u0, M.quadratic(1), M.neumann(IV), kind, T=0.0)
+    assert tab.times.tolist() == [0.0]
+    np.testing.assert_array_equal(tab.values[0], u0.values)
+    assert not np.shares_memory(tab.values, u0.values)
+
+
+def test_value_rejects_negative_horizon():
+    grid = G.build_grid(IV, 0.05)
+    with pytest.raises(NumericalError, match="T must be nonnegative"):
+        V.value(P.constant_field(grid, 0.0), M.quadratic(1), M.neumann(IV), "cn", T=-0.1)
+
+
 def test_constant_hamiltonian_linear_decay():
     # H = p^2/2 + 0.7: constants decay at rate H(0) exactly in both solvers
     grid = G.build_grid(IV, 0.05)
@@ -135,7 +152,7 @@ def test_one_step_consistency_interior():
     for h, nv in [(0.02, 33), (0.01, 65)]:
         grid = G.build_grid(IV, h)
         ctrl = V.build_control_set(H, Bm, grid, n_velocity=nv)
-        tables = V.build_tables(grid, H, Bm, ctrl, dt=h / ctrl.v_max)
+        tables = V.build_tables(grid, H, ctrl, dt=h / ctrl.v_max)
         w = 0.2 * np.sin(2 * np.pi * grid.nodes[:, 0])
         stepped = V.dp_step_cn(w, tables)
         resid = (w - stepped) / tables.dt
@@ -183,7 +200,7 @@ def test_selection_solved_once_per_boundary_node(monkeypatch):
     H = M.quadratic(1, "-cos(2*pi*x) - 1")
     Bm = M.max_affine(IV, [(1.0, 0.2), (2.0, 0.5)])
     ctl = V.build_control_set(H, Bm, grid, n_velocity=17, v_max=2.5)
-    V.build_tables(grid, H, Bm, ctl, grid.h / ctl.v_max)
+    V.build_tables(grid, H, ctl, grid.h / ctl.v_max)
     assert 0 < len(calls) <= grid.boundary_idx.size
 
 
@@ -200,7 +217,7 @@ def test_max_affine_disc_tables_evaluate_the_selection_twice(monkeypatch):
     H = M.quadratic(2, "0.3*cos(pi*x)*cos(pi*y)")
     Bm = M.max_affine(disc, [(1.0, 0.2), (2.0, 0.5)])
     ctl = V.build_control_set(H, Bm, grid, n_velocity=3)
-    V.build_tables(grid, H, Bm, ctl, grid.h / ctl.v_max)
+    V.build_tables(grid, H, ctl, grid.h / ctl.v_max)
     assert calls == {"moreau": 2, "boundary_conjugate": 2}
 
 
@@ -229,7 +246,7 @@ def test_dp_steps_match_column_and_control_references():
     H = M.quadratic(1)
     Bm = M.max_affine(IV, [(1.0, 0.5), (2.0, 2.0)])
     ctrl = V.build_control_set(H, Bm, grid)
-    tables = V.build_tables(grid, H, Bm, ctrl, dt=grid.h / ctrl.v_max)
+    tables = V.build_tables(grid, H, ctrl, dt=grid.h / ctrl.v_max)
     U = np.random.default_rng(7).uniform(-1, 1, (grid.n_nodes, 5))
     stacked = V.dp_step_cn(U, tables)
     for s in range(U.shape[1]):
@@ -238,7 +255,7 @@ def test_dp_steps_match_column_and_control_references():
     grid = G.build_grid(IV, 0.01)
     H, Ba = M.quadratic(1), M.affine(IV, g=-0.3)
     ctrl = V.build_control_set(H, Ba, grid)
-    tables = V.build_tables(grid, H, Ba, ctrl, dt=grid.h / ctrl.v_max)
+    tables = V.build_tables(grid, H, ctrl, dt=grid.h / ctrl.v_max)
     slices = [0.5 - np.abs(grid.nodes[:, 0] - 0.5)]
     for _ in range(60):
         ref = _dbc_per_control(slices, tables)
@@ -382,11 +399,11 @@ def test_array_tables_match_per_point_oracle(monkeypatch):
         dt = grid.h / ctl.v_max
         landing = (grid.nodes[:, None, :] + dt * ctl.velocities).reshape(-1, grid.dim)
         assert np.any(grid.geom.rho(landing) > 1e-12)
-        new = V.build_tables(grid, H, Bm, ctl, dt)
+        new = V.build_tables(grid, H, ctl, dt)
         with monkeypatch.context() as mp:
             mp.setattr(V, "_interp_weights", _interp_weights_ref)
             mp.setattr(V, "_land_and_cost", _land_and_cost_ref)
-            ref = V.build_tables(grid, H, Bm, ctl, dt)
+            ref = V.build_tables(grid, H, ctl, dt)
         for a, b in ((new.free_stage, ref.free_stage), (new.bnd_stage, ref.bnd_stage)):
             fin = np.isfinite(b)
             assert np.array_equal(np.isfinite(a), fin)
@@ -413,7 +430,7 @@ def test_table_build_batches_landing_and_uses_closed_form(monkeypatch):
     Bm = M.neumann(DISC)
     ctl = V.build_control_set(H, Bm, grid, n_velocity=9)
     calls["conjugate"] = 0     # the velocity bound of the control set may use the engine
-    V.build_tables(grid, H, Bm, ctl, grid.h / ctl.v_max)
+    V.build_tables(grid, H, ctl, grid.h / ctl.v_max)
     assert 1 <= calls["project"] <= 2
     assert 1 <= calls["pullback"] <= 2
     assert calls["conjugate"] == 0
@@ -482,7 +499,7 @@ def _dp_step_dbc_ref(slices, tables):
 def _fixture_tables(k):
     grid, H, Bm, kw = table_fixtures()[k]
     ctl = V.build_control_set(H, Bm, grid, **kw)
-    return V.build_tables(grid, H, Bm, ctl, grid.h / ctl.v_max)
+    return V.build_tables(grid, H, ctl, grid.h / ctl.v_max)
 
 
 def test_control_major_steps_match_row_major_oracle():

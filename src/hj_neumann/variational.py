@@ -1,13 +1,20 @@
 """Optimal-control values for both problems by semi-Lagrangian programming.
 
-The state moves with a lattice velocity w (cost rate L(x, -w)); at the
-boundary an additional reflection intensity l from a geometric ladder pulls
-along the selected direction gamma at cost rate l*g, and under the
-dynamical boundary condition it also consumes extra clock time dt*l.
-Landing points outside the closure are corrected by the single-step
-Skorokhod rule (project, pull back along gamma at the contact point, pay
-the contact cost). Interpolation is multilinear with nonnegative weights,
-so one step is monotone and nonexpansive in the value array exactly.
+The state moves with a lattice velocity w (cost rate L(x, -w)). Landing
+points outside the closure are corrected by the single-step Skorokhod rule
+(project, pull back along the selected direction gamma at the contact
+point, pay the contact cost g per unit of intensity). Reflection also acts
+while the state is held on the boundary (Lions & Sznitman's Skorokhod
+problem): at a boundary node, the pressing control w = l*gamma with
+intensity l from a geometric ladder keeps the state on its node at cost
+rate L(x, -l*gamma) + l*g, and under the dynamical boundary condition it
+also consumes extra clock time dt*l. A pressing control lands where the
+stay-put control w = 0 lands, so under the Neumann condition its min
+folds into the stay-put stage; under the dynamical one it runs on the
+slow clock, and free landings outside the closure are dropped, since
+their pull-back would reflect without that clock. Interpolation is
+multilinear with nonnegative weights, so one step is monotone and
+nonexpansive in the value array exactly.
 
 Stage costs and interpolation stencils are independent of the value being
 iterated; they are precomputed once into tables (stencils as sparse
@@ -22,9 +29,8 @@ where it has one (``quadratic``, ``eikonal``), else from the conjugate
 engine. The selection (gamma, g) and its cost are closed forms for every
 catalog boundary; only a custom boundary sends them to the engine. The
 free tables are control-major (all nodes of one velocity, then the next),
-so the min of a DP step over the free controls runs over the leading,
-contiguous axis; the boundary tables, with few nodes and many controls,
-keep each node's controls contiguous.
+so the min of a DP step over the controls runs over the leading,
+contiguous axis.
 """
 
 from __future__ import annotations
@@ -75,6 +81,7 @@ def build_control_set(H: Hamiltonian, Bm: BoundaryOperator, grid: Grid,
         v_max = 1.0 + H.coercivity_radius(level, grid.nodes)
         v_max = effective_velocity_bound(H, grid.nodes, v_max)
     vel = _lattice(grid.dim, v_max, n_velocity)
+    vel = 0.5 * (vel - vel[::-1])   # odd-symmetric, so its centre w = 0 is exact
     l_max = v_max / Bm.theta
     ladder = l_max * 2.0 ** (-np.arange(8)[::-1].astype(float))
     return ControlSet(vel, ladder, oblique_selection(Bm), float(v_max))
@@ -120,7 +127,9 @@ def _interp_weights(grid: Grid, pts: np.ndarray) -> sparse.csr_matrix:
 
 def _land_and_cost(grid: Grid, sel: ObliqueSelection, pts: np.ndarray,
                    dt: float):
-    """Skorokhod single-step correction for landing points; returns cost.
+    """Skorokhod single-step correction for landing points; returns the
+    corrected points, their cost and the ids of the points that were outside
+    the closure.
 
     The points outside the closure go through one projection, one
     evaluation of the selection at their contact points and one pull-back.
@@ -134,7 +143,7 @@ def _land_and_cost(grid: Grid, sel: ObliqueSelection, pts: np.ndarray,
         lc = _pullback_intensity(geom, pts[m], gam, dt)
         out[m] = pts[m] - dt * lc[:, None] * gam
         cost[m] = dt * lc * g
-    return out, cost
+    return out, cost, m
 
 
 @dataclass
@@ -145,26 +154,30 @@ class DPTables:
     the landing point of velocity c from node n and stages are (Cv, N), so
     values of u (N,) or (N, S) come out as (Cv, N) or (Cv, N, S) and the min
     over controls runs over the leading, contiguous axis. The boundary
-    tables stay node-major, row j*Cb + c and stages (Nb, Cb), values (Nb, Cb)
-    or (Nb, Cb, S): with Nb much smaller than Cb, each node's controls are
-    one long contiguous row, which is where a single vector's min is cheap.
+    controls are the pressing pairs w = l*gamma, one per node and rung:
+    they hold the state on its node, so they land where the stay-put
+    control w = 0 lands, and bnd_op holds that one row per boundary node.
+    Under "cn" their min is folded into the stay-put stages of free_stage;
+    under "dbc" they run on the slow clock, and dbc_stage is free_stage
+    before the fold with the landings outside the closure dropped (+inf),
+    since these would reflect without the slow clock.
     """
 
     grid: Grid
     controls: ControlSet
     dt: float
-    free_stage: np.ndarray     # (Cv, N)
+    free_stage: np.ndarray     # (Cv, N), pressing stages folded in
     free_op: sparse.csr_matrix  # (Cv*N, N)
+    dbc_stage: np.ndarray      # (Cv, N)
     bnd_rows: np.ndarray       # boundary node ids (Nb,)
-    bnd_stage: np.ndarray      # (Nb, Cb)
-    bnd_op: sparse.csr_matrix  # (Nb*Cb, N)
-    bnd_l: np.ndarray          # (Cb,) intensity of each boundary control
+    bnd_stage: np.ndarray      # (Nb, m), one column per intensity rung
+    bnd_op: sparse.csr_matrix  # (Nb, N)
 
 
 def _stage_plus(stage: np.ndarray, land: np.ndarray) -> np.ndarray:
-    """stage (C, n) or (n, C) plus landing values (C*n,) or (C*n, S) in the
-    same row order, reshaped to match; adds in place into land, a fresh
-    product that nothing else holds."""
+    """stage (C, n) plus landing values (C*n,) or (C*n, S) in the same row
+    order, reshaped to match; adds in place into land, a fresh product that
+    nothing else holds."""
     land = land.reshape(stage.shape + land.shape[1:])
     land += stage.reshape(stage.shape + (1,) * (land.ndim - 2))
     return land
@@ -177,7 +190,11 @@ def build_tables(grid: Grid, H: Hamiltonian, controls: ControlSet, dt: float,
     stage cost without a closed form comes from the conjugate engine, from
     the radius max(6, 2 v_max). The boundary enters only through controls:
     its selection, evaluated at the boundary nodes and in one `_land_and_cost`
-    of all landing points, and its intensity ladder."""
+    of all free landing points, and its intensity ladder. H must be convex:
+    the control representation prices paths by L = H*, which only recovers
+    a convex H."""
+    if not H.convex:
+        raise NumericalError("the control representation needs a convex H")
     if dt <= 0:
         raise NumericalError("dt must be positive")
     if dt * controls.v_max > 2.0 * grid.h + 1e-12:
@@ -193,81 +210,55 @@ def build_tables(grid: Grid, H: Hamiltonian, controls: ControlSet, dt: float,
     X = np.tile(grid.nodes, (Cv, 1))
     XI = np.repeat(sgn * W, N, axis=0)
     L = lagrangian_batch(H, X, XI, radius=radius).reshape(Cv, N)
+    pts = (grid.nodes[None, :, :] + dt * W[:, None, :]).reshape(-1, grid.dim)
+    pts, corr, outside = _land_and_cost(grid, controls.selection, pts, dt)
+    free_op = _interp_weights(grid, pts)
+    free_stage = dt * L + corr.reshape(Cv, N)
+    free_stage[L >= STAGE_CAP] = np.inf
+    dbc_stage = free_stage.copy()
+    dbc_stage.flat[outside] = np.inf
+    if np.any(~np.isfinite(dbc_stage).any(axis=0)):
+        raise NumericalError("a node has no admissible control; enlarge the "
+                             "velocity lattice or reduce dt")
 
+    # the pressing pair w = l*gamma costs L(x, -l*gamma) + l*g (reversed
+    # paths flip w and the reflection together) and lands on its node, which
+    # lies on the boundary: its landing row and cost are the stay-put's
     rows = grid.boundary_idx
     xb, lad = grid.nodes[rows], controls.intensities
     gam_b, g_b = controls.selection.at(xb)
     refl = lad[:, None] * np.asarray(gam_b, dtype=float)[:, None, :]  # (Nb, m, dim)
-
-    # boundary controls, per intensity l: every (w, l) pair, landing at
-    # x + dt*(w - l*gamma) (reversed paths flip the reflection term only),
-    # then the pressing pair w = l*gamma that holds the state on the
-    # boundary exactly and costs L(x, -l*gamma) either way
     Lp = lagrangian_batch(H, np.repeat(xb, lad.size, axis=0), -refl.reshape(-1, grid.dim),
-                          radius=radius).reshape(-1, lad.size, 1)
-    drift = np.concatenate([W + sgn * refl[:, :, None, :],
-                            np.zeros(refl.shape[:2] + (1, grid.dim))], axis=2)
-    bnd_pts = xb[:, None, None, :] + dt * drift                        # (Nb, m, Cv+1, dim)
-    run = np.concatenate([np.broadcast_to(L[:, rows].T[:, None, :], Lp.shape[:2] + (Cv,)),
-                          Lp], axis=2)
-    bnd_stage = dt * (run + lad[:, None] * g_b[:, None, None])
-    bnd_l = np.repeat(lad, Cv + 1)
-    pts = np.concatenate([(grid.nodes[None, :, :] + dt * W[:, None, :]).reshape(-1, grid.dim),
-                          bnd_pts.reshape(-1, grid.dim)])
-    pts, corr = _land_and_cost(grid, controls.selection, pts, dt)
-    free_op, bnd_op = _interp_weights(grid, pts[:Cv * N]), _interp_weights(grid, pts[Cv * N:])
-    free_stage = dt * L + corr[:Cv * N].reshape(Cv, N)
-    free_stage[L >= STAGE_CAP] = np.inf
-    bnd_stage = (bnd_stage + corr[Cv * N:].reshape(bnd_stage.shape)).reshape(rows.size, -1)
-    bnd_stage[~np.isfinite(bnd_stage)] = np.inf
-
-    if np.any(~np.isfinite(free_stage).any(axis=0)):
-        raise NumericalError("a node has no admissible control; enlarge the "
-                             "velocity lattice or reduce dt")
-    return DPTables(grid, controls, dt, free_stage, free_op, rows, bnd_stage,
-                    bnd_op, bnd_l)
-
-
-def _boundary_min(land: np.ndarray, rungs: int) -> np.ndarray:
-    """min over the controls of boundary values (Nb, Cb) or (Nb, Cb, S).
-
-    With S columns the min first runs across the rungs of the intensity
-    ladder, whose blocks of Cb/rungs controls are long contiguous rows: numpy
-    then makes about Nb*(rungs + Cb/rungs) passes, the first ones over long
-    rows, instead of Nb*Cb passes over S columns.
-    """
-    if land.ndim == 3:
-        land = land.reshape((land.shape[0], rungs, -1, land.shape[2])).min(axis=1)
-    return land.min(axis=1)
+                          radius=radius).reshape(rows.size, lad.size)
+    bnd_stage = dt * (Lp + lad * g_b[:, None])
+    bnd_stage[Lp >= STAGE_CAP] = np.inf
+    c0 = int(np.argmin(np.linalg.norm(W, axis=-1)))
+    free_stage[c0, rows] = np.minimum(free_stage[c0, rows], bnd_stage.min(axis=1))
+    return DPTables(grid, controls, dt, free_stage, free_op, dbc_stage, rows,
+                    bnd_stage, free_op[c0 * N + rows])
 
 
 def dp_step_cn(u: np.ndarray, tables: DPTables) -> np.ndarray:
     """One backward-horizon step of the Neumann recursion on u (N,) or (N, S)."""
-    out = _stage_plus(tables.free_stage, tables.free_op @ u).min(axis=0)
-    bv = _boundary_min(_stage_plus(tables.bnd_stage, tables.bnd_op @ u),
-                       tables.controls.intensities.size)
-    out[tables.bnd_rows] = np.minimum(out[tables.bnd_rows], bv)
-    return out
+    return _stage_plus(tables.free_stage, tables.free_op @ u).min(axis=0)
 
 
 def dp_step_dbc(slices: list[np.ndarray], tables: DPTables) -> np.ndarray:
     """One step of the dynamical-boundary recursion with the slow clock.
 
-    slices[j] holds the value at horizon j*dt; reflection with intensity l
-    advances physical time by dt*(1+l), so boundary controls look back
+    slices[j] holds the value at horizon j*dt; pressing with intensity l
+    advances physical time by dt*(1+l), so the pressing controls look back
     through linear interpolation in the stored stack (clamped at 0).
     """
-    out = _stage_plus(tables.free_stage, tables.free_op @ slices[-1]).min(axis=0)
-    back = len(slices) - (1.0 + tables.bnd_l)   # from the new slice, index len(slices)
+    out = _stage_plus(tables.dbc_stage, tables.free_op @ slices[-1]).min(axis=0)
+    back = len(slices) - (1.0 + tables.controls.intensities)   # the new slice is len(slices)
     k0 = np.clip(np.floor(back).astype(int), 0, len(slices) - 1)
     k1 = np.clip(k0 + 1, 0, len(slices) - 1)
     a = np.clip(back - k0, 0.0, 1.0)
-    # space-interpolate only the slices reached, then lerp per control
+    # space-interpolate only the slices reached, then lerp per rung
     lo = int(k0.min())
-    land = (tables.bnd_op @ np.stack(slices[lo:], axis=1)).reshape(
-        tables.bnd_stage.shape + (-1,))
-    c = np.arange(tables.bnd_l.size)
-    lerp = (1 - a) * land[:, c, k0 - lo] + a * land[:, c, k1 - lo]
+    land = tables.bnd_op @ np.stack(slices[lo:], axis=1)          # (Nb, slices reached)
+    lerp = (1 - a) * land[:, k0 - lo] + a * land[:, k1 - lo]
     best = (tables.bnd_stage + lerp).min(axis=1)
     out[tables.bnd_rows] = np.minimum(out[tables.bnd_rows], best)
     return out
@@ -279,12 +270,11 @@ def value(u0: GridField, H: Hamiltonian, Bm: BoundaryOperator, kind: str,
 
     The step is dt = T / n for the fewest n steps of at most h / v_max; T = 0
     gives the one slice u0. Monotone and nonexpansive in u0 slice by slice.
-    Needs a convex H for the representation to match the PDE solution.
+    Needs a convex H for the representation to match the PDE solution;
+    `build_tables` raises for any other.
     """
     if kind not in ("cn", "dbc"):
         raise NumericalError(f"unknown kind {kind!r}")
-    if not H.convex:
-        raise NumericalError("the control representation needs a convex H")
     if T < 0:
         raise NumericalError("T must be nonnegative")
     grid = u0.grid

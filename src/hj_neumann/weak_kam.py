@@ -70,9 +70,9 @@ class MonotonicityTrace:
 
 def _chunks(tables: DPTables, S: int) -> list[slice]:
     """Column slices of an (N, S) stack so that each DP product, (Cv, N, S)
-    over the free controls or (Nb, Cb, S) over the boundary ones, holds
-    ~2e6 entries."""
-    step = max(1, int(2e6 // max(tables.free_stage.size, tables.bnd_stage.size)))
+    over the controls (the boundary ones folded into the stay-put row),
+    holds ~2e6 entries."""
+    step = max(1, int(2e6 // tables.free_stage.size))
     return [slice(s, s + step) for s in range(0, S, step)]
 
 
@@ -81,7 +81,8 @@ def _distances(tables: DPTables, sources: np.ndarray, tol: float) -> np.ndarray:
     from big with d(y) = 0, until max (d - T d)/dt <= tol off the pins.
 
     The stay-put stages, the zero velocity's row of the control-major free
-    stages, must be nonnegative. Every source must be a node id in [0, N)."""
+    stages with the pressing controls folded in, must be nonnegative. Every
+    source must be a node id in [0, N)."""
     grid = tables.grid
     if sources.size and not (0 <= sources.min() and sources.max() < grid.n_nodes):
         raise NumericalError(f"source node ids must lie in [0, {grid.n_nodes}); "

@@ -205,8 +205,8 @@ def test_selection_solved_once_per_boundary_node(monkeypatch):
 
 
 def test_max_affine_disc_tables_evaluate_the_selection_twice(monkeypatch):
-    # once at the boundary nodes, once at the contact points of all landing
-    # points, free and boundary alike
+    # once at the boundary nodes, once at the contact points of all free
+    # landing points (the pressing controls land on their nodes)
     calls = {"moreau": 0, "boundary_conjugate": 0}
     for name in calls:
         fn = getattr(M, name)
@@ -222,20 +222,20 @@ def test_max_affine_disc_tables_evaluate_the_selection_twice(monkeypatch):
 
 
 def _dbc_per_control(slices, tables):
-    # the boundary recursion one control at a time: time interpolation
-    # first, then the spatial stencil rows of that control
-    Cb = tables.bnd_l.size
+    # the boundary recursion one rung at a time: time interpolation first,
+    # then the stencil rows of the boundary nodes
+    lad = tables.controls.intensities
     n = len(slices)
-    back = n - (1.0 + tables.bnd_l)
+    back = n - (1.0 + lad)
     k0 = np.clip(np.floor(back).astype(int), 0, n - 1)
     k1 = np.minimum(k0 + 1, n - 1)
     a = np.clip(back - k0, 0.0, 1.0)
     best = np.full(tables.bnd_rows.size, np.inf)
-    for c in range(Cb):
-        uc = (1 - a[c]) * slices[k0[c]] + a[c] * slices[k1[c]]
-        best = np.minimum(best, tables.bnd_stage[:, c] + tables.bnd_op[c::Cb] @ uc)
-    out = (tables.free_stage
-           + (tables.free_op @ slices[-1]).reshape(tables.free_stage.shape)).min(axis=0)
+    for r in range(lad.size):
+        ur = (1 - a[r]) * slices[k0[r]] + a[r] * slices[k1[r]]
+        best = np.minimum(best, tables.bnd_stage[:, r] + tables.bnd_op @ ur)
+    out = (tables.dbc_stage
+           + (tables.free_op @ slices[-1]).reshape(tables.dbc_stage.shape)).min(axis=0)
     out[tables.bnd_rows] = np.minimum(out[tables.bnd_rows], best)
     return out
 
@@ -348,14 +348,15 @@ def _land_and_cost_ref(grid, sel, pts, dt):
     rho = np.asarray(geom.rho(pts), dtype=float)
     cost = np.zeros(pts.shape[0])
     out = pts.copy()
-    for m in np.flatnonzero(rho > 1e-12):
+    outside = np.flatnonzero(rho > 1e-12)
+    for m in outside:
         hat = _project_ref(geom, pts[m])
         gam, g = sel.at(hat)
         gam = np.asarray(gam, dtype=float)
         lc = _pullback_ref(geom, pts[m], gam, dt)
         out[m] = pts[m] - dt * lc * gam
         cost[m] = dt * lc * float(g)
-    return out, cost
+    return out, cost, outside
 
 
 DISC = G.disc()
@@ -374,6 +375,10 @@ def test_pullback_oracle_brackets_an_overshooting_start():
     assert abs(_pullback_ref(DISC, y, gam, dt) - ref) <= 1e-12 * (1 + ref)
 
 
+# V = -|x|^2/2, the potential of the bench disc model
+BENCH_BOWL = "-0.5*(x**2 + y**2)"
+
+
 def _tilted(pts):
     n = DISC.unit_normal(pts)
     return n + 0.5 * np.stack([-n[..., 1], n[..., 0]], axis=-1)
@@ -389,6 +394,9 @@ def table_fixtures():
         (G.build_grid(DISC, 0.1), M.quadratic(2, bowl), M.affine(DISC, _tilted, 0.1),
          {"n_velocity": 9}),
         (G.build_grid(ELLIPSE, 0.1), M.quadratic(2), M.neumann(ELLIPSE), {"n_velocity": 9}),
+        # a boundary that pays: the pressing controls beat staying put
+        (G.build_grid(DISC, 0.2), M.quadratic(2, BENCH_BOWL), M.affine(DISC, g=-2.0),
+         {"n_velocity": 9}),
     ]
 
 
@@ -404,13 +412,13 @@ def test_array_tables_match_per_point_oracle(monkeypatch):
             mp.setattr(V, "_interp_weights", _interp_weights_ref)
             mp.setattr(V, "_land_and_cost", _land_and_cost_ref)
             ref = V.build_tables(grid, H, ctl, dt)
-        for a, b in ((new.free_stage, ref.free_stage), (new.bnd_stage, ref.bnd_stage)):
+        for a, b in ((new.free_stage, ref.free_stage), (new.dbc_stage, ref.dbc_stage),
+                     (new.bnd_stage, ref.bnd_stage)):
             fin = np.isfinite(b)
             assert np.array_equal(np.isfinite(a), fin)
             assert np.abs(a[fin] - b[fin]).max() <= 1e-12
         for a, b in ((new.free_op, ref.free_op), (new.bnd_op, ref.bnd_op)):
             assert abs(a - b).max() <= 1e-12
-        assert np.array_equal(new.bnd_l, ref.bnd_l)
 
 
 def test_table_build_batches_landing_and_uses_closed_form(monkeypatch):
@@ -452,8 +460,8 @@ def test_interp_fallback_and_renormalisation_match_per_point_oracle():
 
 
 # -- the row-major DP step, kept as the oracle of the control-major one -------
-# (free rows n*C + c with the min over axis 1; the boundary tables keep that
-# layout in both)
+# (free rows n*C + c with the min over axis 1; the pressing controls are
+# (Nb, m) in both)
 
 def _row_major(stage, op):
     # stage (n, C) and operator row n*C + c, from the control-major (C, n)
@@ -469,29 +477,39 @@ def _stage_plus_ref(stage, land):
 
 def _dp_step_cn_ref(u, tables):
     stage, op = _row_major(tables.free_stage, tables.free_op)
-    out = _stage_plus_ref(stage, op @ u).min(axis=1)
-    if tables.bnd_rows.size:
-        bv = _stage_plus_ref(tables.bnd_stage, tables.bnd_op @ u).min(axis=1)
-        out[tables.bnd_rows] = np.minimum(out[tables.bnd_rows], bv)
-    return out
+    return _stage_plus_ref(stage, op @ u).min(axis=1)
 
 
 def _dp_step_dbc_ref(slices, tables):
-    stage, op = _row_major(tables.free_stage, tables.free_op)
+    stage, op = _row_major(tables.dbc_stage, tables.free_op)
     out = _stage_plus_ref(stage, op @ slices[-1]).min(axis=1)
-    if tables.bnd_rows.size:
-        j_new = len(slices)
-        back = j_new - (1.0 + tables.bnd_l)
-        k0 = np.clip(np.floor(back).astype(int), 0, len(slices) - 1)
-        k1 = np.clip(k0 + 1, 0, len(slices) - 1)
-        a = np.clip(back - k0, 0.0, 1.0)
-        lo = int(k0.min())
-        land = (tables.bnd_op @ np.stack(slices[lo:], axis=1)).reshape(
-            tables.bnd_stage.shape + (-1,))
-        c = np.arange(tables.bnd_l.size)
-        lerp = (1 - a) * land[:, c, k0 - lo] + a * land[:, c, k1 - lo]
-        best = (tables.bnd_stage + lerp).min(axis=1)
-        out[tables.bnd_rows] = np.minimum(out[tables.bnd_rows], best)
+    j_new = len(slices)
+    back = j_new - (1.0 + tables.controls.intensities)
+    k0 = np.clip(np.floor(back).astype(int), 0, len(slices) - 1)
+    k1 = np.clip(k0 + 1, 0, len(slices) - 1)
+    a = np.clip(back - k0, 0.0, 1.0)
+    lo = int(k0.min())
+    land = tables.bnd_op @ np.stack(slices[lo:], axis=1)
+    lerp = (1 - a) * land[:, k0 - lo] + a * land[:, k1 - lo]
+    best = (tables.bnd_stage + lerp).min(axis=1)
+    out[tables.bnd_rows] = np.minimum(out[tables.bnd_rows], best)
+    return out
+
+
+def _dp_step_cn_pressing_rows(u, tables):
+    # the Neumann step with the Nb*m pressing controls as rows of their own,
+    # each interpolating at its own landing point, the node: the stay-put
+    # stages unfolded (a boundary node lands inside, so its dbc stage is the
+    # unfolded one), then the pressing rows
+    c0 = int(np.argmin(np.linalg.norm(tables.controls.velocities, axis=-1)))
+    rows = tables.bnd_rows
+    stage = tables.free_stage.copy()
+    stage[c0, rows] = tables.dbc_stage[c0, rows]
+    out = _stage_plus_ref(stage, tables.free_op @ u).min(axis=0)
+    m = tables.bnd_stage.shape[1]
+    op = V._interp_weights(tables.grid, np.repeat(tables.grid.nodes[rows], m, axis=0))
+    bv = _stage_plus_ref(tables.bnd_stage, op @ u).min(axis=1)
+    out[rows] = np.minimum(out[rows], bv)
     return out
 
 
@@ -514,6 +532,40 @@ def test_control_major_steps_match_row_major_oracle():
             step = V.dp_step_dbc(slices, tables)
             assert np.array_equal(step, _dp_step_dbc_ref(slices, tables))
             slices.append(step)
+
+
+def test_folded_pressing_step_equals_pressing_rows():
+    # the pressing controls land where the stay-put control does, so their
+    # min folds into its stage bit for bit
+    rng = np.random.default_rng(17)
+    folded = 0
+    for k in range(len(table_fixtures())):
+        tables = _fixture_tables(k)
+        c0 = int(np.argmin(np.linalg.norm(tables.controls.velocities, axis=-1)))
+        assert not tables.controls.velocities[c0].any()
+        rows = tables.bnd_rows
+        assert tables.bnd_stage.shape == (rows.size, tables.controls.intensities.size)
+        folded += np.sum(tables.free_stage[c0, rows] < tables.dbc_stage[c0, rows])
+        N = tables.grid.n_nodes
+        for U in (rng.uniform(-1, 1, N), rng.uniform(-1, 1, (N, 5))):
+            assert np.array_equal(V.dp_step_cn(U, tables), _dp_step_cn_pressing_rows(U, tables))
+    assert folded > 0          # the g < 0 fixture presses
+
+
+def test_dbc_stage_drops_landings_outside_the_closure():
+    # the slow-clock stages are the Neumann ones before the fold, with every
+    # free landing outside the closure priced +inf
+    for k in range(len(table_fixtures())):
+        tables = _fixture_tables(k)
+        grid, W = tables.grid, tables.controls.velocities
+        pts = grid.nodes[None, :, :] + tables.dt * W[:, None, :]
+        out = grid.geom.rho(pts.reshape(-1, grid.dim)).reshape(W.shape[0], -1) > 1e-12
+        assert out.any()
+        assert np.all(np.isinf(tables.dbc_stage[out]))
+        c0 = int(np.argmin(np.linalg.norm(W, axis=-1)))
+        keep = ~out
+        keep[c0, tables.bnd_rows] = False
+        assert np.array_equal(tables.dbc_stage[keep], tables.free_stage[keep])
 
 
 # the 1-D max_affine and the two h = 0.1 disc fixtures
@@ -541,3 +593,58 @@ def test_dp_steps_monotone_nonexpansive_commute_with_constants(k, seed, scale, g
         assert np.all(a <= b)                                  # u <= up => Tu <= Tup
         assert np.abs(a - c).max() <= dist + 1e-12 * (1 + scale + gap)
         assert np.abs(d - (a + shift)).max() <= 1e-12 * (1 + scale + abs(shift))
+
+
+# -- exact critical values on the disc with a boundary term that can win -------
+
+# the first-order constant of the O(h + dt) bounds, as in the bench checks
+K_FIRST_ORDER = 2.0
+
+
+def affine_disc_c(g0, kind):
+    """Exact critical value of H = |p|^2/2 - |x|^2/2 on the unit disc with
+    B = affine(disc, g=g0), B(x, p) = n.p - g0, for the Neumann problem
+    ("e1", the control kind "cn") or the dynamical one ("e2", "dbc").
+
+    At a boundary point the viscosity tests use the gradients Dv - t n
+    (subsolution: min(H, B) <= 0) and Dv + t n (supersolution:
+    max(H, B) >= 0), t >= 0; under "e2" B's test level is c, not 0.
+
+    - g0 >= -1: c = 0 for both kinds. w = |x|^2/2 solves H(x, Dw) = 0
+      classically up to the boundary. At r = 1, Dw = n: H(x, (1 - t) n)
+      <= 0 for t <= 2 and B(x, (1 - t) n) <= 0 for t >= 1 - g0, which
+      cover every t >= 0 exactly when g0 >= -1; H(x, (1 + t) n) >= 0.
+    - g0 <= -1, "e1": c = (g0^2 - 1)/2. v(r) = -int_0^r sqrt(s^2 + 2c) ds
+      solves H = c inside, has a concave kink at 0 that passes the tests,
+      and B(x, Dv) = -sqrt(1 + 2c) - g0 = 0 on r = 1. On the control side,
+      holding the state on the boundary while pushing out at speed l costs
+      L(x, -l n) + l g0 = l^2/2 + 1/2 + g0 l per unit time, whose minimum
+      over l is -(g0^2 - 1)/2.
+    - g0 <= -1, "e2": B(x, Dv) = c on r = 1 with |Dv| = s = sqrt(1 + 2c)
+      reads -s - g0 = (s^2 - 1)/2, so s = -1 + sqrt(2 - 2 g0) and
+      c = (s^2 - 1)/2. The slow clock gives the same value: the minimum
+      over l >= 0 of (l^2/2 + 1/2 + g0 l)/(1 + l) is -c.
+
+    At g0 = -2: c = 1.5 for "e1" and 0.5505 for "e2".
+    """
+    if g0 >= -1.0:
+        return 0.0
+    if kind == "e1":
+        return 0.5 * (g0 ** 2 - 1.0)
+    s = -1.0 + np.sqrt(2.0 - 2.0 * g0)
+    return 0.5 * (s ** 2 - 1.0)
+
+
+@pytest.mark.parametrize("kind", ["cn", "dbc"])
+@pytest.mark.parametrize("g0", [0.0, -0.5, -2.0])
+def test_value_slope_matches_exact_affine_disc_c(g0, kind):
+    # u_t + H = 0 from u0 = 0 settles to v - c t: its slope over (3, 6)
+    H, Bm = M.quadratic(2, BENCH_BOWL), M.affine(DISC, g=g0)
+    c = affine_disc_c(g0, {"cn": "e1", "dbc": "e2"}[kind])
+    for h in (0.2, 0.1):
+        grid = G.build_grid(DISC, h)
+        ctl = V.build_control_set(H, Bm, grid, n_velocity=9)
+        tab = V.value(P.constant_field(grid, 0.0), H, Bm, kind, T=6.0, controls=ctl)
+        k = int(np.argmin(np.abs(tab.times - 3.0)))
+        slope = (tab.values[k] - tab.values[-1]) / (tab.times[-1] - tab.times[k])
+        assert np.abs(slope - c).max() <= K_FIRST_ORDER * (h + tab.dt)

@@ -129,11 +129,13 @@ def test_asymptotic_profile_independent_of_source_order():
 
 def gauss_seidel_distance(tables, pinned, tol, max_sweeps=20000):
     # per-node Gauss-Seidel fast sweeping, the distance engine that value
-    # iteration replaced; a reference for the fixed point
+    # iteration replaced; a reference for the fixed point. A boundary node's
+    # pressing controls (one per rung) land on the node through its one
+    # bnd_op row
     grid = tables.grid
-    N, Cb = grid.n_nodes, tables.bnd_stage.shape[1]
+    N = grid.n_nodes
     free = [tables.free_op[i::N] for i in range(N)]
-    bnd = {int(k): (tables.bnd_stage[j], tables.bnd_op[j * Cb:(j + 1) * Cb])
+    bnd = {int(k): (tables.bnd_stage[j], tables.bnd_op[j])
            for j, k in enumerate(tables.bnd_rows)}
     d = np.full(grid.n_nodes, 1e7)
     d[pinned] = 0.0
@@ -238,3 +240,16 @@ def test_sources_outside_the_grid_rejected(call):
             W.action_matrix(grid, H, Bm, controls=ctrl, sources=np.array([-1, 0]))
         else:
             W.distance_from(grid, H, Bm, -1 if call == "from -1" else N, controls=ctrl)
+
+
+def test_control_representation_rejects_nonconvex_h():
+    # every DP table goes through build_tables, which prices paths by L = H*
+    grid = G.build_grid(IV, 0.1)
+    H, Bm = M.shift_hamiltonian(M.double_well(1), 1.0), M.neumann(IV)
+    msg = "the control representation needs a convex H"
+    with pytest.raises(NumericalError, match=msg):
+        V.value(P.constant_field(grid, 0.0), H, Bm, "cn", T=0.5)
+    with pytest.raises(NumericalError, match=msg):
+        W.action_matrix(grid, H, Bm)
+    with pytest.raises(NumericalError, match=msg):
+        W.distance_tables(grid, H, Bm)

@@ -64,7 +64,7 @@ def discounted_solve(H: Hamiltonian, Bm: BoundaryOperator, epsilon: float,
     field's slopes outgrow its certified radius; slopes of the iterates on
     the way do not change the operator. The returned field obeys the
     discount bound |eps u| <= max|H(x, 0)| (+ max|B(x, 0)| for "e2") up to
-    solver tolerance, else NumericalError.
+    solver tolerance, else NumericalError; H(x, 0) is the Stepper's h0.
     kind is "e1" or "e2", or its scheme's "cn" or "dbc".
     """
     if not (0 < epsilon < 1):
@@ -73,7 +73,9 @@ def discounted_solve(H: Hamiltonian, Bm: BoundaryOperator, epsilon: float,
     lip = max(discrete_lipschitz(grid, init.values), 1.0)
     st = Stepper(grid, H, Bm, kind, grad_bound=lip)
     tol = epsilon * grid.h ** 2 if tol is None else tol
-    damp = epsilon * sparse.eye_array(grid.n_nodes, format="csr")
+    diag = np.arange(grid.n_nodes)
+    damp = sparse.csr_array((np.full(grid.n_nodes, epsilon), (diag, diag)),
+                            shape=(grid.n_nodes, grid.n_nodes))
     u = init.values.copy()
     history = []
     while len(history) < max_sweeps:
@@ -94,7 +96,7 @@ def discounted_solve(H: Hamiltonian, Bm: BoundaryOperator, epsilon: float,
             f"discounted solve (eps={epsilon:g}) did not reach {tol:g} "
             f"in {len(history)} Newton steps", history)
 
-    m1 = float(np.abs(H(grid.nodes, np.zeros(grid.dim))).max())
+    m1 = float(np.abs(st.h0).max())
     if st.kind == "dbc":
         m1 += float(np.abs(Bm(grid.nodes[grid.boundary], np.zeros(grid.dim))).max())
     bound = np.abs(epsilon * u).max()

@@ -18,6 +18,7 @@ The snap, ``project_to_closure`` and the reflection pull-back of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -171,13 +172,15 @@ class Grid:
     boundary: (N,) bool flags. normals: (N, dim), unit outward normal on
     boundary nodes, zero elsewhere. neighbors[side][axis]: (N,) index of
     the lattice neighbor on that side (-1 if absent) and gaps[side][axis]
-    the corresponding positive axis gap after snapping (inf if absent), so
-    a difference quotient across a missing side is 0: index -1 reads a
-    finite node value and the inf gap zeroes it. node_at maps every
-    slot of the lattice box (axis counts as in build_grid) to the node
-    addressed there, -1 where there is none. The neighbor graph is connected
-    and has a boundary node: interior nodes have both axis neighbors, so the
-    one furthest along an axis has a boundary neighbor there.
+    the corresponding positive axis gap after snapping (inf if absent).
+    slope_ends, built on first use and kept, holds the (lo, hi) node
+    indices of each one-sided difference quotient (u[hi] - u[lo]) / gaps;
+    a missing side points at the node itself, so its quotient is +0.0.
+    node_at maps every slot of the lattice box (axis counts as in
+    build_grid) to the node addressed there, -1 where there is none. The
+    neighbor graph is connected and has a boundary node: interior nodes
+    have both axis neighbors, so the one furthest along an axis has a
+    boundary neighbor there.
     """
 
     geom: DomainGeometry
@@ -205,6 +208,15 @@ class Grid:
     @property
     def boundary_idx(self) -> np.ndarray:
         return np.flatnonzero(self.boundary)
+
+    @cached_property
+    def slope_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        own = np.broadcast_to(np.arange(self.n_nodes), self.neighbors.shape[1:])
+        nb = np.where(self.neighbors >= 0, self.neighbors, own)
+        lo, hi = np.stack([nb[0], own]), np.stack([own, nb[1]])
+        lo.setflags(write=False)
+        hi.setflags(write=False)
+        return lo, hi
 
     def centroid_node(self) -> int:
         """Index of the node nearest the domain centroid (the anchor x0)."""

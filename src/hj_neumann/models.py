@@ -64,8 +64,9 @@ class Hamiltonian:
     convex gates audit (A7) and the control representation of ``value``.
     conjugate, when set, is the closed form of L(x, xi) = sup_p (xi . p -
     H(x, p)) on paired rows (X, XI); the conjugate engine serves the rest.
-    A radial model H(x, p) = H(x, 0) + profile(|p|) sets profile, and
-    lip_form(r) = sup |dH/dp_i| over |p|_inf <= r, in place of sampling p.
+    A radial model H(x, p) = H(x, 0) + profile(|p|^2) sets profile, a
+    function of the squared norm on arrays, and lip_form(r) = sup |dH/dp_i|
+    over |p|_inf <= r, in place of sampling p.
     """
 
     name: str
@@ -74,14 +75,14 @@ class Hamiltonian:
     convex: bool
     conjugate: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     lip_form: Callable[[float], float] | None = None
-    profile: Callable[[float], float] | None = None
+    profile: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, x: np.ndarray, p: np.ndarray) -> np.ndarray:
         return self.fn(np.asarray(x, float), np.asarray(p, float))
 
     def coercivity_radius(self, level: float, points: np.ndarray) -> float:
         """Smallest scanned radius r = 0.5 * 1.25^k <= 256 with min over samples
-        of H at |p| = r >= level; a profile gives min H(x, 0) + profile(r)."""
+        of H at |p| = r >= level; a profile gives min H(x, 0) + profile(r * r)."""
         dirs = _directions(self.dim)
         base = None if self.profile is None else float(self(points, np.zeros(self.dim)).min())
         r = 0.5
@@ -89,7 +90,7 @@ class Hamiltonian:
             if base is None:
                 low = self(points[:, None, :], (r * dirs)[None, :, :]).min()
             else:
-                low = base + self.profile(r)
+                low = base + self.profile(r * r)
             if low >= level:
                 return r
             r *= 1.25
@@ -148,7 +149,7 @@ def quadratic(dim: int = 1, potential: Callable | str | None = None,
         return np.sum(XI ** 2, axis=-1) / (4 * coeff) - H(X, np.zeros(dim))
 
     H = Hamiltonian("quadratic", fn, dim, True, conjugate if coeff > 0 else None,
-                    lambda r: 2.0 * abs(coeff) * r, lambda s: coeff * s ** 2)
+                    lambda r: 2.0 * abs(coeff) * r, lambda s: coeff * s)
     return H
 
 
@@ -163,7 +164,7 @@ def eikonal(dim: int = 1, speed: Callable | str | None = None) -> Hamiltonian:
     def conjugate(X, XI):
         return np.where(np.linalg.norm(XI, axis=-1) <= 1.0, -fn(X, np.zeros(dim)), np.inf)
 
-    return Hamiltonian("eikonal", fn, dim, True, conjugate, lambda r: 1.0, lambda s: s)
+    return Hamiltonian("eikonal", fn, dim, True, conjugate, lambda r: 1.0, np.sqrt)
 
 
 def double_well(dim: int = 1) -> Hamiltonian:

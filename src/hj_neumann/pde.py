@@ -12,9 +12,12 @@ A ``Stepper`` fixes its boundary data at build, down to the flat index of
 each inward slope. For a catalog B the root is then closed, and one call of
 B at build certifies that the forms match B on a fixed set of tangential
 probe slopes (``_certify_forms``); custom ones bisect (``_ghost_solve_many``).
-Each ``rhs`` makes one H call, and no B call for a catalog B under the
-Neumann condition: the ghost gradients take the place of the boundary rows'
-mean slopes before it. sigma is closed-form for the radial catalog H and
+Each ``rhs`` takes its one-sided slopes from one pair of gathers
+(``one_sided``) and makes no B call for a catalog B under the Neumann
+condition: the ghost gradients take the place of the boundary rows' mean
+slopes before H is evaluated. A radial catalog H is h0 + profile(|p|^2),
+with h0 = H(x, 0) kept from the build, so its ``rhs`` makes no H call; any
+other H gets one. sigma is closed-form for the radial catalog H and
 sampled for the rest. The CFL bound comes from the actual stencil gaps; it
 does not make the scheme monotone at curved boundaries (ROADMAP item 2).
 """
@@ -41,9 +44,6 @@ SCHEME_KIND = {"cn": "cn", "e1": "cn", "dbc": "dbc", "e2": "dbc"}
 # |u| is too coarse for the slopes of discounted solutions, which grow like
 # 1/eps
 FD_STEP = 1e-9
-
-# the slot an inward slope with no neighbour on either side reads
-_ZERO = np.zeros(1)
 
 
 @dataclass
@@ -183,8 +183,9 @@ class Stepper:
     reconstruction and, for a catalog B under "cn", gamma_k, g_k and
     gamma_k . n at the boundary nodes are fixed at build (ObliquenessError
     there if some gamma_k . n <= 0) and certified against B by one call
-    (NumericalError if they do not match); ``refresh`` resets sigma and
-    dt_max and calls no B.
+    (NumericalError if they do not match). h0 = H(x, 0) at the nodes is
+    kept from the build as the base of a radial H in ``rhs``. ``refresh``
+    resets sigma and dt_max and calls no B.
     """
 
     def __init__(self, grid: Grid, H: Hamiltonian, Bm: BoundaryOperator,
@@ -202,11 +203,10 @@ class Stepper:
         self.inw_idx = np.take_along_axis(self.idx[:, :, b], side, 0)[0]
         self.inw_gap = np.take_along_axis(self.gap[:, :, b], side, 0)[0]
         self.inw_sgn = np.where(self.inw_idx >= 0, 1.0 - 2.0 * side[0], 0.0)
-        # flat index of each inward slope in concatenate((pW, pE, [0]), None);
-        # an axis with no neighbour reads the trailing 0
+        # flat index of each inward slope in one_sided(grid, u).ravel(); an
+        # axis with no neighbour points at a missing side, whose slope is +0.0
         dim, n = grid.dim, grid.n_nodes
-        at = side[0] * dim * n + np.arange(dim)[:, None] * n + b
-        self.q_at = np.where(self.inw_sgn != 0, at, 2 * dim * n).T
+        self.q_at = (side[0] * dim * n + np.arange(dim)[:, None] * n + b).T
         self._pattern = None
 
         self.tol = min(1e-12, Bm.theta * grid.h ** 2)
@@ -215,7 +215,8 @@ class Stepper:
         # (marching, discounted sweeps, slope estimator) shares one discrete
         # operator; data with larger slopes lifts it, and the solvers
         # refresh when slopes grow past it
-        level = 2.0 * float(np.abs(H(grid.nodes, np.zeros(grid.dim))).max()) + 2.0
+        self.h0 = np.asarray(H(grid.nodes, np.zeros(grid.dim)), dtype=float)
+        level = 2.0 * float(np.abs(self.h0).max()) + 2.0
         self.base_radius = H.coercivity_radius(level, grid.nodes) + 1.0
         self.refresh(grad_bound)
 
@@ -250,7 +251,7 @@ class Stepper:
 
     # -- scheme operator ------------------------------------------------------
 
-    def rhs(self, u: np.ndarray, slopes: tuple | None = None) -> np.ndarray:
+    def rhs(self, u: np.ndarray, slopes: np.ndarray | None = None) -> np.ndarray:
         """Per-node scheme value Phi(u); one step is u - dt * Phi(u).
 
         slopes is one_sided(grid, u) when the caller holds it. An interior
@@ -259,27 +260,28 @@ class Stepper:
         nondecreasing in pW while each sigma_i bounds |dH/dp_i| over the
         slopes reached. A boundary row reads its inward gradient q off the
         same slopes by one gather. Under "cn" its ghost gradient takes the
-        place of the mean slope, so one H call over all nodes serves both
-        kinds of row. Its closed-form root calls no B: the forms were
+        place of the mean slope, so one evaluation of H over all nodes
+        serves both kinds of row: h0 + profile(|p|^2) for a radial H, one H
+        call for any other. Its closed-form root calls no B: the forms were
         certified against B at build.
         """
-        grid = self.grid
-        pW, pE = one_sided(grid, u) if slopes is None else slopes
+        S = one_sided(self.grid, u) if slopes is None else slopes
+        pW, pE = S
         pbar = 0.5 * (pW + pE).T
         diss = 0.5 * (self.sigma[:, None] * (pE - pW)).sum(axis=0)
         b, bn = self.bidx, self.bn
-        q = np.concatenate((pW, pE, _ZERO), axis=None)[self.q_at]
-        if self.kind == "dbc":
-            phi = np.asarray(self.H(grid.nodes, pbar), dtype=float) - diss
-            phi[b] = self.Bm(self.xb, q)
-            return phi
-        qn = (q * bn).sum(axis=-1)
-        qt = q - qn[:, None] * bn
-        lam = _ghost_solve_many(self.Bm, self.xb, qt, bn, self.tol, self.forms)
-        pbar[b] = qt + lam[:, None] * bn
-        hv = np.asarray(self.H(grid.nodes, pbar), dtype=float)
+        q = S.ravel()[self.q_at]
+        if self.kind == "cn":
+            qn = (q * bn).sum(axis=-1)
+            qt = q - qn[:, None] * bn
+            lam = _ghost_solve_many(self.Bm, self.xb, qt, bn, self.tol, self.forms)
+            pbar[b] = qt + lam[:, None] * bn
+        if self.H.profile is None:
+            hv = np.asarray(self.H(self.grid.nodes, pbar), dtype=float)
+        else:
+            hv = self.h0 + self.H.profile((pbar ** 2).sum(axis=-1))
         phi = hv - diss
-        phi[b] = hv[b] - self.sig_n * (lam - qn)
+        phi[b] = self.Bm(self.xb, q) if self.kind == "dbc" else hv[b] - self.sig_n * (lam - qn)
         return phi
 
     # -- Jacobian -------------------------------------------------------------
@@ -311,7 +313,7 @@ class Stepper:
         if dt > self.dt_max * (1 + 1e-12):
             raise CFLError(dt, self.dt_max)
 
-    def step(self, u: np.ndarray, dt: float, slopes: tuple | None = None) -> np.ndarray:
+    def step(self, u: np.ndarray, dt: float, slopes: np.ndarray | None = None) -> np.ndarray:
         self.check_dt(dt)
         return u - dt * self.rhs(u, slopes)
 
@@ -338,14 +340,13 @@ def stencil_colouring(grid: Grid) -> np.ndarray:
     return np.unique(raw, return_inverse=True)[1]
 
 
-def one_sided(grid: Grid, u: np.ndarray):
-    """(pW, pE) arrays of shape (dim, N); zero where a side is missing (the
-    inf gap of ``Grid``)."""
-    iw, ie = grid.neighbors
-    gw, ge = grid.gaps
-    pW = (u[None, :] - u[iw]) / gw
-    pE = (u[ie] - u[None, :]) / ge
-    return pW, pE
+def one_sided(grid: Grid, u: np.ndarray) -> np.ndarray:
+    """One-sided slopes stacked as one (2, dim, N) array, the backward pW
+    then the forward pE (``pW, pE = one_sided(grid, u)`` unpacks), from one
+    pair of gathers over ``Grid.slope_ends``; +0.0 across every missing
+    side."""
+    lo, hi = grid.slope_ends
+    return (u[hi] - u[lo]) / grid.gaps
 
 
 def discrete_lipschitz(grid: Grid, u: np.ndarray) -> float:
@@ -353,9 +354,8 @@ def discrete_lipschitz(grid: Grid, u: np.ndarray) -> float:
     return _steepest(one_sided(grid, u))
 
 
-def _steepest(slopes) -> float:
-    pW, pE = slopes
-    return float(max(np.abs(pW).max(initial=0.0), np.abs(pE).max(initial=0.0)))
+def _steepest(slopes: np.ndarray) -> float:
+    return float(np.abs(slopes).max())
 
 
 def evolve(u0: GridField, H: Hamiltonian, Bm: BoundaryOperator, kind: str,

@@ -41,6 +41,20 @@ def test_discount_bound_along_schedule():
         assert np.abs(eps * u.values).max() <= m1 + 1e-6
 
 
+def test_discounted_solve_calls_h_only_at_build(monkeypatch):
+    # a radial H: rhs makes no H call and the discount bound reads the
+    # Stepper's h0; the damping is built without sparse.eye_array, which
+    # the SciPy 1.10 that pyproject.toml admits does not have
+    grid = G.build_grid(DISC, 0.25)
+    H = M.quadratic(2, "0.3*cos(pi*x)*cos(pi*y)")
+    calls, call = [], M.Hamiltonian.__call__
+    monkeypatch.setattr(M.Hamiltonian, "__call__",
+                        lambda self, x, p: calls.append(1) or call(self, x, p))
+    monkeypatch.delattr(E.sparse, "eye_array", raising=False)
+    E.discounted_solve(H, M.neumann(DISC), 0.1, "e1", P.constant_field(grid, 0.0))
+    assert len(calls) == 2          # the build's: the level and min H(x, 0)
+
+
 def test_discounted_solve_refreshes_for_steep_solution(monkeypatch):
     # g = 5 on both ends of [0, 1] drives slopes past the radius 3.38 fixed
     # from u = 0: the solve refreshes once and then solves the refreshed

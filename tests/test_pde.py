@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hj_neumann import geometry as G, models as M, pde as P
+from hj_neumann import ergodic as E, geometry as G, models as M, pde as P
 from hj_neumann.errors import CFLError, NumericalError, ObliquenessError
 
 IV = G.interval(0.0, 1.0)
@@ -397,6 +397,21 @@ def test_evolve_takes_one_slope_pass_per_step(monkeypatch):
     assert len(calls) == 7 + 1
 
 
+def test_evolve_makes_no_h_call_per_step_for_radial_h(monkeypatch):
+    # the builds' calls only: horizon 4T takes four times the steps of T
+    u0, H, Bm, kind, T, kw = bench_disc_march(1)
+    counts, call = [], M.Hamiltonian.__call__
+    for horizon in (T / 8, T / 2):
+        calls = []
+        monkeypatch.setattr(M.Hamiltonian, "__call__",
+                            lambda self, x, p: calls.append(1) or call(self, x, p))
+        stf = P.evolve(u0, H, Bm, kind, horizon)
+        monkeypatch.undo()
+        counts.append(len(calls))
+    assert stf.times[-1] == pytest.approx(T / 2)
+    assert counts[0] == counts[1] <= 2
+
+
 def test_stepper_build_calls_radial_h_twice(monkeypatch):
     # the closed forms replace the sampled sigma and radius: one H call for
     # the level, one for min H(x, 0)
@@ -535,14 +550,18 @@ ELLIPSE = G.custom(2, lambda p: np.asarray(p)[..., 0] ** 2 + (np.asarray(p)[...,
 
 @pytest.mark.parametrize("geom,h", [(IV, 0.05), (DISC, 0.25), (ELLIPSE, 0.1)])
 def test_one_sided_is_zero_across_missing_sides(geom, h):
-    # a missing side reads node -1 (set large here) over an inf gap
+    # one (2, dim, N) stack; node -1 set large: a quotient that read it
+    # across a missing side would round to -0.0 on the backward side
     grid = G.build_grid(geom, h)
     u = np.random.default_rng(3).uniform(-1.0, 1.0, grid.n_nodes)
     u[-1] = 1e12
-    pW, pE = P.one_sided(grid, u)
+    S = P.one_sided(grid, u)
+    assert S.shape == (2, grid.dim, grid.n_nodes)
+    pW, pE = S
     (iw, ie), (gw, ge) = grid.neighbors, grid.gaps
     assert np.any(iw < 0) and np.any(ie < 0)
     assert np.all(pW[iw < 0] == 0.0) and np.all(pE[ie < 0] == 0.0)
+    assert not np.signbit(S[grid.neighbors < 0]).any()
     ax, k = np.nonzero(iw >= 0)
     np.testing.assert_array_equal(pW[ax, k], (u[k] - u[iw[ax, k]]) / gw[ax, k])
     ax, k = np.nonzero(ie >= 0)
@@ -678,7 +697,12 @@ def test_rhs_matches_two_call_reference(kind):
 
 @pytest.mark.parametrize("kind", ["cn", "dbc"])
 def test_rhs_calls_each_model_once(monkeypatch, kind):
-    for grid, H, Bm, u in operator_fixtures():
+    # the fixtures' H are radial: h0 + profile(|p|^2) with h0 from the build
+    # takes the place of the H call; the same fn without a profile keeps it
+    cases = [(grid, H, Bm, u, 0) for grid, H, Bm, u in operator_fixtures()]
+    cases += [(grid, dataclasses.replace(H, profile=None), Bm, u, 1)
+              for grid, H, Bm, u, _ in cases]
+    for grid, H, Bm, u, h_calls in cases:
         stp = P.Stepper(grid, H, Bm, kind, grad_bound=2.0)
         calls = {"H": 0, "B": 0}
         h_call, b_call = M.Hamiltonian.__call__, M.BoundaryOperator.__call__
@@ -695,7 +719,33 @@ def test_rhs_calls_each_model_once(monkeypatch, kind):
         monkeypatch.undo()
         # under "cn" the forms were certified against B at build; a "dbc"
         # boundary row is a B call
-        assert calls == {"H": 1, "B": 0 if kind == "cn" else 1}
+        assert calls == {"H": h_calls, "B": 0 if kind == "cn" else 1}
+
+
+def test_shifted_radial_rhs_within_rounding_of_reference():
+    # normalize moves c into h0 = H(x, 0) - c, so a radial rhs adds the
+    # profile to h0 where the reference subtracts c from H: a rounding apart
+    # on the magnitudes of H's sum, which the dissipation may cancel in phi
+    ulp = np.finfo(float).eps
+    for kind in ("cn", "dbc"):
+        for grid, H, Bm, u in operator_fixtures():
+            for c in (0.37, -1.3):
+                Hn, Bn = E.normalize(H, Bm, c, kind)
+                stp = P.Stepper(grid, Hn, Bn, kind, grad_bound=1.0)
+                for w in (u, 4.0 * u):
+                    got = stp.rhs(w)
+                    hv = []
+                    stp.H = dataclasses.replace(
+                        Hn, fn=lambda x, p: hv.append(np.array(Hn.fn(x, p))) or hv[-1].copy())
+                    ref = rhs_reference(stp, w)
+                    stp.H = Hn
+                    # H at each row's slopes: the mean slope, or the ghost
+                    # gradient on a "cn" boundary row
+                    h_row = np.broadcast_to(hv[0], ref.shape).copy()
+                    if stp.kind == "cn":
+                        h_row[stp.bidx] = hv[1]
+                    scale = 1.0 + np.abs(ref) + np.abs(h_row) + np.abs(stp.h0) + abs(c)
+                    assert np.all(np.abs(got - ref) <= 4 * ulp * scale)
 
 
 def test_jacobian_pattern_fixed_per_stepper(monkeypatch):

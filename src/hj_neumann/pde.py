@@ -195,14 +195,13 @@ class Stepper:
         self.gap = grid.gaps
 
         # inward reconstruction per axis from the neighbour against the normal,
-        # else the other; inw_sgn +1: (u_b - u_j)/gap, -1: (u_j - u_b)/gap
+        # else the other: side 0 reads (u_b - u_j)/gap, side 1 (u_j - u_b)/gap
         b = grid.boundary_idx
         self.bidx, self.bn, self.xb = b, grid.normals[b], grid.nodes[b]
         first = (self.bn.T < -1e-12).astype(np.int64)[None]
         side = np.where(np.take_along_axis(self.idx[:, :, b] >= 0, first, 0), first, 1 - first)
         self.inw_idx = np.take_along_axis(self.idx[:, :, b], side, 0)[0]
         self.inw_gap = np.take_along_axis(self.gap[:, :, b], side, 0)[0]
-        self.inw_sgn = np.where(self.inw_idx >= 0, 1.0 - 2.0 * side[0], 0.0)
         # flat index of each inward slope in one_sided(grid, u).ravel(); an
         # axis with no neighbour points at a missing side, whose slope is +0.0
         dim, n = grid.dim, grid.n_nodes

@@ -18,8 +18,9 @@ nonexpansive in the value array exactly.
 
 Stage costs and interpolation stencils are independent of the value being
 iterated; they are precomputed once into tables (stencils as sparse
-operators) whose DP step the time-marching values here and the stationary
-value iteration of the weak-KAM module share. The tables are built as
+operators) that the time-marching values here and the weak-KAM module's
+policy iteration share: both read the DP step, and the policy iteration
+also reads the free stages and stencils as one control per node. The tables are built as
 whole-array operations: all landing points go through one projection,
 one evaluation of the selection and one pull-back (both are the
 geometry's Newton iteration onto the boundary), the

@@ -6,12 +6,17 @@ iteration signals a missed normalization.
 
 The intrinsic distance d(., y) is the fixed point of the same control
 recursion the value module iterates in time, with d(y) pinned to zero: the
-discrete maximal subsolution vanishing at y. It is reached by monotone
-value iteration of that module's DP step, on a batch of sources at once.
-A point y belongs to the Aubry mask when d(., y) also satisfies the
-recursion AT y within tolerance, i.e. pinning was not an active
-constraint. The asymptotic profile is the two-stage minimization of
-distance plus initial data over the mask.
+discrete maximal subsolution vanishing at y. It is solved by Howard's
+policy iteration (Howard, Dynamic Programming and Markov Processes, 1960)
+on that module's DP tables, a batch of sources at once: a policy picks one
+control per node and column, its value comes from one sparse LU, and the
+policy switches only where the DP step improves on that value. Policy
+iteration is a semismooth Newton method (Bokanowski, Maroso & Zidani, SIAM
+J. Numer. Anal. 47, 2009), so it stops after a few steps at a fixed point
+exact up to rounding. A point y belongs to the Aubry mask when d(., y)
+also satisfies the recursion AT y within tolerance, i.e. pinning was not
+an active constraint. The asymptotic profile is the two-stage
+minimization of distance plus initial data over the mask.
 """
 
 from __future__ import annotations
@@ -19,15 +24,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
-from .errors import NormalizationError, NumericalError
+from .errors import ConvergenceError, NormalizationError, NumericalError
 from .geometry import Grid
 from .models import BoundaryOperator, Hamiltonian
 from .pde import GridField, SpaceTimeField
 from .variational import ControlSet, DPTables, build_control_set, build_tables, dp_step_cn
 
-# value-iteration steps a batch of distance columns may take to settle
-MAX_SWEEPS = 2000
+# policy steps a batch of distance columns may take to settle
+MAX_POLICY_STEPS = 50
 
 
 @dataclass
@@ -76,13 +83,147 @@ def _chunks(tables: DPTables, S: int) -> list[slice]:
     return [slice(s, s + step) for s in range(0, S, step)]
 
 
-def _distances(tables: DPTables, sources: np.ndarray, tol: float) -> np.ndarray:
-    """Columns d(., y), y in sources: monotone value iteration d <- min(d, T d)
-    from big with d(y) = 0, until max (d - T d)/dt <= tol off the pins.
+def _exit_form(tables: DPTables) -> tuple[np.ndarray, sparse.csr_matrix]:
+    """The free controls with each one's self-loop solved out, as (stage,
+    op): using control c at node x until the state leaves x costs
+    stage[c*N + x] = free_stage[c, x] / off and lands on node j != x with
+    weight op[c*N + x, j] = w_j / off, where w is free_op's row c*N + x and
+    off = sum over j != x of w_j. A control that never leaves (off = 0:
+    staying put on the node) costs +inf. Dividing by off, not 1 - w_x,
+    keeps a row whose self weight rounds near 1 exact."""
+    Cv, N = tables.free_stage.shape
+    op = tables.free_op
+    row = np.repeat(np.arange(Cv * N), np.diff(op.indptr))
+    leave = op.indices != row % N
+    row = row[leave]
+    off = np.bincount(row, op.data[leave], minlength=Cv * N)
+    stage = np.full(Cv * N, np.inf)
+    moves = off > 0
+    stage[moves] = tables.free_stage.ravel()[moves] / off[moves]
+    ptr = np.zeros(Cv * N + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=Cv * N), out=ptr[1:])
+    return stage, sparse.csr_matrix((op.data[leave] / off[row], op.indices[leave], ptr),
+                                    shape=op.shape)
+
+
+def _exit_values(exit_form: tuple, d: np.ndarray) -> np.ndarray:
+    """(Cv, N, S) cost of each control in the exit form, landing on d (N, S)."""
+    stage, op = exit_form
+    q = op @ d
+    q += stage[:, None]
+    return q.reshape(-1, *d.shape)
+
+
+def _first_arrival(exit_form: tuple, src: np.ndarray, N: int) -> np.ndarray:
+    """A proper start policy (N, S) of control ids, column s pinned at node
+    src[s].
+
+    Value iteration d <- min(d, T' d) from +inf with d = 0 on the pins, T'
+    the DP step in the exit form, reaches an entry at the step where some
+    control's exit landings are all reached (one that lands on an
+    unreached node costs +inf), and the entry takes that step's best
+    control. In a column where a step reaches no entry so, the unreached
+    entries with some control landing on reached nodes are reached, each
+    taking the best such control as if its unreached landings cost what
+    the entry does. Either way every entry's control lands with positive
+    weight on entries reached before it, so every path of the policy ends
+    at a pin. Columns drop out of the iteration once reached. NumericalError
+    if an entry cannot reach its pin."""
+    stage, op = exit_form
+    d = np.full((N, src.size), np.inf)
+    d[src, np.arange(src.size)] = 0.0
+    pol = np.zeros(d.shape, dtype=np.int64)
+    reached = np.isfinite(d)
+    while not np.all(reached):
+        act = np.flatnonzero(~np.all(reached, axis=0))
+        da, ra = d[:, act], reached[:, act]
+        q = _exit_values(exit_form, da)
+        Td = q.min(axis=0)
+        stall = ~np.any(np.isfinite(Td) & ~ra, axis=0)
+        if np.any(stall):
+            r = ra[:, stall]
+            rho = op @ r.astype(float)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                q[:, :, stall] = np.where(
+                    rho > 0, (op @ np.where(r, da[:, stall], 0.0) + stage[:, None]) / rho,
+                    np.inf).reshape(-1, N, r.shape[1])
+            Td[:, stall] = np.where(r, np.inf, q[:, :, stall].min(axis=0))
+        x, j = np.nonzero(np.isfinite(Td) & ~ra)
+        if np.unique(j).size < act.size:
+            raise NumericalError("a node cannot reach its source: the "
+                                 "distance is +inf")
+        pol[x, act[j]] = np.argmin(q[:, x, j], axis=0)
+        da = np.minimum(da, Td)
+        da[src[act], np.arange(act.size)] = 0.0
+        d[:, act] = da
+        reached[x, act[j]] = True
+    return pol
+
+
+def _evaluate(exit_form: tuple, src: np.ndarray, pol: np.ndarray) -> np.ndarray:
+    """Value d (N, S) of the policy pol (N, S) of control ids, column s
+    pinned at node src[s]: d = stage_pi + P_pi d off the pins and d = 0 on
+    them, in the exit form, from one sparse LU of the block-diagonal
+    I - P_pi, one block per column.
+
+    The row at entry (x, s) is exit row pol[x, s]*N + x read on column s;
+    a pin's row is the identity with right-hand side 0. The rows of I -
+    P_pi are laid out as the columns of a CSC matrix, its transpose, which
+    the LU solves transposed. ConvergenceError if I - P_pi is singular:
+    the policy holds some node in a cycle that never reaches its pin."""
+    stage, op = exit_form
+    N, S = pol.shape
+    rows = (pol * N + np.arange(N)[:, None]).ravel()     # entries x*S + s
+    free = np.ones((N, S), dtype=bool)
+    free[src, np.arange(S)] = False
+    free = free.ravel()
+    rhs = np.where(free, stage[rows], 0.0)
+    if not np.all(np.isfinite(rhs)):
+        raise ConvergenceError("policy evaluation: I - P_pi is singular; the "
+                               "policy stays put on a node for ever")
+    sub = op[rows]
+    nnz = np.diff(sub.indptr)
+    keep = np.repeat(free, nnz)
+    nnz[~free] = 0
+    # each row: its diagonal 1, then -P_pi's row, which holds no entry on
+    # the row's own node
+    ptr = np.zeros(N * S + 1, dtype=np.int64)
+    np.cumsum(nnz + 1, out=ptr[1:])
+    idx = np.empty(ptr[-1], dtype=np.int64)
+    val = np.empty(ptr[-1])
+    idx[ptr[:-1]] = np.arange(N * S)
+    val[ptr[:-1]] = 1.0
+    at = np.repeat(ptr[:-1] + 1 - (np.cumsum(nnz) - nnz), nnz) + np.arange(nnz.sum())
+    idx[at] = sub.indices[keep] * S + np.repeat(np.arange(N * S) % S, nnz)
+    val[at] = -sub.data[keep]
+    try:
+        d = splu(sparse.csc_matrix((val, idx, ptr), shape=(N * S, N * S)),
+                 permc_spec="NATURAL").solve(rhs, trans="T")
+    except RuntimeError:                          # SuperLU: exactly singular
+        d = np.full(N * S, np.nan)
+    if not np.all(np.isfinite(d)):
+        raise ConvergenceError("policy evaluation: I - P_pi is singular; the "
+                               "policy has a cycle that never reaches its pin")
+    return d.reshape(N, S)
+
+
+def _distances(tables: DPTables, sources: np.ndarray) -> np.ndarray:
+    """Columns d(., y), y in sources: the fixed point d = T d off the pins
+    with d(y) = 0, T the DP step `dp_step_cn`, by Howard's policy iteration.
+
+    From the first-arrival policy (`_first_arrival`), each step evaluates
+    the policy exactly (`_evaluate`) in the columns whose policy changed.
+    Where T d < d - 1e-13 (1 + |d|), the policy switches to the best control
+    in the exit form; it keeps the incumbent everywhere else, and stops when
+    no entry improves, so d = T d off the pins up to rounding. While every
+    cycle costs >= 0, strict improvement keeps the policy proper (Bertsekas
+    & Tsitsiklis, Math. Oper. Res. 16, 1991).
 
     The stay-put stages, the zero velocity's row of the control-major free
     stages with the pressing controls folded in, must be nonnegative. Every
-    source must be a node id in [0, N)."""
+    source must be a node id in [0, N). ConvergenceError after
+    MAX_POLICY_STEPS policy steps, with the largest improvement of each
+    step as history."""
     grid = tables.grid
     if sources.size and not (0 <= sources.min() and sources.max() < grid.n_nodes):
         raise NumericalError(f"source node ids must lie in [0, {grid.n_nodes}); "
@@ -95,54 +236,54 @@ def _distances(tables: DPTables, sources: np.ndarray, tol: float) -> np.ndarray:
         raise NormalizationError(
             "zero-velocity stage cost is negative at some node: the models "
             "are not normalized to eigenvalue zero; re-run the ergodic solver")
-    big = 1e7
     floor = -10.0 * (1.0 + grid.geom.diameter
                      * float(np.abs(tables.free_stage[np.isfinite(tables.free_stage)]).max())
                      / tables.dt)
+    exit_form = _exit_form(tables)
     out = np.empty((grid.n_nodes, sources.size))
     for sl in _chunks(tables, sources.size):
-        pins = (sources[sl], np.arange(sources[sl].size))
-        d = np.full((grid.n_nodes, pins[1].size), big)
-        d[pins] = 0.0
-        for _ in range(MAX_SWEEPS):
-            Td = np.minimum(d, dp_step_cn(d, tables))
-            Td[pins] = 0.0
-            if np.min(Td) < floor:
+        src = sources[sl]
+        pol = _first_arrival(exit_form, src, grid.n_nodes)
+        d = out[:, sl]
+        cols = np.arange(src.size)       # the columns whose policy changed
+        history = []
+        for _ in range(MAX_POLICY_STEPS):
+            dc = _evaluate(exit_form, src[cols], pol[:, cols])
+            if np.min(dc) < floor:
                 raise NormalizationError(
                     "distance iteration diverges to -inf: the models are not "
                     "normalized to eigenvalue zero; re-run the ergodic solver")
-            if np.max(d - Td) <= tol * tables.dt and np.max(d) < big:
+            d[:, cols] = dc
+            gain = dc - dp_step_cn(dc, tables)
+            gain[src[cols], np.arange(cols.size)] = 0.0
+            history.append(float(gain.max()))
+            x, s = np.nonzero(gain > 1e-13 * (1.0 + np.abs(dc)))
+            if x.size == 0:
                 break
-            d = Td
+            pol[x, cols[s]] = np.argmin(_exit_values(exit_form, dc)[:, x, s], axis=0)
+            cols = cols[np.unique(s)]
         else:
-            raise NumericalError(
-                f"value iteration did not settle in {MAX_SWEEPS} steps")
-        out[:, sl] = d
+            raise ConvergenceError(
+                f"policy iteration did not settle in {MAX_POLICY_STEPS} steps", history)
     return out
 
 
 def distance_from(grid: Grid, H: Hamiltonian, Bm: BoundaryOperator, y: int,
-                  controls: ControlSet | None = None, tables: DPTables | None = None,
-                  tol: float | None = None) -> GridField:
-    """Distance column d(., y): maximal discrete subsolution vanishing at y.
-
-    Stops once the `dp_residual` (d - T d)/dt is <= tol (default h^2) away
-    from y; MAX_SWEEPS caps the value-iteration steps.
-    """
+                  controls: ControlSet | None = None,
+                  tables: DPTables | None = None) -> GridField:
+    """Distance column d(., y): maximal discrete subsolution vanishing at y,
+    the fixed point of the DP recursion off y, exact up to rounding."""
     tables = tables if tables is not None else distance_tables(grid, H, Bm, controls)
-    tol = grid.h ** 2 if tol is None else tol
-    return GridField(grid, _distances(tables, np.array([int(y)]), tol)[:, 0])
+    return GridField(grid, _distances(tables, np.array([int(y)]))[:, 0])
 
 
 def distance_to(grid: Grid, H: Hamiltonian, Bm: BoundaryOperator, x: int,
-                controls: ControlSet | None = None, tables: DPTables | None = None,
-                tol: float | None = None) -> GridField:
-    """Distance row d(x, .): `distance_from` on the time-reversed tables,
-    with tol in the same `dp_residual` units."""
+                controls: ControlSet | None = None,
+                tables: DPTables | None = None) -> GridField:
+    """Distance row d(x, .): `distance_from` on the time-reversed tables."""
     tables = tables if tables is not None else distance_tables(grid, H, Bm, controls,
                                                                reverse=True)
-    tol = grid.h ** 2 if tol is None else tol
-    return GridField(grid, _distances(tables, np.array([int(x)]), tol)[:, 0])
+    return GridField(grid, _distances(tables, np.array([int(x)]))[:, 0])
 
 
 def distance_tables(grid: Grid, H: Hamiltonian, Bm: BoundaryOperator,
@@ -158,7 +299,8 @@ def distance_tables(grid: Grid, H: Hamiltonian, Bm: BoundaryOperator,
 def action_matrix(grid: Grid, H: Hamiltonian, Bm: BoundaryOperator,
                   controls: ControlSet | None = None,
                   sources: np.ndarray | None = None) -> ActionMatrix:
-    """Distance columns for every source (all nodes by default).
+    """Distance columns for every source (all nodes by default), each the
+    fixed point of the DP recursion off its source, exact up to rounding.
 
     The full matrix is only assembled for grids up to 2000 nodes; pass an
     explicit source list beyond that.
@@ -170,7 +312,7 @@ def action_matrix(grid: Grid, H: Hamiltonian, Bm: BoundaryOperator,
         sources = np.arange(grid.n_nodes)
     sources = np.asarray(sources, dtype=np.int64)
     tables = distance_tables(grid, H, Bm, controls)
-    return ActionMatrix(grid, sources, _distances(tables, sources, grid.h ** 2), tables)
+    return ActionMatrix(grid, sources, _distances(tables, sources), tables)
 
 
 def dp_residual(tables: DPTables, u: np.ndarray) -> np.ndarray:
@@ -182,7 +324,7 @@ def aubry_set(action: ActionMatrix) -> AubryMask:
     """Sources where pinning was inactive: d(., y) solves the recursion at y.
 
     residual_margin is the `dp_residual` of d(., y) at y, a supersolution
-    residual in equation units: <= 0 up to iteration tolerance everywhere,
+    residual in equation units: <= 0 up to rounding everywhere,
     == 0 on the discrete Aubry set. The tolerance 5*(h + dt) tracks the
     discretization inflation of the exact set.
     """

@@ -297,7 +297,9 @@ def gauss_seidel_discounted(st, eps, u, tol, max_sweeps=5000):
     nodes, sig = grid.nodes, st.sigma
     bpos = {int(k): j for j, k in enumerate(st.bidx)}
     fin = np.isfinite(st.inw_gap)
-    q_coef = np.where(fin, st.inw_sgn / np.where(fin, st.inw_gap, 1.0), 0.0)
+    side = (st.q_at // (grid.dim * grid.n_nodes)).T
+    sgn = np.where(st.inw_idx >= 0, 1 - 2 * side, 0)
+    q_coef = np.where(fin, sgn / np.where(fin, st.inw_gap, 1.0), 0.0)
     lat = grid.lattice_index
     if grid.dim == 1:
         fwd = np.argsort(lat[:, 0], kind="stable")

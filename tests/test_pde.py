@@ -629,8 +629,9 @@ def rhs_reference(stp, u):
     phi -= 0.5 * np.sum(stp.sigma[:, None] * (pE - pW), axis=0)
     if stp.bidx.size:
         b, xb, bn = stp.bidx, stp.xb, stp.bn
-        q = np.where(stp.inw_sgn > 0, pW[:, b],
-                     np.where(stp.inw_sgn < 0, pE[:, b], 0.0)).T
+        side = (stp.q_at // (grid.dim * grid.n_nodes)).T
+        sgn = np.where(stp.inw_idx >= 0, 1 - 2 * side, 0)
+        q = np.where(sgn > 0, pW[:, b], np.where(sgn < 0, pE[:, b], 0.0)).T
         if stp.kind == "cn":
             qn = np.sum(q * bn, axis=-1)
             qt = q - qn[:, None] * bn

@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.integrate import quad
 
 from hj_neumann import ergodic as E, geometry as G, models as M, pde as P
 from hj_neumann import variational as V, weak_kam as W
-from hj_neumann.errors import NormalizationError, NumericalError
+from hj_neumann.errors import ConvergenceError, NormalizationError, NumericalError
 
 IV = G.interval(0.0, 1.0)
+DISC = G.disc(0.0, 0.0, 1.0)
 
 # normalized cosine well: H = p^2/2 - cos(2 pi x) - 1, single interior
 # maximum of the effective potential at x* = 0.5, eigenvalue 0
@@ -165,9 +167,117 @@ def test_value_iteration_matches_gauss_seidel_reference():
     for reverse, dist in ((False, W.distance_from), (True, W.distance_to)):
         tables = W.distance_tables(grid, H, Bm, controls=ctrl, reverse=reverse)
         for y in (0, grid.centroid_node(), grid.n_nodes - 1):
-            d = dist(grid, H, Bm, y, tables=tables, tol=1e-12)
+            d = dist(grid, H, Bm, y, tables=tables)
             ref = gauss_seidel_distance(tables, y, 1e-12)
             assert np.abs(d.values - ref).max() <= 1e-9
+
+
+def weak_kam_1d_setup():
+    # the weak-kam-1d bench set-up: cosine well, two affine boundary forms
+    grid = G.build_grid(IV, 0.025)
+    H = M.quadratic(1, potential=COSINE)
+    Bm = M.max_affine(IV, [(1.0, 0.2), (2.0, 0.5)])
+    return grid, H, Bm, V.build_control_set(H, Bm, grid, n_velocity=33, v_max=2.5)
+
+
+def eikonal_setup():
+    grid = G.build_grid(IV, 0.02)
+    H, Bm = M.eikonal(1), M.neumann(IV)
+    return grid, H, Bm, V.build_control_set(H, Bm, grid)
+
+
+def disc_setup():
+    # the bench disc model; no control lands on a snapped boundary node
+    # alone, so those sources reach their first nodes through mixed stencils
+    grid = G.build_grid(DISC, 0.2)
+    H, Bm = M.quadratic(2, "-0.5*(x**2 + y**2)"), M.neumann(DISC)
+    return grid, H, Bm, V.build_control_set(H, Bm, grid, n_velocity=9)
+
+
+SETUPS = {"cosine": lambda: cosine_setup(0.02), "weak-kam-1d": weak_kam_1d_setup,
+          "eikonal": eikonal_setup, "disc": disc_setup}
+
+
+def value_iteration_distance(tables, sources, tol, max_steps=100000):
+    # batched monotone value iteration d <- min(d, T d) from 1e7 with the
+    # pins at 0, the distance engine that policy iteration replaced; stops
+    # once (d - T d)/dt <= tol off the pins. A reference for the fixed point
+    big = 1e7
+    pins = (sources, np.arange(sources.size))
+    d = np.full((tables.grid.n_nodes, sources.size), big)
+    d[pins] = 0.0
+    for _ in range(max_steps):
+        Td = np.minimum(d, V.dp_step_cn(d, tables))
+        Td[pins] = 0.0
+        if np.max(d - Td) <= tol * tables.dt and np.max(d) < big:
+            return d
+        d = Td
+    raise AssertionError("reference value iteration did not settle")
+
+
+@pytest.mark.parametrize("name", sorted(SETUPS))
+def test_distance_columns_solve_the_recursion(name):
+    grid, H, Bm, ctrl = SETUPS[name]()
+    act = W.action_matrix(grid, H, Bm, controls=ctrl)
+    resid = W.dp_residual(act.tables, act.d)
+    resid[act.sources, np.arange(act.sources.size)] = 0.0
+    assert np.abs(resid).max() <= 1e-12
+
+
+def test_action_matrix_column_equals_distance_from():
+    grid, H, Bm, ctrl = weak_kam_1d_setup()
+    act = W.action_matrix(grid, H, Bm, controls=ctrl)
+    for y in (0, grid.centroid_node(), grid.n_nodes - 1):
+        col = W.distance_from(grid, H, Bm, y, tables=act.tables)
+        assert np.abs(act.column(y) - col.values).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name, reverse", [("weak-kam-1d", False), ("weak-kam-1d", True),
+                                           ("disc", False)])
+def test_policy_iteration_matches_value_iteration_oracle(name, reverse):
+    grid, H, Bm, ctrl = SETUPS[name]()
+    tables = W.distance_tables(grid, H, Bm, controls=ctrl, reverse=reverse)
+    sources = np.arange(grid.n_nodes)
+    ref = value_iteration_distance(tables, sources, 1e-12)
+    assert np.abs(W._distances(tables, sources) - ref).max() <= 1e-9
+
+
+def test_eikonal_distances_are_exactly_zero():
+    # every admissible stage costs 0, and so does every policy's value
+    grid, H, Bm, ctrl = eikonal_setup()
+    act = W.action_matrix(grid, H, Bm, controls=ctrl)
+    assert np.all(act.d == 0.0)
+
+
+def test_improper_policy_evaluation_raises():
+    # staying put everywhere never reaches the pin
+    grid, H, Bm, ctrl = eikonal_setup()
+    tables = W.distance_tables(grid, H, Bm, controls=ctrl)
+    c0 = int(np.argmin(np.linalg.norm(ctrl.velocities, axis=-1)))
+    src = np.array([0, grid.n_nodes // 2])
+    with pytest.raises(ConvergenceError, match="singular"):
+        W._evaluate(W._exit_form(tables), src, np.full((grid.n_nodes, src.size), c0))
+    # one control, node 0 -> 1, 1 -> 2, 2 -> 1: nodes 1 and 2 cycle away
+    # from the pin at node 0
+    op = sparse.csr_matrix(([1.0, 1.0, 1.0], [1, 2, 1], [0, 1, 2, 3]), shape=(3, 3))
+    with pytest.raises(ConvergenceError, match="singular"):
+        W._evaluate((np.ones(3), op), np.array([0]), np.zeros((3, 1), dtype=np.int64))
+
+
+def test_unreachable_node_raises():
+    # node 2 has no control that leaves it
+    op = sparse.csr_matrix(([1.0, 1.0], [1, 0], [0, 1, 2, 2]), shape=(3, 3))
+    stage = np.array([1.0, 1.0, np.inf])
+    with pytest.raises(NumericalError, match="cannot reach its source"):
+        W._first_arrival((stage, op), np.array([0]), 3)
+
+
+def test_policy_step_cap_raises_with_history(monkeypatch):
+    grid, H, Bm, ctrl = disc_setup()
+    monkeypatch.setattr(W, "MAX_POLICY_STEPS", 1)
+    with pytest.raises(ConvergenceError, match="did not settle in 1 steps") as err:
+        W.action_matrix(grid, H, Bm, controls=ctrl)
+    assert len(err.value.history) == 1 and err.value.history[0] > 0
 
 
 def test_liminf_spot_check():

@@ -31,7 +31,8 @@ from .errors import ConvergenceError, NormalizationError, NumericalError
 from .geometry import Grid
 from .models import BoundaryOperator, Hamiltonian
 from .pde import GridField, SpaceTimeField
-from .variational import ControlSet, DPTables, build_control_set, build_tables, dp_step_cn
+from .variational import (ControlSet, DPTables, _stage_plus, build_control_set, build_tables,
+                          dp_step_cn)
 
 # policy steps a batch of distance columns may take to settle
 MAX_POLICY_STEPS = 50
@@ -86,32 +87,20 @@ def _chunks(tables: DPTables, S: int) -> list[slice]:
 def _exit_form(tables: DPTables) -> tuple[np.ndarray, sparse.csr_matrix]:
     """The free controls with each one's self-loop solved out, as (stage,
     op): using control c at node x until the state leaves x costs
-    stage[c*N + x] = free_stage[c, x] / off and lands on node j != x with
+    stage[c, x] = free_stage[c, x] / off and lands on node j != x with
     weight op[c*N + x, j] = w_j / off, where w is free_op's row c*N + x and
     off = sum over j != x of w_j. A control that never leaves (off = 0:
     staying put on the node) costs +inf. Dividing by off, not 1 - w_x,
     keeps a row whose self weight rounds near 1 exact."""
     Cv, N = tables.free_stage.shape
-    op = tables.free_op
-    row = np.repeat(np.arange(Cv * N), np.diff(op.indptr))
-    leave = op.indices != row % N
-    row = row[leave]
-    off = np.bincount(row, op.data[leave], minlength=Cv * N)
-    stage = np.full(Cv * N, np.inf)
+    op = tables.free_op.tocoo()
+    leave = op.col != op.row % N
+    row, col, w = op.row[leave], op.col[leave], op.data[leave]
+    off = np.bincount(row, w, minlength=Cv * N).reshape(Cv, N)
+    stage = np.full((Cv, N), np.inf)
     moves = off > 0
-    stage[moves] = tables.free_stage.ravel()[moves] / off[moves]
-    ptr = np.zeros(Cv * N + 1, dtype=np.int64)
-    np.cumsum(np.bincount(row, minlength=Cv * N), out=ptr[1:])
-    return stage, sparse.csr_matrix((op.data[leave] / off[row], op.indices[leave], ptr),
-                                    shape=op.shape)
-
-
-def _exit_values(exit_form: tuple, d: np.ndarray) -> np.ndarray:
-    """(Cv, N, S) cost of each control in the exit form, landing on d (N, S)."""
-    stage, op = exit_form
-    q = op @ d
-    q += stage[:, None]
-    return q.reshape(-1, *d.shape)
+    stage[moves] = tables.free_stage[moves] / off[moves]
+    return stage, sparse.csr_matrix((w / off.ravel()[row], (row, col)), shape=op.shape)
 
 
 def _first_arrival(exit_form: tuple, src: np.ndarray, N: int) -> np.ndarray:
@@ -137,16 +126,16 @@ def _first_arrival(exit_form: tuple, src: np.ndarray, N: int) -> np.ndarray:
     while not np.all(reached):
         act = np.flatnonzero(~np.all(reached, axis=0))
         da, ra = d[:, act], reached[:, act]
-        q = _exit_values(exit_form, da)
+        q = _stage_plus(stage, op @ da)
         Td = q.min(axis=0)
         stall = ~np.any(np.isfinite(Td) & ~ra, axis=0)
         if np.any(stall):
             r = ra[:, stall]
-            rho = op @ r.astype(float)
+            rho = (op @ r.astype(float)).reshape(q[:, :, stall].shape)
             with np.errstate(divide="ignore", invalid="ignore"):
                 q[:, :, stall] = np.where(
-                    rho > 0, (op @ np.where(r, da[:, stall], 0.0) + stage[:, None]) / rho,
-                    np.inf).reshape(-1, N, r.shape[1])
+                    rho > 0, _stage_plus(stage, op @ np.where(r, da[:, stall], 0.0)) / rho,
+                    np.inf)
             Td[:, stall] = np.where(r, np.inf, q[:, :, stall].min(axis=0))
         x, j = np.nonzero(np.isfinite(Td) & ~ra)
         if np.unique(j).size < act.size:
@@ -177,28 +166,21 @@ def _evaluate(exit_form: tuple, src: np.ndarray, pol: np.ndarray) -> np.ndarray:
     free = np.ones((N, S), dtype=bool)
     free[src, np.arange(S)] = False
     free = free.ravel()
-    rhs = np.where(free, stage[rows], 0.0)
+    rhs = np.where(free, stage.ravel()[rows], 0.0)
     if not np.all(np.isfinite(rhs)):
         raise ConvergenceError("policy evaluation: I - P_pi is singular; the "
                                "policy stays put on a node for ever")
-    sub = op[rows]
-    nnz = np.diff(sub.indptr)
-    keep = np.repeat(free, nnz)
-    nnz[~free] = 0
-    # each row: its diagonal 1, then -P_pi's row, which holds no entry on
-    # the row's own node
-    ptr = np.zeros(N * S + 1, dtype=np.int64)
-    np.cumsum(nnz + 1, out=ptr[1:])
-    idx = np.empty(ptr[-1], dtype=np.int64)
-    val = np.empty(ptr[-1])
-    idx[ptr[:-1]] = np.arange(N * S)
-    val[ptr[:-1]] = 1.0
-    at = np.repeat(ptr[:-1] + 1 - (np.cumsum(nnz) - nnz), nnz) + np.arange(nnz.sum())
-    idx[at] = sub.indices[keep] * S + np.repeat(np.arange(N * S) % S, nnz)
-    val[at] = -sub.data[keep]
+    # column k = x*S + s: its diagonal 1 and -P_pi's row, which holds no
+    # entry on its own node x, at the entries (j, s)
+    sub = op[rows].tocoo()
+    keep = free[sub.row]
+    k = sub.row[keep]
+    diag = np.arange(N * S)
+    IPt = sparse.csc_matrix((np.concatenate([np.ones(N * S), -sub.data[keep]]),
+                             (np.concatenate([diag, sub.col[keep] * S + k % S]),
+                              np.concatenate([diag, k]))), shape=(N * S, N * S))
     try:
-        d = splu(sparse.csc_matrix((val, idx, ptr), shape=(N * S, N * S)),
-                 permc_spec="NATURAL").solve(rhs, trans="T")
+        d = splu(IPt, permc_spec="NATURAL").solve(rhs, trans="T")
     except RuntimeError:                          # SuperLU: exactly singular
         d = np.full(N * S, np.nan)
     if not np.all(np.isfinite(d)):
@@ -239,7 +221,7 @@ def _distances(tables: DPTables, sources: np.ndarray) -> np.ndarray:
     floor = -10.0 * (1.0 + grid.geom.diameter
                      * float(np.abs(tables.free_stage[np.isfinite(tables.free_stage)]).max())
                      / tables.dt)
-    exit_form = _exit_form(tables)
+    exit_form = stage, op = _exit_form(tables)
     out = np.empty((grid.n_nodes, sources.size))
     for sl in _chunks(tables, sources.size):
         src = sources[sl]
@@ -260,7 +242,7 @@ def _distances(tables: DPTables, sources: np.ndarray) -> np.ndarray:
             x, s = np.nonzero(gain > 1e-13 * (1.0 + np.abs(dc)))
             if x.size == 0:
                 break
-            pol[x, cols[s]] = np.argmin(_exit_values(exit_form, dc)[:, x, s], axis=0)
+            pol[x, cols[s]] = np.argmin(_stage_plus(stage, op @ dc)[:, x, s], axis=0)
             cols = cols[np.unique(s)]
         else:
             raise ConvergenceError(

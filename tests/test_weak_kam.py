@@ -267,7 +267,7 @@ def test_improper_policy_evaluation_raises():
 def test_unreachable_node_raises():
     # node 2 has no control that leaves it
     op = sparse.csr_matrix(([1.0, 1.0], [1, 0], [0, 1, 2, 2]), shape=(3, 3))
-    stage = np.array([1.0, 1.0, np.inf])
+    stage = np.array([[1.0, 1.0, np.inf]])
     with pytest.raises(NumericalError, match="cannot reach its source"):
         W._first_arrival((stage, op), np.array([0]), 3)
 

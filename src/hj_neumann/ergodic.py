@@ -52,12 +52,11 @@ class ErgodicPair:
 
 
 def discounted_solve(H: Hamiltonian, Bm: BoundaryOperator, epsilon: float,
-                     kind: str, init: GridField, tol: float | None = None,
-                     max_sweeps: int = 2000) -> GridField:
+                     kind: str, init: GridField, tol: float | None = None) -> GridField:
     """Steady state of the eps-damped problem, warm-started from init.
 
     Newton steps on eps*u + Phi(u) = 0, Phi the marching scheme's rhs, each
-    a sparse solve with eps*I + Stepper.jacobian(u); max_sweeps caps their
+    a sparse solve with eps*I + Stepper.jacobian(u); NEWTON_STEPS caps their
     number. Converged when the largest update is at most tol (default
     eps*h^2); otherwise ConvergenceError carries the update history. The
     dissipation is refreshed, and the iteration resumed, when the converged
@@ -78,7 +77,7 @@ def discounted_solve(H: Hamiltonian, Bm: BoundaryOperator, epsilon: float,
                             shape=(grid.n_nodes, grid.n_nodes))
     u = init.values.copy()
     history = []
-    while len(history) < max_sweeps:
+    while len(history) < NEWTON_STEPS:
         phi = st.rhs(u)
         du = spsolve(damp + st.jacobian(u, phi), -(epsilon * u + phi))
         u += du
@@ -108,9 +107,10 @@ def discounted_solve(H: Hamiltonian, Bm: BoundaryOperator, epsilon: float,
 
 DEFAULT_SCHEDULE = (0.001,)
 
-# stopping residual |Phi(v) - c|_inf and step cap of the eigenpair solve
+# stopping residual |Phi(v) - c|_inf of the eigenpair solve, and the step
+# cap of both Newton solves, discounted and eigenpair
 EIGEN_TOL = 1e-12
-EIGEN_STEPS = 50
+NEWTON_STEPS = 50
 
 
 def ergodic_limit(H: Hamiltonian, Bm: BoundaryOperator, grid: Grid,
@@ -123,7 +123,7 @@ def ergodic_limit(H: Hamiltonian, Bm: BoundaryOperator, grid: Grid,
     each a sparse solve with Stepper.jacobian(v) whose anchor column (v(x0)
     is fixed at 0) carries the unknown c instead. x0 is the node nearest the
     domain centroid. Stops when |Phi(v) - c|_inf <= EIGEN_TOL; after
-    EIGEN_STEPS steps, ConvergenceError carries the residual history.
+    NEWTON_STEPS steps, ConvergenceError carries the residual history.
     """
     eps = list(epsilon_schedule)
     if not eps or any(b >= a for a, b in zip(eps, eps[1:])) or eps[-1] < 1e-4:
@@ -137,7 +137,7 @@ def ergodic_limit(H: Hamiltonian, Bm: BoundaryOperator, grid: Grid,
     col = sparse.csr_array((np.full(n, -1.0), (np.arange(n), np.full(n, x0))),
                            shape=(n, n))
     history = []
-    for _ in range(EIGEN_STEPS):
+    for _ in range(NEWTON_STEPS):
         phi = st.rhs(v)
         history.append(float(np.abs(phi - c).max()))
         if not history[-1] > EIGEN_TOL:     # converged, or a non-finite residual
@@ -151,7 +151,7 @@ def ergodic_limit(H: Hamiltonian, Bm: BoundaryOperator, grid: Grid,
     if not history[-1] <= EIGEN_TOL:
         raise ConvergenceError(
             f"eigenpair solve did not reach |Phi(v) - c| <= {EIGEN_TOL:g} "
-            f"in {EIGEN_STEPS} Newton steps", history)
+            f"in {NEWTON_STEPS} Newton steps", history)
 
     pair_v = GridField(grid, v)
     res = stationary_residual(pair_v, H, Bm, kind, level=c, grad_bound=st.grad_bound)

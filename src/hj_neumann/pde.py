@@ -200,8 +200,6 @@ class Stepper:
         self.bidx, self.bn, self.xb = b, grid.normals[b], grid.nodes[b]
         first = (self.bn.T < -1e-12).astype(np.int64)[None]
         side = np.where(np.take_along_axis(self.idx[:, :, b] >= 0, first, 0), first, 1 - first)
-        self.inw_idx = np.take_along_axis(self.idx[:, :, b], side, 0)[0]
-        self.inw_gap = np.take_along_axis(self.gap[:, :, b], side, 0)[0]
         # flat index of each inward slope in one_sided(grid, u).ravel(); an
         # axis with no neighbour points at a missing side, whose slope is +0.0
         dim, n = grid.dim, grid.n_nodes
@@ -239,7 +237,7 @@ class Stepper:
 
         inv = 1.0 / self.gap
         coef = np.sum(self.sigma[:, None] * np.maximum(inv[0], inv[1]), axis=0)
-        binv = 1.0 / self.inw_gap
+        binv = 1.0 / self.gap.ravel()[self.q_at].T          # inward gaps (dim, Nb)
         if self.kind == "cn":
             fac = 1.0 if grid.dim == 1 else 2.0
             bco = fac * self.sig_n * np.sum(np.abs(self.bn).T * binv, axis=0)

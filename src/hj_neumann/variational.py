@@ -102,6 +102,7 @@ def _interp_weights(grid: Grid, pts: np.ndarray) -> sparse.csr_matrix:
     frac = (pts - np.asarray(grid.geom.bounds[0], dtype=float)) / grid.h
     base = np.floor(frac + 1e-12).astype(np.int64)
     rem = np.clip(frac - base, 0.0, 1.0)
+    rem[rem <= 1e-12] = 0.0       # on a lattice plane up to rounding: no weight across it
     pad = np.pad(grid.node_at, 2, constant_values=-1)
     # a base cell outside the lattice clips to one whose corners are pads
     cell = np.clip(base + 2, 0, np.array(pad.shape) - 2)

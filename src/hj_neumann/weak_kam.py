@@ -46,6 +46,7 @@ class ActionMatrix:
     sources: np.ndarray          # (S,) node ids
     d: np.ndarray                # (N, S)
     tables: DPTables
+    pin_margin: np.ndarray       # (S,) dp_residual of column j at sources[j]
 
     def column(self, y: int) -> np.ndarray:
         j = np.flatnonzero(self.sources == y)
@@ -131,7 +132,7 @@ def _first_arrival(exit_form: tuple, src: np.ndarray, N: int) -> np.ndarray:
         stall = ~np.any(np.isfinite(Td) & ~ra, axis=0)
         if np.any(stall):
             r = ra[:, stall]
-            rho = (op @ r.astype(float)).reshape(q[:, :, stall].shape)
+            rho = (op @ r.astype(float)).reshape(*stage.shape, -1)
             with np.errstate(divide="ignore", invalid="ignore"):
                 q[:, :, stall] = np.where(
                     rho > 0, _stage_plus(stage, op @ np.where(r, da[:, stall], 0.0)) / rho,
@@ -189,9 +190,11 @@ def _evaluate(exit_form: tuple, src: np.ndarray, pol: np.ndarray) -> np.ndarray:
     return d.reshape(N, S)
 
 
-def _distances(tables: DPTables, sources: np.ndarray) -> np.ndarray:
+def _distances(tables: DPTables, sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Columns d(., y), y in sources: the fixed point d = T d off the pins
-    with d(y) = 0, T the DP step `dp_step_cn`, by Howard's policy iteration.
+    with d(y) = 0, T the DP step `dp_step_cn`, by Howard's policy iteration;
+    returns d (N, S) and each column's `dp_residual` at its pin (S,), read
+    off the column's last policy step.
 
     From the first-arrival policy (`_first_arrival`), each step evaluates
     the policy exactly (`_evaluate`) in the columns whose policy changed.
@@ -222,11 +225,11 @@ def _distances(tables: DPTables, sources: np.ndarray) -> np.ndarray:
                      * float(np.abs(tables.free_stage[np.isfinite(tables.free_stage)]).max())
                      / tables.dt)
     exit_form = stage, op = _exit_form(tables)
-    out = np.empty((grid.n_nodes, sources.size))
+    out, margin = np.empty((grid.n_nodes, sources.size)), np.empty(sources.size)
     for sl in _chunks(tables, sources.size):
         src = sources[sl]
         pol = _first_arrival(exit_form, src, grid.n_nodes)
-        d = out[:, sl]
+        d, m = out[:, sl], margin[sl]
         cols = np.arange(src.size)       # the columns whose policy changed
         history = []
         for _ in range(MAX_POLICY_STEPS):
@@ -237,6 +240,7 @@ def _distances(tables: DPTables, sources: np.ndarray) -> np.ndarray:
                     "normalized to eigenvalue zero; re-run the ergodic solver")
             d[:, cols] = dc
             gain = dc - dp_step_cn(dc, tables)
+            m[cols] = gain[src[cols], np.arange(cols.size)] / tables.dt
             gain[src[cols], np.arange(cols.size)] = 0.0
             history.append(float(gain.max()))
             x, s = np.nonzero(gain > 1e-13 * (1.0 + np.abs(dc)))
@@ -247,7 +251,7 @@ def _distances(tables: DPTables, sources: np.ndarray) -> np.ndarray:
         else:
             raise ConvergenceError(
                 f"policy iteration did not settle in {MAX_POLICY_STEPS} steps", history)
-    return out
+    return out, margin
 
 
 def distance_from(grid: Grid, H: Hamiltonian, Bm: BoundaryOperator, y: int,
@@ -256,7 +260,7 @@ def distance_from(grid: Grid, H: Hamiltonian, Bm: BoundaryOperator, y: int,
     """Distance column d(., y): maximal discrete subsolution vanishing at y,
     the fixed point of the DP recursion off y, exact up to rounding."""
     tables = tables if tables is not None else distance_tables(grid, H, Bm, controls)
-    return GridField(grid, _distances(tables, np.array([int(y)]))[:, 0])
+    return GridField(grid, _distances(tables, np.array([int(y)]))[0][:, 0])
 
 
 def distance_to(grid: Grid, H: Hamiltonian, Bm: BoundaryOperator, x: int,
@@ -265,7 +269,7 @@ def distance_to(grid: Grid, H: Hamiltonian, Bm: BoundaryOperator, x: int,
     """Distance row d(x, .): `distance_from` on the time-reversed tables."""
     tables = tables if tables is not None else distance_tables(grid, H, Bm, controls,
                                                                reverse=True)
-    return GridField(grid, _distances(tables, np.array([int(x)]))[:, 0])
+    return GridField(grid, _distances(tables, np.array([int(x)]))[0][:, 0])
 
 
 def distance_tables(grid: Grid, H: Hamiltonian, Bm: BoundaryOperator,
@@ -294,7 +298,8 @@ def action_matrix(grid: Grid, H: Hamiltonian, Bm: BoundaryOperator,
         sources = np.arange(grid.n_nodes)
     sources = np.asarray(sources, dtype=np.int64)
     tables = distance_tables(grid, H, Bm, controls)
-    return ActionMatrix(grid, sources, _distances(tables, sources), tables)
+    d, margin = _distances(tables, sources)
+    return ActionMatrix(grid, sources, d, tables, margin)
 
 
 def dp_residual(tables: DPTables, u: np.ndarray) -> np.ndarray:
@@ -307,19 +312,16 @@ def aubry_set(action: ActionMatrix) -> AubryMask:
 
     residual_margin is the `dp_residual` of d(., y) at y, a supersolution
     residual in equation units: <= 0 up to rounding everywhere,
-    == 0 on the discrete Aubry set. The tolerance 5*(h + dt) tracks the
+    == 0 on the discrete Aubry set. It is the action matrix's pin_margin,
+    so no DP step runs here. The tolerance 5*(h + dt) tracks the
     discretization inflation of the exact set.
     """
-    tables = action.tables
-    aubry_tol = 5.0 * (action.grid.h + tables.dt)
-    margins = np.empty(action.sources.size)
-    for sl in _chunks(tables, action.sources.size):
-        margins[sl] = np.diag(dp_residual(tables, action.d[:, sl])[action.sources[sl]])
-    mask = margins >= -aubry_tol
+    aubry_tol = 5.0 * (action.grid.h + action.tables.dt)
+    mask = action.pin_margin >= -aubry_tol
     if not np.any(mask):
         raise NumericalError("empty Aubry mask: the eigenvalue normalization "
                              "or the tolerance is off")
-    return AubryMask(mask, margins, action.sources, float(aubry_tol))
+    return AubryMask(mask, action.pin_margin, action.sources, float(aubry_tol))
 
 
 def asymptotic_profile(u0: GridField, action: ActionMatrix,

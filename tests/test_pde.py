@@ -590,7 +590,7 @@ def test_jacobian_colouring_parts_every_row(geom, h):
     stp, _ = jacobian_setups(geom, h)[0]
     grid = stp.grid
     colour = P.stencil_colouring(grid)
-    inward = dict(zip(stp.bidx, stp.inw_idx.T))
+    inward = dict(zip(stp.bidx, grid.neighbors.ravel()[stp.q_at]))
     assert colour.max() + 1 <= 2 * grid.dim + 1
     for i in range(grid.n_nodes):
         reads = {i, *grid.neighbors[:, :, i].ravel(), *inward.get(i, [])} - {-1}
@@ -630,7 +630,7 @@ def rhs_reference(stp, u):
     if stp.bidx.size:
         b, xb, bn = stp.bidx, stp.xb, stp.bn
         side = (stp.q_at // (grid.dim * grid.n_nodes)).T
-        sgn = np.where(stp.inw_idx >= 0, 1 - 2 * side, 0)
+        sgn = np.where(grid.neighbors.ravel()[stp.q_at].T >= 0, 1 - 2 * side, 0)
         q = np.where(sgn > 0, pW[:, b], np.where(sgn < 0, pE[:, b], 0.0)).T
         if stp.kind == "cn":
             qn = np.sum(q * bn, axis=-1)

@@ -239,7 +239,50 @@ def test_policy_iteration_matches_value_iteration_oracle(name, reverse):
     tables = W.distance_tables(grid, H, Bm, controls=ctrl, reverse=reverse)
     sources = np.arange(grid.n_nodes)
     ref = value_iteration_distance(tables, sources, 1e-12)
-    assert np.abs(W._distances(tables, sources) - ref).max() <= 1e-9
+    assert np.abs(W._distances(tables, sources)[0] - ref).max() <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["weak-kam-1d", "disc"])
+def test_policy_evaluation_matches_dense_solve(name):
+    # the first-arrival policy's value, column by column from a dense solve
+    # of d = stage_pi + P_pi d off the pin, d = 0 on it
+    grid, H, Bm, ctrl = SETUPS[name]()
+    stage, op = exit_form = W._exit_form(W.distance_tables(grid, H, Bm, controls=ctrl))
+    N = grid.n_nodes
+    src = np.arange(0, N, 3)
+    pol = W._first_arrival(exit_form, src, N)
+    d = W._evaluate(exit_form, src, pol)
+    for s, y in enumerate(src):
+        rows = pol[:, s] * N + np.arange(N)
+        A = np.eye(N) - op[rows].toarray()
+        b = stage.ravel()[rows]
+        A[y], b[y] = np.eye(N)[y], 0.0
+        assert np.abs(d[:, s] - np.linalg.solve(A, b)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["weak-kam-1d", "disc"])
+def test_aubry_set_reads_pin_margins_without_a_dp_step(name, monkeypatch):
+    grid, H, Bm, ctrl = SETUPS[name]()
+    act = W.action_matrix(grid, H, Bm, controls=ctrl)
+    ref = W.dp_residual(act.tables, act.d)[act.sources, np.arange(act.sources.size)]
+
+    def no_step(*args):
+        raise AssertionError("aubry_set ran a DP step")
+    monkeypatch.setattr(W, "dp_step_cn", no_step)
+    monkeypatch.setattr(V, "dp_step_cn", no_step)
+    assert np.array_equal(W.aubry_set(act).residual_margin, ref)
+
+
+@pytest.mark.parametrize("name", ["weak-kam-1d", "disc"])
+def test_interior_stay_put_rows_land_exactly_on_their_node(name):
+    # a rounding weight on a neighbour would be a free move at a node whose
+    # stay-put stage is 0
+    grid, H, Bm, ctrl = SETUPS[name]()
+    tables = W.distance_tables(grid, H, Bm, controls=ctrl)
+    c0 = int(np.argmin(np.linalg.norm(ctrl.velocities, axis=-1)))
+    x = grid.interior_idx
+    rows = tables.free_op[c0 * grid.n_nodes + x].toarray()
+    assert np.array_equal(rows, np.eye(grid.n_nodes)[x])
 
 
 def test_eikonal_distances_are_exactly_zero():

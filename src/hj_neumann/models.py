@@ -80,11 +80,15 @@ class Hamiltonian:
     def __call__(self, x: np.ndarray, p: np.ndarray) -> np.ndarray:
         return self.fn(np.asarray(x, float), np.asarray(p, float))
 
-    def coercivity_radius(self, level: float, points: np.ndarray) -> float:
+    def coercivity_radius(self, level: float, points: np.ndarray,
+                          h0: np.ndarray | None = None) -> float:
         """Smallest scanned radius r = 0.5 * 1.25^k <= 256 with min over samples
-        of H at |p| = r >= level; a profile gives min H(x, 0) + profile(r * r)."""
+        of H at |p| = r >= level; a profile gives min H(x, 0) + profile(r * r),
+        with H(x, 0) read from h0 when the caller holds it at the points."""
         dirs = _directions(self.dim)
-        base = None if self.profile is None else float(self(points, np.zeros(self.dim)).min())
+        base = None
+        if self.profile is not None:
+            base = float((self(points, np.zeros(self.dim)) if h0 is None else h0).min())
         r = 0.5
         while r <= 256.0:
             if base is None:
@@ -717,8 +721,9 @@ def audit_assumptions(H: Hamiltonian, Bm: BoundaryOperator,
 
     # A1: coercivity along the shell ladder
     try:
-        level = float(np.abs(H(xs, np.zeros(geom.dim))).max()) + 2.0
-        r = H.coercivity_radius(level, xs)
+        h0 = np.asarray(H(xs, np.zeros(geom.dim)), dtype=float)
+        level = float(np.abs(h0).max()) + 2.0
+        r = H.coercivity_radius(level, xs, h0)
         entries.append(AuditEntry("A1", True,
                                   f"H >= {level:.3g} for |p| >= {r:.3g}"))
     except NumericalError:

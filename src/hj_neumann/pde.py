@@ -18,8 +18,11 @@ condition: the ghost gradients take the place of the boundary rows' mean
 slopes before H is evaluated. A radial catalog H is h0 + profile(|p|^2),
 with h0 = H(x, 0) kept from the build, so its ``rhs`` makes no H call; any
 other H gets one. sigma is closed-form for the radial catalog H and
-sampled for the rest. The CFL bound comes from the actual stencil gaps; it
-does not make the scheme monotone at curved boundaries (ROADMAP item 2).
+sampled for the rest. The CFL bound dt_max keeps every row's own
+coefficient in u - dt Phi(u) nonnegative, from the actual stencil gaps; for
+a catalog B under the Neumann condition the boundary rows' bound follows
+the closed-form root as it moves with u_b (``Stepper.refresh``). It does not
+make the scheme monotone at curved boundaries (ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -184,8 +187,9 @@ class Stepper:
     gamma_k . n at the boundary nodes are fixed at build (ObliquenessError
     there if some gamma_k . n <= 0) and certified against B by one call
     (NumericalError if they do not match). h0 = H(x, 0) at the nodes is
-    kept from the build as the base of a radial H in ``rhs``. ``refresh``
-    resets sigma and dt_max and calls no B.
+    evaluated once: it sets the coercivity radius and is kept as the base
+    of a radial H in ``rhs``. ``refresh`` resets sigma and dt_max from the
+    forms fixed at build and calls no B.
     """
 
     def __init__(self, grid: Grid, H: Hamiltonian, Bm: BoundaryOperator,
@@ -214,12 +218,14 @@ class Stepper:
         # refresh when slopes grow past it
         self.h0 = np.asarray(H(grid.nodes, np.zeros(grid.dim)), dtype=float)
         level = 2.0 * float(np.abs(self.h0).max()) + 2.0
-        self.base_radius = H.coercivity_radius(level, grid.nodes) + 1.0
-        self.refresh(grad_bound)
+        self.base_radius = H.coercivity_radius(level, grid.nodes, self.h0) + 1.0
 
         self.forms = None
         if self.kind == "cn" and Bm.forms is not None:
             self.forms = _form_values(Bm, self.xb, self.bn)
+        self.refresh(grad_bound)
+
+        if self.forms is not None:
             # q_T = 0 and +-r (e_i - (e_i . n) n), r the dissipation radius:
             # opposite tangential slopes turn the root onto different pieces
             # of a max of forms
@@ -228,7 +234,21 @@ class Stepper:
             _certify_forms(Bm, self.xb, probes, self.bn, self.tol, self.forms)
 
     def refresh(self, grad_bound: float):
-        """Set sigma and the CFL bound dt_max for slopes up to grad_bound."""
+        """Set sigma and the CFL bound dt_max for slopes up to grad_bound.
+
+        dt_max is 1 over the largest bound on a row's own derivative
+        d Phi_i / d u_i, which keeps u - dt Phi(u) nondecreasing in u_i (a
+        monotone explicit scheme needs no more). Under "cn" a boundary row
+        Phi_b = H(x, q_T + lambda n) - sigma_n (lambda - q . n) reads u_b
+        through its inward gradient q, with w = dq/du_b = +-1 / gap per
+        inward side (0 on a missing axis) and w_T = w - (w . n) n. For a
+        catalog B the root lambda = min_k lambda_k moves by dlambda_k =
+        -gamma_k . w_T / (gamma_k . n) on form k, so the bound is the normal
+        dissipation sigma_n sum_i |n_i| / gap_i plus the max over k of
+        sigma_n |dlambda_k| + sum_a sigma_a |w_T,a + n_a dlambda_k|. In 1-D
+        w_T = 0 and only the first term is left. A custom B in 2-D takes
+        twice the first term.
+        """
         grid = self.grid
         self.grad_bound = max(grad_bound, 0.1)
         self.radius = max(self.base_radius, self.grad_bound + 1.0)
@@ -239,12 +259,27 @@ class Stepper:
         coef = np.sum(self.sigma[:, None] * np.maximum(inv[0], inv[1]), axis=0)
         binv = 1.0 / self.gap.ravel()[self.q_at].T          # inward gaps (dim, Nb)
         if self.kind == "cn":
-            fac = 1.0 if grid.dim == 1 else 2.0
-            bco = fac * self.sig_n * np.sum(np.abs(self.bn).T * binv, axis=0)
+            bco = self.sig_n * np.sum(np.abs(self.bn).T * binv, axis=0)
+            if self.forms is not None:
+                bco = bco + self._tangential_bound(binv)
+            elif grid.dim > 1:
+                bco = 2.0 * bco
         else:
             bco = self.Bm.lip * np.sum(binv, axis=0)
         coef[self.bidx] = np.maximum(coef[self.bidx], bco)
         self.dt_max = 1.0 / float(coef.max())
+
+    def _tangential_bound(self, binv: np.ndarray) -> np.ndarray:
+        """max_k sigma_n |dlambda_k| + sum_a sigma_a |w_T,a + n_a dlambda_k|
+        per boundary node, binv the inward 1 / gap (dim, Nb); see refresh."""
+        gam, _, slope = self.forms
+        bn = self.bn
+        # q_at's side 0 reads (u_b - u_j) / gap, side 1 (u_j - u_b) / gap
+        w = np.where(self.q_at < self.grid.dim * self.grid.n_nodes, binv.T, -binv.T)
+        wt = w - (w * bn).sum(axis=-1)[:, None] * bn
+        dlam = -(gam * wt[:, None]).sum(axis=-1) / slope
+        move = np.abs(wt[:, None] + bn[:, None] * dlam[..., None])
+        return (self.sig_n[:, None] * np.abs(dlam) + (self.sigma * move).sum(axis=-1)).max(axis=1)
 
     # -- scheme operator ------------------------------------------------------
 

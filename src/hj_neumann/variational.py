@@ -78,8 +78,9 @@ def build_control_set(H: Hamiltonian, Bm: BoundaryOperator, grid: Grid,
     if n_velocity % 2 == 0:
         n_velocity += 1   # keep w = 0 in the lattice
     if v_max is None:
-        level = 2.0 * float(np.abs(H(grid.nodes, np.zeros(grid.dim))).max()) + 2.0
-        v_max = 1.0 + H.coercivity_radius(level, grid.nodes)
+        h0 = np.asarray(H(grid.nodes, np.zeros(grid.dim)), dtype=float)
+        level = 2.0 * float(np.abs(h0).max()) + 2.0
+        v_max = 1.0 + H.coercivity_radius(level, grid.nodes, h0)
         v_max = effective_velocity_bound(H, grid.nodes, v_max)
     vel = _lattice(grid.dim, v_max, n_velocity)
     vel = 0.5 * (vel - vel[::-1])   # odd-symmetric, so its centre w = 0 is exact

@@ -52,7 +52,7 @@ def test_discounted_solve_calls_h_only_at_build(monkeypatch):
                         lambda self, x, p: calls.append(1) or call(self, x, p))
     monkeypatch.delattr(E.sparse, "eye_array", raising=False)
     E.discounted_solve(H, M.neumann(DISC), 0.1, "e1", P.constant_field(grid, 0.0))
-    assert len(calls) == 2          # the build's: the level and min H(x, 0)
+    assert len(calls) == 1          # the build's h0, which sets the level and min H(x, 0)
 
 
 def test_discounted_solve_refreshes_for_steep_solution(monkeypatch):
@@ -121,6 +121,19 @@ def test_slope_agrees_with_discounted():
     stf = P.evolve(P.constant_field(grid, 0.0), H, BN, "cn", T=24.0,
                    record_every=2.0)
     assert abs(E.large_time_slope(stf, 12.0, 24.0) - pair.c) <= 1e-2
+
+
+@pytest.mark.parametrize("h", [0.2, 0.1])
+def test_disc_march_slope_meets_discrete_eigenvalue(h):
+    # the bench disc model, H = |p|^2/2 - |x|^2/2 with the Neumann
+    # condition: the march from u0 = 0 settles on the slope of its own
+    # operator's eigenvalue c_h
+    grid = G.build_grid(DISC, h)
+    H = M.quadratic(2, lambda x: -0.5 * np.sum(x ** 2, axis=-1))
+    Bm = M.neumann(DISC)
+    c = E.ergodic_limit(H, Bm, grid).c
+    stf = P.evolve(P.constant_field(grid, 0.0), H, Bm, "cn", T=16.0, record_every=1.0)
+    assert abs(E.large_time_slope(stf, 8.0, 16.0) - c) <= 1e-3
 
 
 def test_stationary_residual_of_pair():

@@ -412,16 +412,16 @@ def test_evolve_makes_no_h_call_per_step_for_radial_h(monkeypatch):
     assert counts[0] == counts[1] <= 2
 
 
-def test_stepper_build_calls_radial_h_twice(monkeypatch):
+def test_stepper_build_calls_radial_h_once(monkeypatch):
     # the closed forms replace the sampled sigma and radius: one H call for
-    # the level, one for min H(x, 0)
+    # h0, which gives the level and min H(x, 0)
     grid = G.build_grid(DISC, 0.05)
     H = M.quadratic(2, "0.3*cos(pi*x)*cos(pi*y)")
     calls, call = [], M.Hamiltonian.__call__
     monkeypatch.setattr(M.Hamiltonian, "__call__",
                         lambda self, x, p: calls.append(1) or call(self, x, p))
     P.Stepper(grid, H, M.neumann(DISC), "cn", grad_bound=2.0)
-    assert len(calls) <= 2
+    assert len(calls) == 1
 
 
 def test_evolve_oblique_disc_reports_growth_not_cfl():
@@ -765,3 +765,40 @@ def test_jacobian_pattern_fixed_per_stepper(monkeypatch):
             assert np.array_equal(first.indptr, a.indptr)
             assert np.array_equal(first.indices, a.indices)
             assert np.array_equal(first.data, a.data)
+
+
+def dt_max_reference(stp):
+    """dt_max with the old boundary rule: a "cn" row took fac sigma_n
+    sum_i |n_i| / gap_i, fac 1 in 1-D and 2 in 2-D; a "dbc" row M_B sum_i
+    1 / gap_i."""
+    inv = 1.0 / stp.gap
+    coef = np.sum(stp.sigma[:, None] * np.maximum(inv[0], inv[1]), axis=0)
+    binv = 1.0 / stp.gap.ravel()[stp.q_at].T
+    if stp.kind == "cn":
+        fac = 1.0 if stp.grid.dim == 1 else 2.0
+        bco = fac * stp.sig_n * np.sum(np.abs(stp.bn).T * binv, axis=0)
+    else:
+        bco = stp.Bm.lip * np.sum(binv, axis=0)
+    coef[stp.bidx] = np.maximum(coef[stp.bidx], bco)
+    return 1.0 / float(coef.max())
+
+
+def test_dt_max_keeps_every_diagonal_nonnegative():
+    # at dt = dt_max, I - dt d rhs / du has no negative diagonal entry on
+    # any 2-D row, interior or boundary, for seeded fields whose slopes stay
+    # within the certified range; 1-D bounds and "dbc" bounds are the old
+    # ones bit for bit. A 1-D row attains its bound, so its forward-
+    # difference diagonal sits at 0 within the differences' rounding.
+    for grid, H, Bm, u in operator_fixtures():
+        for kind in ("cn", "dbc"):
+            stp = P.Stepper(grid, H, Bm, kind, grad_bound=2.0)
+            if grid.dim == 1 or kind == "dbc":
+                assert stp.dt_max == dt_max_reference(stp)
+            if grid.dim == 1:
+                continue
+            rng = np.random.default_rng(grid.n_nodes)
+            for w in (u, *rng.uniform(-1.0, 1.0, (3, grid.n_nodes))):
+                for lip in (0.5 * stp.grad_bound, stp.grad_bound):
+                    w = w * (lip / P.discrete_lipschitz(grid, w))
+                    J = stp.jacobian(w, stp.rhs(w))
+                    assert (1.0 - stp.dt_max * J.diagonal()).min() >= 0.0

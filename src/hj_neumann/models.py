@@ -66,7 +66,11 @@ class Hamiltonian:
     H(x, p)) on paired rows (X, XI); the conjugate engine serves the rest.
     A radial model H(x, p) = H(x, 0) + profile(|p|^2) sets profile, a
     function of the squared norm on arrays, and lip_form(r) = sup |dH/dp_i|
-    over |p|_inf <= r, in place of sampling p.
+    over |p|_inf <= r, in place of sampling p. dprofile is profile' on the
+    same arrays, so dH/dp = 2 dprofile(|p|^2) p; where profile has no
+    derivative it returns the value that gives the minimal-norm element of
+    the generalized gradient (0 for |p| at p = 0). ``Stepper.jacobian``
+    reads it; a model without it is differenced.
     """
 
     name: str
@@ -76,6 +80,7 @@ class Hamiltonian:
     conjugate: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     lip_form: Callable[[float], float] | None = None
     profile: Callable[[np.ndarray], np.ndarray] | None = None
+    dprofile: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, x: np.ndarray, p: np.ndarray) -> np.ndarray:
         return self.fn(np.asarray(x, float), np.asarray(p, float))
@@ -153,7 +158,8 @@ def quadratic(dim: int = 1, potential: Callable | str | None = None,
         return np.sum(XI ** 2, axis=-1) / (4 * coeff) - H(X, np.zeros(dim))
 
     H = Hamiltonian("quadratic", fn, dim, True, conjugate if coeff > 0 else None,
-                    lambda r: 2.0 * abs(coeff) * r, lambda s: coeff * s)
+                    lambda r: 2.0 * abs(coeff) * r, lambda s: coeff * s,
+                    lambda s: np.full(np.shape(s), float(coeff)))
     return H
 
 
@@ -168,7 +174,13 @@ def eikonal(dim: int = 1, speed: Callable | str | None = None) -> Hamiltonian:
     def conjugate(X, XI):
         return np.where(np.linalg.norm(XI, axis=-1) <= 1.0, -fn(X, np.zeros(dim)), np.inf)
 
-    return Hamiltonian("eikonal", fn, dim, True, conjugate, lambda r: 1.0, np.sqrt)
+    def dprofile(s):
+        # d sqrt(s) / ds, and 0 at s = 0: the minimal-norm element of the
+        # subdifferential of |p| at p = 0
+        root = np.sqrt(s)
+        return np.divide(0.5, root, out=np.zeros_like(root), where=root > 0)
+
+    return Hamiltonian("eikonal", fn, dim, True, conjugate, lambda r: 1.0, np.sqrt, dprofile)
 
 
 def double_well(dim: int = 1) -> Hamiltonian:

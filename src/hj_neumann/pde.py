@@ -23,6 +23,12 @@ coefficient in u - dt Phi(u) nonnegative, from the actual stencil gaps; for
 a catalog B under the Neumann condition the boundary rows' bound follows
 the closed-form root as it moves with u_b (``Stepper.refresh``). It does not
 make the scheme monotone at curved boundaries (ROADMAP item 2).
+
+``Stepper.jacobian`` gives d Phi / du for the Newton solves of ``ergodic``.
+For a radial catalog H and a catalog B it is read off the model, the
+derivative of the profile and the active affine form, with no rhs call; a
+custom or non-radial H, or a custom B, is differenced instead, one rhs call
+per colour of ``stencil_colouring``.
 """
 
 from __future__ import annotations
@@ -43,9 +49,9 @@ MAX_REFRESHES = 8
 # ("dbc") marches, and the ergodic problems "e1" and "e2" on their operators
 SCHEME_KIND = {"cn": "cn", "e1": "cn", "dbc": "dbc", "e2": "dbc"}
 
-# absolute forward-difference step of Stepper.jacobian; a step relative to
-# |u| is too coarse for the slopes of discounted solutions, which grow like
-# 1/eps
+# absolute forward-difference step of Stepper.jacobian for models with no
+# derivative; a step relative to |u| is too coarse for the slopes of
+# discounted solutions, which grow like 1/eps
 FD_STEP = 1e-9
 
 
@@ -81,14 +87,20 @@ class SpaceTimeField:
         if self.values.shape != (self.times.size, self.grid.n_nodes):
             raise NumericalError("snapshot stack does not match grid/stamps")
 
-    def at_time(self, t: float, tol: float | None = None) -> np.ndarray:
+    def stamp(self, t: float, tol: float | None = None) -> int:
+        """Index of the recorded stamp nearest t; NumericalError when it is
+        more than tol (default 0.51 times the least stamp spacing) away."""
         k = int(np.argmin(np.abs(self.times - t)))
         gap = abs(self.times[k] - t)
         spacing = np.diff(self.times).min() if self.times.size > 1 else self.dt
         lim = tol if tol is not None else 0.51 * float(spacing)
         if gap > lim:
             raise NumericalError(f"no snapshot near t={t:g} (closest {self.times[k]:g})")
-        return self.values[k]
+        return k
+
+    def at_time(self, t: float, tol: float | None = None) -> np.ndarray:
+        """The snapshot at ``stamp``(t, tol)."""
+        return self.values[self.stamp(t, tol)]
 
 
 def constant_field(grid: Grid, value: float = 0.0) -> GridField:
@@ -208,7 +220,7 @@ class Stepper:
         # axis with no neighbour points at a missing side, whose slope is +0.0
         dim, n = grid.dim, grid.n_nodes
         self.q_at = (side[0] * dim * n + np.arange(dim)[:, None] * n + b).T
-        self._pattern = None
+        self._pattern = self._colours = self._bforms = None
 
         self.tol = min(1e-12, Bm.theta * grid.h ** 2)
 
@@ -318,28 +330,90 @@ class Stepper:
 
     # -- Jacobian -------------------------------------------------------------
 
-    def jacobian(self, u: np.ndarray, phi: np.ndarray) -> sparse.csr_array:
-        """CSR matrix d rhs / du at u by forward differences of rhs itself.
+    def jacobian(self, u: np.ndarray, phi: np.ndarray, shift: float = 0.0) -> sparse.csr_array:
+        """CSR matrix d rhs / du + shift I at u; phi is rhs(u).
 
-        phi is rhs(u); one further rhs call per colour of
-        ``stencil_colouring``. The step FD_STEP is absolute. The colouring
-        and the CSR pattern depend on the grid alone and are built on the
-        first call.
+        A radial catalog H (profile and dprofile set) and a catalog B give
+        it from the model, with no rhs call: each row is d Phi / dS on its
+        one-sided slopes S, chained through S = (u[hi] - u[lo]) / gap
+        (``Grid.slope_ends``). An interior row reads dprofile . pbar_a -+
+        sigma_a / 2 on pE_a and pW_a. A "cn" boundary row reads its inward gradient q through the
+        closed-form root lambda = lambda_k* on its active form k* (argmin):
+        dlambda = -P gamma_k* / (gamma_k* . n) with P = I - n n^T, and d Phi
+        / dq = 2 dprofile (q_T + lambda dlambda) - sigma_n (dlambda - n). A
+        "dbc" row reads gamma of B's active form (argmax), its forms at the
+        boundary nodes read on the first call. At a kink this is one element
+        of the generalized Jacobian, the minimal-norm one for |p| at p = 0,
+        so Newton on it is Howard's policy iteration (Bokanowski, Maroso &
+        Zidani, SIAM J. Numer. Anal. 47, 2009), the semismooth Newton
+        method of Qi & Sun (Math. Program. 58, 1993).
+
+        A custom or non-radial H, or a custom B, carries no derivative: its
+        Jacobian is the forward difference of rhs with absolute step
+        FD_STEP, one rhs call per colour of ``stencil_colouring``. The CSR
+        pattern, and the colouring where it is used, depend on the grid
+        alone and are built on the first call; each call fills the data.
         """
         n = self.grid.n_nodes
         if self._pattern is None:
+            # entries: the diagonal, then the neighbour columns of idx; perm
+            # takes the existing ones in row-major CSR order
+            rows = np.tile(np.arange(n), 1 + self.idx.size // n)
+            cols = np.concatenate([np.arange(n), self.idx.ravel()])
+            perm = np.flatnonzero(cols >= 0)
+            perm = perm[np.lexsort((cols[perm], rows[perm]))]
+            indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[perm], minlength=n))])
+            self._pattern = rows, cols, perm, indptr
+        rows, cols, perm, indptr = self._pattern
+        if self.H.profile is not None and self.H.dprofile is not None \
+                and self.Bm.forms is not None:
+            vals = self._model_entries(u)
+        else:
+            vals = self._difference_entries(u, phi, rows, cols)
+        vals[:n] += shift
+        return sparse.csr_array((vals[perm], cols[perm], indptr), shape=(n, n))
+
+    def _model_entries(self, u: np.ndarray) -> np.ndarray:
+        """d rhs / du from the model, diagonal then the neighbour columns of
+        self.idx in its (side, axis, node) order; see jacobian."""
+        S = one_sided(self.grid, u)
+        pW, pE = S
+        pbar = 0.5 * (pW + pE).T
+        b, bn = self.bidx, self.bn
+        q = S.ravel()[self.q_at]
+        if self.kind == "cn":
+            gam, g, slope = self.forms
+            qt = q - (q * bn).sum(axis=-1)[:, None] * bn
+            lams = (g - (gam * qt[:, None]).sum(axis=-1)) / slope
+            k = (np.arange(b.size), lams.argmin(axis=1))
+            lam, gn = lams[k][:, None], slope[k][:, None]
+            dlam = -(gam[k] - gn * bn) / gn
+            pbar[b] = qt + lam * bn
+        dp = self.H.dprofile((pbar ** 2).sum(axis=-1))
+        C = dp * pbar.T + 0.5 * self.sigma[:, None] * np.array([1.0, -1.0])[:, None, None]
+        C[:, :, b] = 0.0
+        if self.kind == "cn":
+            dq = 2.0 * dp[b, None] * (qt + lam * dlam) - self.sig_n[:, None] * (dlam - bn)
+        else:
+            if self._bforms is None:
+                self._bforms = _forms_at(self.Bm, self.xb)
+            gam, g = self._bforms
+            dq = gam[np.arange(b.size), ((gam * q[:, None]).sum(axis=-1) - g).argmax(axis=1)]
+        np.put(C, self.q_at, dq)
+        W = C / self.gap
+        return np.concatenate([(W[0] - W[1]).sum(axis=0), -W[0].ravel(), W[1].ravel()])
+
+    def _difference_entries(self, u: np.ndarray, phi: np.ndarray, rows, cols) -> np.ndarray:
+        """Forward differences of rhs at the entries (rows, cols) of the
+        pattern, one rhs call per colour; the entries of missing neighbours
+        (col -1) are dropped by the caller."""
+        if self._colours is None:
             colour = stencil_colouring(self.grid)
-            nb = self.idx.reshape(-1, n)
-            rows = np.concatenate([np.arange(n), np.tile(np.arange(n), nb.shape[0])])
-            cols = np.concatenate([np.arange(n), nb.ravel()])
-            rows, cols = rows[cols >= 0], cols[cols >= 0]
-            masks = colour == np.arange(int(colour.max()) + 1)[:, None]
-            self._pattern = masks, rows, cols, colour[cols]
-        masks, rows, cols, col_colour = self._pattern
+            self._colours = colour == np.arange(int(colour.max()) + 1)[:, None], colour[cols]
+        masks, col_colour = self._colours
         up = u + FD_STEP
         dphi = np.stack([self.rhs(np.where(m, up, u)) for m in masks]) - phi
-        vals = dphi[col_colour, rows] / (up - u)[cols]
-        return sparse.csr_array((vals, (rows, cols)), shape=(n, n))
+        return dphi[col_colour, rows] / (up - u)[cols]
 
     def check_dt(self, dt: float):
         if dt > self.dt_max * (1 + 1e-12):

@@ -136,6 +136,39 @@ def test_disc_march_slope_meets_discrete_eigenvalue(h):
     assert abs(E.large_time_slope(stf, 8.0, 16.0) - c) <= 1e-3
 
 
+EIKONAL_FIXTURES = {
+    "interval-eps-1e-3": (IV, 0.02, M.eikonal(1, "1 + cos(2*pi*x)"), (0.001,)),
+    "interval-eps-0.1": (IV, 0.02, M.eikonal(1, "1 + cos(2*pi*x)"), (0.1,)),
+    "disc-h-0.2": (DISC, 0.2, M.eikonal(2, "0.5*(x**2 + y**2)"), (0.001,)),
+    "disc-h-0.1": (DISC, 0.1, M.eikonal(2, "0.5*(x**2 + y**2)"), (0.001,)),
+}
+
+
+@pytest.mark.parametrize("name", EIKONAL_FIXTURES)
+def test_eikonal_eigenpair_meets_the_march(name):
+    # a speed that is not constant puts the slopes of u0 = 0 on the kink of
+    # |p|: the Newton solves converge with the model's minimal-norm element
+    # there, and c_h meets the march's slope from u0 = 0
+    geom, h, H, schedule = EIKONAL_FIXTURES[name]
+    grid = G.build_grid(geom, h)
+    Bm = M.neumann(geom)
+    pair = E.ergodic_limit(H, Bm, grid, epsilon_schedule=schedule)
+    assert pair.residual <= 1e-10
+    stf = P.evolve(P.constant_field(grid, 0.0), H, Bm, "cn", T=16.0, record_every=1.0)
+    assert abs(E.large_time_slope(stf, 8.0, 16.0) - pair.c) <= 1e-3
+
+
+def test_slope_divides_by_the_stamps_read():
+    # stamps 0.3 apart do not divide the window (1, 2): it reads 0.9 and 2.1,
+    # and u = -0.6 t gives the slope 0.6 only over their difference 1.2
+    grid = G.build_grid(IV, 0.05)
+    times = 0.3 * np.arange(9)
+    stf = P.SpaceTimeField(grid, times, -0.6 * np.outer(times, np.ones(grid.n_nodes)), 0.3)
+    assert E.large_time_slope(stf, 1.0, 2.0) == pytest.approx(0.6, rel=1e-12)
+    with pytest.raises(NumericalError, match="same stamp"):
+        E.large_time_slope(stf, 0.95, 1.0)
+
+
 def test_stationary_residual_of_pair():
     grid = G.build_grid(IV, 0.02)
     H = M.quadratic(1, potential="0.8*cos(2*pi*x)")

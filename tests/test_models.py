@@ -125,6 +125,20 @@ def test_closed_forms_match_sampling():
             assert np.all(lip >= exact(r))
 
 
+def test_dprofile_is_the_derivative_of_the_profile():
+    # dH/dp = 2 dprofile(|p|^2) p; central differences of profile in s away
+    # from s = 0, and the minimal-norm element 0 of the eikonal's at s = 0
+    s = np.array([1e-4, 0.01, 0.3, 1.0, 2.7, 40.0])
+    for H, _ in radial_models():
+        d = 1e-6 * s
+        ref = (H.profile(s + d) - H.profile(s - d)) / (2 * d)
+        assert np.all(np.abs(H.dprofile(s) - ref) <= 1e-6 * np.abs(ref))
+    for c, H in ((0.5, M.quadratic(2)), (2.0, M.quadratic(1, coeff=2.0))):
+        assert np.array_equal(H.dprofile(np.array([0.0, 3.0])), [c, c])
+    with np.errstate(all="raise"):
+        assert np.array_equal(M.eikonal(2).dprofile(np.array([0.0, 0.25])), [0.0, 1.0])
+
+
 def test_lagrangian_without_growth_at_the_edge_raises():
     # sup_p min(p, 4) + 1e-7 max(p - 4, 0): the argmax sits on the edge at
     # radius 4 and, doubled to 8, gains 4e-7, within the noise of no growth

@@ -583,6 +583,20 @@ def jacobian_setups(geom, h):
     return [(P.Stepper(grid, H, Bm, kind, grad_bound=2.0), u) for kind in ("cn", "dbc")]
 
 
+def difference_setups(geom, h, custom_b=True):
+    """jacobian_setups with models that carry no derivative: the same H
+    without its profile, and the same B as a custom_boundary (kept catalog
+    with custom_b False)."""
+    out = []
+    for stp, u in jacobian_setups(geom, h):
+        H = dataclasses.replace(stp.H, profile=None, dprofile=None)
+        Bm = stp.Bm
+        if custom_b:
+            Bm = M.custom_boundary(geom, Bm.fn, Bm.theta, Bm.lip)
+        out.append((P.Stepper(stp.grid, H, Bm, stp.kind, grad_bound=2.0), u))
+    return out
+
+
 @pytest.mark.parametrize("geom,h", JACOBIAN_GRIDS)
 def test_jacobian_colouring_parts_every_row(geom, h):
     # rhs row i reads u at i, its axis neighbours and, on the boundary, its
@@ -597,22 +611,30 @@ def test_jacobian_colouring_parts_every_row(geom, h):
         assert len({int(colour[j]) for j in reads}) == len(reads)
 
 
+def columnwise_differences(stp, u):
+    """Stepper.jacobian at u and one forward difference of rhs per column,
+    dense."""
+    base = stp.rhs(u)
+    ref = np.empty((u.size, u.size))
+    for j in range(u.size):
+        up = u.copy()
+        up[j] += P.FD_STEP
+        ref[:, j] = (stp.rhs(up) - base) / (up[j] - u[j])
+    return stp.jacobian(u, base).toarray(), ref
+
+
 @pytest.mark.parametrize("geom,h", JACOBIAN_GRIDS)
 def test_jacobian_matches_columnwise_differences(geom, h):
-    for stp, u in jacobian_setups(geom, h):
-        base = stp.rhs(u)
-        J = stp.jacobian(u, base).toarray()
-        ref = np.empty_like(J)
-        for j in range(u.size):
-            up = u.copy()
-            up[j] += P.FD_STEP
-            ref[:, j] = (stp.rhs(up) - base) / (up[j] - u[j])
+    # a custom B's bisected root moves rhs by its tolerance, which forward
+    # differences cannot resolve: that path is differenced with a catalog B
+    for stp, u in jacobian_setups(geom, h) + difference_setups(geom, h, custom_b=False):
+        J, ref = columnwise_differences(stp, u)
         assert np.abs(J - ref).max() <= 1e-6 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("geom,h", JACOBIAN_GRIDS)
 def test_jacobian_calls_rhs_once_per_colour(geom, h):
-    for stp, u in jacobian_setups(geom, h):
+    for stp, u in difference_setups(geom, h):
         rhs, calls = stp.rhs, []
         stp.rhs = lambda v: calls.append(1) or rhs(v)
         n_colours = int(P.stencil_colouring(stp.grid).max()) + 1
@@ -752,7 +774,7 @@ def test_shifted_radial_rhs_within_rounding_of_reference():
 def test_jacobian_pattern_fixed_per_stepper(monkeypatch):
     # the colouring and CSR pattern are built on the first call only, and
     # the matrix is the one a fresh pattern gives
-    for stp, u in jacobian_setups(DISC, 0.2):
+    for stp, u in difference_setups(DISC, 0.2):
         calls, colouring = [], P.stencil_colouring
         monkeypatch.setattr(P, "stencil_colouring", lambda g: calls.append(1) or colouring(g))
         phi = stp.rhs(u)
@@ -765,6 +787,43 @@ def test_jacobian_pattern_fixed_per_stepper(monkeypatch):
             assert np.array_equal(first.indptr, a.indptr)
             assert np.array_equal(first.indices, a.indices)
             assert np.array_equal(first.data, a.data)
+
+
+@pytest.mark.parametrize("kind", ["cn", "dbc"])
+def test_model_jacobian_matches_columnwise_differences(kind):
+    # the catalog models' Jacobian from the model against one forward
+    # difference of rhs per column, at the seeded fields, away from kinks;
+    # its rows annihilate constants, as rhs does
+    for grid, H, Bm, u in operator_fixtures():
+        J, ref = columnwise_differences(P.Stepper(grid, H, Bm, kind, grad_bound=2.0), u)
+        assert np.abs(J - ref).max() <= 1e-6 * np.abs(ref).max()
+        assert np.abs(J.sum(axis=1)).max() <= 1e-12 * np.abs(J).max()
+
+
+@pytest.mark.parametrize("kind", ["cn", "dbc"])
+def test_catalog_jacobian_makes_no_rhs_call(monkeypatch, kind):
+    # no rhs call and no colouring for a radial catalog H and a catalog B,
+    # at the seeded fields and at u = 0, the kink of every eikonal row
+    calls = []
+    monkeypatch.setattr(P, "stencil_colouring", lambda g: calls.append("colour"))
+    for grid, H, Bm, u in operator_fixtures():
+        stp = P.Stepper(grid, H, Bm, kind, grad_bound=2.0)
+        rhs = stp.rhs
+        stp.rhs = lambda v, slopes=None: calls.append("rhs") or rhs(v, slopes)
+        for w in (u, np.zeros_like(u)):
+            J = stp.jacobian(w, rhs(w))
+            assert np.isfinite(J.data).all()
+    assert calls == []
+
+
+def test_jacobian_shift_fills_the_diagonal():
+    # shift s adds s I in the cached diagonal slots, on both paths
+    for stp, u in jacobian_setups(DISC, 0.2) + difference_setups(DISC, 0.2):
+        phi = stp.rhs(u)
+        J, Js = stp.jacobian(u, phi), stp.jacobian(u, phi, shift=0.25)
+        assert np.array_equal(J.indices, Js.indices) and np.array_equal(J.indptr, Js.indptr)
+        diff = (Js - J).toarray()
+        assert np.abs(diff - 0.25 * np.eye(u.size)).max() <= 1e-13 * np.abs(J.data).max()
 
 
 def dt_max_reference(stp):

@@ -145,17 +145,32 @@ def ergodic_limit(H: Hamiltonian, Bm: BoundaryOperator, grid: Grid,
     m = eps[-1] * float(u[x0])
     v, c = u - u[x0], -m
     st = Stepper(grid, H, Bm, kind, grad_bound=max(discrete_lipschitz(grid, v), 1.0))
-    col = sparse.csr_array((np.full(n, -1.0), (np.arange(n), np.full(n, x0))),
-                           shape=(n, n))
-    history = []
+    history, bordered = [], None
     for _ in range(NEWTON_STEPS):
         phi = st.rhs(v)
         history.append(float(np.abs(phi - c).max()))
         if not history[-1] > EIGEN_TOL:     # converged, or a non-finite residual
             break
         J = st.jacobian(v, phi, shift=EIGEN_SHIFT / st.dt_max)
-        J.data[J.indices == x0] = 0.0
-        step = spsolve(J + col, c - phi)
+        if bordered is None:
+            # J's CSR pattern is fixed per Stepper, so the bordered one is
+            # built once: J's entries off column x0, then column x0 in every
+            # row, sorted into CSR order; take indexes J.data with the -1 of
+            # column x0 appended
+            rows = np.repeat(np.arange(n), np.diff(J.indptr))
+            off = np.flatnonzero(J.indices != x0)
+            r = np.concatenate([rows[off], np.arange(n)])
+            k = np.concatenate([J.indices[off], np.full(n, x0)])
+            order = np.lexsort((k, r))
+            bordered = (np.concatenate([off, np.full(n, J.nnz)])[order], k[order],
+                        np.concatenate([[0], np.cumsum(np.bincount(r, minlength=n))]))
+        take, cols, indptr = bordered
+        A = sparse.csr_array((np.append(J.data, -1.0)[take], cols, indptr), shape=(n, n),
+                             copy=True)
+        # exact zeros, such as the slots a boundary row does not read, would
+        # change SuperLU's column ordering, and with it the rounding
+        A.eliminate_zeros()
+        step = spsolve(A, c - phi)
         c += float(step[x0])
         step[x0] = 0.0
         v += step

@@ -8,15 +8,17 @@ The intrinsic distance d(., y) is the fixed point of the same control
 recursion the value module iterates in time, with d(y) pinned to zero: the
 discrete maximal subsolution vanishing at y. It is solved by Howard's
 policy iteration (Howard, Dynamic Programming and Markov Processes, 1960)
-on that module's DP tables, a batch of sources at once: a policy picks one
-control per node and column, its value comes from one sparse LU, and the
-policy switches only where the DP step improves on that value. Policy
-iteration is a semismooth Newton method (Bokanowski, Maroso & Zidani, SIAM
-J. Numer. Anal. 47, 2009), so it stops after a few steps at a fixed point
-exact up to rounding. A point y belongs to the Aubry mask when d(., y)
-also satisfies the recursion AT y within tolerance, i.e. pinning was not
-an active constraint. The asymptotic profile is the two-stage
-minimization of distance plus initial data over the mask.
+on that module's DP tables, a batch of sources at once. The controls are
+recast as exit rows, each control held at its node until the state leaves
+it; of the rows that land on one node alone, only the cheapest per landing
+is kept. A policy picks one exit row per node and column, its value comes
+from one sparse LU, and the policy switches only where the DP step improves
+on that value. Policy iteration is a semismooth Newton method (Bokanowski,
+Maroso & Zidani, SIAM J. Numer. Anal. 47, 2009), so it stops after a few
+steps at a fixed point exact up to rounding. A point y belongs to the Aubry
+mask when d(., y) also satisfies the recursion AT y within tolerance, i.e.
+pinning was not an active constraint. The asymptotic profile is the
+two-stage minimization of distance plus initial data over the mask.
 """
 
 from __future__ import annotations
@@ -80,78 +82,115 @@ class MonotonicityTrace:
 def _chunks(tables: DPTables, S: int) -> list[slice]:
     """Column slices of an (N, S) stack so that each DP product, (Cv, N, S)
     over the controls (the boundary ones folded into the stay-put row),
-    holds ~2e6 entries."""
+    holds ~2e6 entries. A policy step holds one; the first-arrival
+    products over the merged exit form, (R, N, S) with R <= Cv, are no
+    larger."""
     step = max(1, int(2e6 // tables.free_stage.size))
     return [slice(s, s + step) for s in range(0, S, step)]
 
 
 def _exit_form(tables: DPTables) -> tuple[np.ndarray, sparse.csr_matrix]:
-    """The free controls with each one's self-loop solved out, as (stage,
-    op): using control c at node x until the state leaves x costs
-    stage[c, x] = free_stage[c, x] / off and lands on node j != x with
-    weight op[c*N + x, j] = w_j / off, where w is free_op's row c*N + x and
-    off = sum over j != x of w_j. A control that never leaves (off = 0:
-    staying put on the node) costs +inf. Dividing by off, not 1 - w_x,
-    keeps a row whose self weight rounds near 1 exact."""
+    """The free controls with each one's self-loop solved out, merged to
+    distinct exit stencils, as (stage (R, N), op (R*N, N)).
+
+    Using control c at node x until the state leaves x costs
+    free_stage[c, x] / off and lands on node j != x with weight w_j / off,
+    where w is free_op's row c*N + x and off = sum over j != x of w_j.
+    Dividing by off, not 1 - w_x, keeps a row whose self weight rounds near
+    1 exact. A control that never leaves (off = 0: staying put on the node)
+    or costs +inf is dropped. A row that lands on one node j alone is
+    exactly {j: 1.0}, so of those only the cheapest per (x, j) can win a
+    min; it is kept, the lowest control id on a tie, and so is every row
+    with more than one landing. Row r*N + x is node x's r-th kept row in
+    increasing control id, so argmin ties resolve as over the controls; R
+    is the most rows a node keeps, and a node with fewer is padded with
+    +inf stages on empty rows."""
     Cv, N = tables.free_stage.shape
     op = tables.free_op.tocoo()
     leave = op.col != op.row % N
     row, col, w = op.row[leave], op.col[leave], op.data[leave]
-    off = np.bincount(row, w, minlength=Cv * N).reshape(Cv, N)
-    stage = np.full((Cv, N), np.inf)
+    off = np.bincount(row, w, minlength=Cv * N)
+    lands = np.bincount(row, minlength=Cv * N)
+    stage = np.full(Cv * N, np.inf)
     moves = off > 0
-    stage[moves] = tables.free_stage[moves] / off[moves]
-    return stage, sparse.csr_matrix((w / off.ravel()[row], (row, col)), shape=op.shape)
+    stage[moves] = tables.free_stage.ravel()[moves] / off[moves]
+    keep = (lands > 1) & np.isfinite(stage)
+    one = np.flatnonzero((lands == 1) & np.isfinite(stage))
+    target = np.empty(Cv * N, dtype=np.int64)
+    target[row] = col
+    key = one % N * N + target[one]
+    # lexsort is stable and one is control-major: each (x, j) run starts
+    # with its cheapest row of the lowest control id
+    order = np.lexsort((stage[one], key))
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = np.diff(key[order]) != 0
+    keep[one[order[first]]] = True
+    keep = keep.reshape(Cv, N)
+    rid = (np.cumsum(keep, axis=0) - 1) * N + np.arange(N)      # merged row ids
+    R = max(1, int(keep.sum(axis=0).max()))
+    merged = np.full(R * N, np.inf)
+    merged[rid[keep]] = stage[keep.ravel()]
+    sel = keep.ravel()[row]
+    return merged.reshape(R, N), sparse.csr_matrix(
+        (w[sel] / off[row[sel]], (rid.ravel()[row[sel]], col[sel])), shape=(R * N, N))
 
 
 def _first_arrival(exit_form: tuple, src: np.ndarray, N: int) -> np.ndarray:
-    """A proper start policy (N, S) of control ids, column s pinned at node
-    src[s].
+    """A proper start policy (N, S) of exit-form row ids, column s pinned
+    at node src[s].
 
     Value iteration d <- min(d, T' d) from +inf with d = 0 on the pins, T'
     the DP step in the exit form, reaches an entry at the step where some
-    control's exit landings are all reached (one that lands on an
-    unreached node costs +inf), and the entry takes that step's best
-    control. In a column where a step reaches no entry so, the unreached
-    entries with some control landing on reached nodes are reached, each
-    taking the best such control as if its unreached landings cost what
-    the entry does. Either way every entry's control lands with positive
-    weight on entries reached before it, so every path of the policy ends
-    at a pin. Columns drop out of the iteration once reached. NumericalError
-    if an entry cannot reach its pin."""
+    row's landings are all reached (one that lands on an unreached node
+    costs +inf), and the entry takes that step's best row. Each step is one
+    product [op stage] @ [d; 1]: the stage in the operator's last column
+    is added last, so it rounds as stage + op @ d does. In a column where
+    a step reaches no entry so, the unreached entries with some row landing
+    on reached nodes are reached, each taking the best such row as if its
+    unreached landings cost what the entry does. Either way every entry's
+    row lands with positive weight on entries reached before it, so every
+    path of the policy ends at a pin. Columns drop out of the iteration
+    once reached. NumericalError if an entry cannot reach its pin."""
     stage, op = exit_form
-    d = np.full((N, src.size), np.inf)
+    R = stage.shape[0]
+    fold = sparse.hstack([op, sparse.csr_matrix(stage.reshape(-1, 1))], format="csr")
+    d = np.full((N + 1, src.size), np.inf)
+    d[N] = 1.0
     d[src, np.arange(src.size)] = 0.0
-    pol = np.zeros(d.shape, dtype=np.int64)
-    reached = np.isfinite(d)
-    while not np.all(reached):
-        act = np.flatnonzero(~np.all(reached, axis=0))
-        da, ra = d[:, act], reached[:, act]
-        q = _stage_plus(stage, op @ da)
+    pol = np.zeros((N, src.size), dtype=np.int64)
+    left = np.full(src.size, N - 1)     # unreached entries per column
+    while left.any():
+        act = np.flatnonzero(left)
+        da = d[:, act]
+        ra = np.isfinite(da[:N])
+        q = (fold @ da).reshape(R, N, -1)
         Td = q.min(axis=0)
-        stall = ~np.any(np.isfinite(Td) & ~ra, axis=0)
-        if np.any(stall):
+        new = np.isfinite(Td) & ~ra
+        stall = ~new.any(axis=0)
+        if stall.any():
             r = ra[:, stall]
-            rho = (op @ r.astype(float)).reshape(*stage.shape, -1)
+            rho = (op @ r.astype(float)).reshape(R, N, -1)
             with np.errstate(divide="ignore", invalid="ignore"):
                 q[:, :, stall] = np.where(
-                    rho > 0, _stage_plus(stage, op @ np.where(r, da[:, stall], 0.0)) / rho,
+                    rho > 0, _stage_plus(stage, op @ np.where(r, da[:N, stall], 0.0)) / rho,
                     np.inf)
             Td[:, stall] = np.where(r, np.inf, q[:, :, stall].min(axis=0))
-        x, j = np.nonzero(np.isfinite(Td) & ~ra)
-        if np.unique(j).size < act.size:
+            new[:, stall] = np.isfinite(Td[:, stall])
+        x, j = new.nonzero()
+        count = np.bincount(j, minlength=act.size)
+        if not count.all():
             raise NumericalError("a node cannot reach its source: the "
                                  "distance is +inf")
-        pol[x, act[j]] = np.argmin(q[:, x, j], axis=0)
-        da = np.minimum(da, Td)
+        pol[x, act[j]] = q[:, x, j].argmin(axis=0)
+        da = np.minimum(da[:N], Td)
         da[src[act], np.arange(act.size)] = 0.0
-        d[:, act] = da
-        reached[x, act[j]] = True
+        d[:N, act] = da
+        left[act] -= count
     return pol
 
 
 def _evaluate(exit_form: tuple, src: np.ndarray, pol: np.ndarray) -> np.ndarray:
-    """Value d (N, S) of the policy pol (N, S) of control ids, column s
+    """Value d (N, S) of the policy pol (N, S) of exit-form row ids, column s
     pinned at node src[s]: d = stage_pi + P_pi d off the pins and d = 0 on
     them, in the exit form, from one sparse LU of the block-diagonal
     I - P_pi, one block per column.
@@ -170,7 +209,7 @@ def _evaluate(exit_form: tuple, src: np.ndarray, pol: np.ndarray) -> np.ndarray:
     rhs = np.where(free, stage.ravel()[rows], 0.0)
     if not np.all(np.isfinite(rhs)):
         raise ConvergenceError("policy evaluation: I - P_pi is singular; the "
-                               "policy stays put on a node for ever")
+                               "policy takes a row that never leaves its node")
     # column k = x*S + s: its diagonal 1 and -P_pi's row, which holds no
     # entry on its own node x, at the entries (j, s)
     sub = op[rows].tocoo()
@@ -198,8 +237,8 @@ def _distances(tables: DPTables, sources: np.ndarray) -> tuple[np.ndarray, np.nd
 
     From the first-arrival policy (`_first_arrival`), each step evaluates
     the policy exactly (`_evaluate`) in the columns whose policy changed.
-    Where T d < d - 1e-13 (1 + |d|), the policy switches to the best control
-    in the exit form; it keeps the incumbent everywhere else, and stops when
+    Where T d < d - 1e-13 (1 + |d|), the policy switches to the best row
+    of the exit form; it keeps the incumbent everywhere else, and stops when
     no entry improves, so d = T d off the pins up to rounding. While every
     cycle costs >= 0, strict improvement keeps the policy proper (Bertsekas
     & Tsitsiklis, Math. Oper. Res. 16, 1991).

@@ -285,6 +285,68 @@ def test_interior_stay_put_rows_land_exactly_on_their_node(name):
     assert np.array_equal(rows, np.eye(grid.n_nodes)[x])
 
 
+def unmerged_exit_form(tables):
+    # the exit form with one row per control, (Cv, N) control-major, a row
+    # that never leaves costing +inf: the form before single-landing rows
+    # were merged, kept as the reference for the merged one
+    Cv, N = tables.free_stage.shape
+    op = tables.free_op.tocoo()
+    leave = op.col != op.row % N
+    row, col, w = op.row[leave], op.col[leave], op.data[leave]
+    off = np.bincount(row, w, minlength=Cv * N).reshape(Cv, N)
+    stage = np.full((Cv, N), np.inf)
+    moves = off > 0
+    stage[moves] = tables.free_stage[moves] / off[moves]
+    return stage, sparse.csr_matrix((w / off.ravel()[row], (row, col)), shape=op.shape)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("name", sorted(SETUPS))
+def test_merged_exit_form_gives_identical_distances(name, reverse, monkeypatch):
+    grid, H, Bm, ctrl = SETUPS[name]()
+    tables = W.distance_tables(grid, H, Bm, controls=ctrl, reverse=reverse)
+    sources = np.arange(grid.n_nodes)
+    d, margin = W._distances(tables, sources)
+    monkeypatch.setattr(W, "_exit_form", unmerged_exit_form)
+    ref_d, ref_margin = W._distances(tables, sources)
+    assert d.tobytes() == ref_d.tobytes()
+    assert margin.tobytes() == ref_margin.tobytes()
+
+
+@pytest.mark.parametrize("name", ["cosine", "weak-kam-1d"])
+def test_merged_exit_form_keeps_two_rows_per_node_in_1d(name):
+    # every moving velocity lands on one neighbour alone: an interior node
+    # keeps the cheapest row to each side, a boundary node its inward one
+    # and a padding row
+    grid, H, Bm, ctrl = SETUPS[name]()
+    stage, op = W._exit_form(W.distance_tables(grid, H, Bm, controls=ctrl))
+    N = grid.n_nodes
+    assert stage.shape == (2, N)
+    kept = np.isfinite(stage)
+    assert np.all(kept[:, grid.interior_idx])
+    assert np.array_equal(kept[:, grid.boundary_idx].sum(axis=0), [1, 1])
+    land = op.toarray().reshape(2, N, N)
+    assert not np.any(land[~kept])
+    for x in range(N):
+        rows = land[kept[:, x], x]
+        assert np.unique(rows, axis=0).shape[0] == rows.shape[0]
+
+
+def test_disc_first_arrival_reaches_the_stall_rule(monkeypatch):
+    # the stall rule alone prices the exit form by _stage_plus; on the disc
+    # a snapped boundary node is reached through a mixed stencil only
+    grid, H, Bm, ctrl = disc_setup()
+    exit_form = W._exit_form(W.distance_tables(grid, H, Bm, controls=ctrl))
+    calls = []
+
+    def spy(stage, land):
+        calls.append(land.shape)
+        return V._stage_plus(stage, land)
+    monkeypatch.setattr(W, "_stage_plus", spy)
+    W._first_arrival(exit_form, np.arange(grid.n_nodes), grid.n_nodes)
+    assert calls
+
+
 def test_eikonal_distances_are_exactly_zero():
     # every admissible stage costs 0, and so does every policy's value
     grid, H, Bm, ctrl = eikonal_setup()
@@ -293,13 +355,19 @@ def test_eikonal_distances_are_exactly_zero():
 
 
 def test_improper_policy_evaluation_raises():
-    # staying put everywhere never reaches the pin
+    # exit rows that pair the nodes off, 0 <-> 1, 2 <-> 3, ..., the last
+    # node landing on its left neighbour: the pairs away from a pin cycle
     grid, H, Bm, ctrl = eikonal_setup()
-    tables = W.distance_tables(grid, H, Bm, controls=ctrl)
-    c0 = int(np.argmin(np.linalg.norm(ctrl.velocities, axis=-1)))
-    src = np.array([0, grid.n_nodes // 2])
+    exit_form = W._exit_form(W.distance_tables(grid, H, Bm, controls=ctrl))
+    N = grid.n_nodes
+    land = exit_form[1].toarray().reshape(-1, N, N)
+    nodes = np.arange(N)
+    to = np.minimum(nodes ^ 1, N - 2)
+    pol = np.argmax(land[:, nodes, to], axis=0)
+    assert np.all(land[pol, nodes, to] == 1.0)
+    src = np.array([0, N // 2])
     with pytest.raises(ConvergenceError, match="singular"):
-        W._evaluate(W._exit_form(tables), src, np.full((grid.n_nodes, src.size), c0))
+        W._evaluate(exit_form, src, np.repeat(pol[:, None], src.size, axis=1))
     # one control, node 0 -> 1, 1 -> 2, 2 -> 1: nodes 1 and 2 cycle away
     # from the pin at node 0
     op = sparse.csr_matrix(([1.0, 1.0, 1.0], [1, 2, 1], [0, 1, 2, 3]), shape=(3, 3))

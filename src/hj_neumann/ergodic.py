@@ -4,12 +4,12 @@
 eps*u + H(x, Du) = 0 (boundary condition per kind: the Neumann root for
 "e1", eps*u + B(x, Du) = 0 on the boundary for "e2") on the same discrete
 operator Phi = ``Stepper.rhs`` as the time-marching scheme. It takes Newton
-steps on eps*u + Phi(u) = 0 with the sparse Jacobian ``Stepper.jacobian``:
-from the model for a radial catalog H and a catalog B, one element of the
-generalized Jacobian at a kink, so that Newton is Howard's algorithm
-(Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal. 47, 2009); forward
-differences of Phi for the rest. The fixed point of the damped evolution is
-so reached in a handful of solves instead of O(1/eps) steps.
+steps on eps*u + Phi(u) = 0, one rhs call and one sparse solve with
+``Stepper.jacobian`` each, for every model. At a kink that Jacobian is one
+element of the generalized Jacobian, so Newton is Howard's algorithm
+(Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal. 47, 2009): the fixed
+point of the damped evolution in a handful of solves instead of O(1/eps)
+steps. The dissipation widens by ``Stepper.refresh_for``, the march's rule.
 
 ``ergodic_limit`` solves the discrete eigenproblem Phi(v) = c, v(x0) = 0 by
 Newton's method on (v, c) with the same Jacobian (the generalized Newton
@@ -61,10 +61,10 @@ def discounted_solve(H: Hamiltonian, Bm: BoundaryOperator, epsilon: float,
     diagonal slots); NEWTON_STEPS caps their number. Converged when the
     largest update is at most tol (default eps*h^2); otherwise
     ConvergenceError carries the update history. The dissipation is
-    refreshed, and the iteration resumed, when the converged field's slopes
-    outgrow its certified radius; slopes of the iterates on the way do not
-    change the operator. The returned field obeys the
-    discount bound |eps u| <= max|H(x, 0)| (+ max|B(x, 0)| for "e2") up to
+    refreshed (``Stepper.refresh_for``), and the iteration resumed, when the
+    converged field's slopes outgrow its certified radius; slopes of the
+    iterates on the way do not change the operator. The returned field obeys
+    the discount bound |eps u| <= max|H(x, 0)| (+ max|B(x, 0)| for "e2") up to
     solver tolerance, else NumericalError; H(x, 0) is the Stepper's h0.
     kind is "e1" or "e2", or its scheme's "cn" or "dbc".
     """
@@ -77,18 +77,15 @@ def discounted_solve(H: Hamiltonian, Bm: BoundaryOperator, epsilon: float,
     u = init.values.copy()
     history = []
     while len(history) < NEWTON_STEPS:
-        phi = st.rhs(u)
-        du = spsolve(st.jacobian(u, phi, shift=epsilon), -(epsilon * u + phi))
+        du = spsolve(st.jacobian(u, shift=epsilon), -(epsilon * u + st.rhs(u)))
         u += du
         history.append(float(np.abs(du).max()))
         if history[-1] > tol:
             continue
         # converged (or a non-finite step): refresh the dissipation if the
         # solution's slopes outgrow its certified radius, else stop
-        s = discrete_lipschitz(grid, u)
-        if not s > st.radius - 1.0:
+        if not st.refresh_for(discrete_lipschitz(grid, u)):
             break
-        st.refresh(2.0 * s)
     if not (history and history[-1] <= tol):
         raise ConvergenceError(
             f"discounted solve (eps={epsilon:g}) did not reach {tol:g} "
@@ -151,7 +148,7 @@ def ergodic_limit(H: Hamiltonian, Bm: BoundaryOperator, grid: Grid,
         history.append(float(np.abs(phi - c).max()))
         if not history[-1] > EIGEN_TOL:     # converged, or a non-finite residual
             break
-        J = st.jacobian(v, phi, shift=EIGEN_SHIFT / st.dt_max)
+        J = st.jacobian(v, shift=EIGEN_SHIFT / st.dt_max)
         if bordered is None:
             # J's CSR pattern is fixed per Stepper, so the bordered one is
             # built once: J's entries off column x0, then column x0 in every

@@ -70,7 +70,7 @@ class Hamiltonian:
     same arrays, so dH/dp = 2 dprofile(|p|^2) p; where profile has no
     derivative it returns the value that gives the minimal-norm element of
     the generalized gradient (0 for |p| at p = 0). ``Stepper.jacobian``
-    reads it; a model without it is differenced.
+    reads it; a model without it is differenced in p.
     """
 
     name: str

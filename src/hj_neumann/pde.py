@@ -9,26 +9,28 @@ dissipation along the normal. Under the dynamical condition the boundary
 carries its own explicit update with the inward reconstruction.
 
 A ``Stepper`` fixes its boundary data at build, down to the flat index of
-each inward slope. For a catalog B the root is then closed, and one call of
-B at build certifies that the forms match B on a fixed set of tangential
-probe slopes (``_certify_forms``); custom ones bisect (``_ghost_solve_many``).
-Each ``rhs`` takes its one-sided slopes from one pair of gathers
-(``one_sided``) and makes no B call for a catalog B under the Neumann
-condition: the ghost gradients take the place of the boundary rows' mean
-slopes before H is evaluated. A radial catalog H is h0 + profile(|p|^2),
-with h0 = H(x, 0) kept from the build, so its ``rhs`` makes no H call; any
-other H gets one. sigma is closed-form for the radial catalog H and
-sampled for the rest. The CFL bound dt_max keeps every row's own
-coefficient in u - dt Phi(u) nonnegative, from the actual stencil gaps; for
-a catalog B under the Neumann condition the boundary rows' bound follows
-the closed-form root as it moves with u_b (``Stepper.refresh``). It does not
-make the scheme monotone at curved boundaries (ROADMAP item 2).
+each inward slope, and for a catalog B the forms gamma_k, g_k and
+gamma_k . n at the boundary nodes. Under the Neumann condition the root is
+then closed, certified against B by one call at build (``_certify_forms``);
+a custom B is bisected to rounding (``_ghost_solve_many``). Each ``rhs``
+takes its one-sided slopes from one pair of gathers (``one_sided``); under
+the Neumann condition the ghost gradients take the place of the boundary
+rows' mean slopes, so one evaluation of H serves every row, and a catalog B
+is not called. A radial catalog H is h0 + profile(|p|^2), with h0 = H(x, 0)
+kept from the build, so its ``rhs`` makes no H call. sigma is closed-form
+for the radial catalog H and sampled for the rest. The CFL bound dt_max
+keeps every row's own coefficient in u - dt Phi(u) nonnegative, from the
+actual stencil gaps; for a catalog B under the Neumann condition the
+boundary rows' bound follows the closed-form root as it moves with u_b
+(``Stepper.refresh``). It does not make the scheme monotone at curved
+boundaries (ROADMAP item 2). ``Stepper.refresh_for`` holds the one rule of
+every solver that widens the dissipation as slopes grow.
 
-``Stepper.jacobian`` gives d Phi / du for the Newton solves of ``ergodic``.
-For a radial catalog H and a catalog B it is read off the model, the
-derivative of the profile and the active affine form, with no rhs call; a
-custom or non-radial H, or a custom B, is differenced instead, one rhs call
-per colour of ``stencil_colouring``.
+``Stepper.jacobian`` gives d Phi / du for the Newton solves of ``ergodic``
+by one assembly for every model: the chain rule through the one-sided
+slopes and the boundary root, fed with dH/dp and dB/dp in closed form for a
+radial catalog H and a catalog B and by central differences in p for the
+rest. It makes no rhs call.
 """
 
 from __future__ import annotations
@@ -48,11 +50,6 @@ MAX_REFRESHES = 8
 # the Stepper kind of each problem kind: the Neumann ("cn") and dynamical
 # ("dbc") marches, and the ergodic problems "e1" and "e2" on their operators
 SCHEME_KIND = {"cn": "cn", "e1": "cn", "dbc": "dbc", "e2": "dbc"}
-
-# absolute forward-difference step of Stepper.jacobian for models with no
-# derivative; a step relative to |u| is too coarse for the slopes of
-# discounted solutions, which grow like 1/eps
-FD_STEP = 1e-9
 
 
 @dataclass
@@ -151,7 +148,8 @@ def _ghost_solve_many(Bm: BoundaryOperator, X, QT, N, tol: float,
     certified where they were built, so no B call is made; without them
     _form_values(Bm, X, N) is computed here and its roots at QT certified
     by one call of B. Custom models bisect from the bracket |B(x, q_T)| /
-    theta + 1, expanded geometrically at most 10 times.
+    theta + 1, expanded geometrically at most 10 times, down to rounding:
+    until every bracket is at most 4 eps (1 + max |lambda|) wide.
     """
     if Bm.forms is not None:
         if forms is None:
@@ -179,13 +177,13 @@ def _ghost_solve_many(Bm: BoundaryOperator, X, QT, N, tol: float,
         raise ObliquenessError(
             "boundary root bracket expansion exceeded 2^10 times the bracket; "
             "the model violates obliqueness numerically")
+    rounding = 4.0 * np.finfo(float).eps
     for _ in range(90):
         mid = 0.5 * (lo + hi)
-        fm = bval(mid)
-        up = fm < 0
+        up = bval(mid) < 0
         lo = np.where(up, mid, lo)
         hi = np.where(up, hi, mid)
-        if np.max(np.abs(fm)) <= tol and np.max(hi - lo) <= tol:
+        if np.max(hi - lo) <= rounding * (1.0 + np.max(np.abs(mid))):
             break
     return 0.5 * (lo + hi)
 
@@ -195,13 +193,13 @@ class Stepper:
 
     kind is "cn" or "e1" (nonlinear Neumann) or "dbc" or "e2" (dynamical
     boundary); self.kind holds the scheme's "cn" or "dbc". The inward
-    reconstruction and, for a catalog B under "cn", gamma_k, g_k and
-    gamma_k . n at the boundary nodes are fixed at build (ObliquenessError
-    there if some gamma_k . n <= 0) and certified against B by one call
-    (NumericalError if they do not match). h0 = H(x, 0) at the nodes is
-    evaluated once: it sets the coercivity radius and is kept as the base
-    of a radial H in ``rhs``. ``refresh`` resets sigma and dt_max from the
-    forms fixed at build and calls no B.
+    reconstruction and, for a catalog B, gamma_k, g_k and gamma_k . n at
+    the boundary nodes are fixed at build (ObliquenessError there if some
+    gamma_k . n <= 0); under "cn" the forms' root is certified against B by
+    one call (NumericalError if they do not match). h0 = H(x, 0) at the
+    nodes is evaluated once: it sets the coercivity radius and is kept as
+    the base of a radial H in ``rhs``. ``refresh`` resets sigma and dt_max
+    from the forms fixed at build and calls no B.
     """
 
     def __init__(self, grid: Grid, H: Hamiltonian, Bm: BoundaryOperator,
@@ -220,7 +218,7 @@ class Stepper:
         # axis with no neighbour points at a missing side, whose slope is +0.0
         dim, n = grid.dim, grid.n_nodes
         self.q_at = (side[0] * dim * n + np.arange(dim)[:, None] * n + b).T
-        self._pattern = self._colours = self._bforms = None
+        self._pattern = None
 
         self.tol = min(1e-12, Bm.theta * grid.h ** 2)
 
@@ -232,12 +230,10 @@ class Stepper:
         level = 2.0 * float(np.abs(self.h0).max()) + 2.0
         self.base_radius = H.coercivity_radius(level, grid.nodes, self.h0) + 1.0
 
-        self.forms = None
-        if self.kind == "cn" and Bm.forms is not None:
-            self.forms = _form_values(Bm, self.xb, self.bn)
+        self.forms = None if Bm.forms is None else _form_values(Bm, self.xb, self.bn)
         self.refresh(grad_bound)
 
-        if self.forms is not None:
+        if self.kind == "cn" and self.forms is not None:
             # q_T = 0 and +-r (e_i - (e_i . n) n), r the dissipation radius:
             # opposite tangential slopes turn the root onto different pieces
             # of a max of forms
@@ -281,6 +277,14 @@ class Stepper:
         coef[self.bidx] = np.maximum(coef[self.bidx], bco)
         self.dt_max = 1.0 / float(coef.max())
 
+    def refresh_for(self, slope: float) -> bool:
+        """``refresh``(2 slope) when slope has outgrown the certified radius
+        (slope > radius - 1); whether it did."""
+        if not slope > self.radius - 1.0:
+            return False
+        self.refresh(2.0 * slope)
+        return True
+
     def _tangential_bound(self, binv: np.ndarray) -> np.ndarray:
         """max_k sigma_n |dlambda_k| + sum_a sigma_a |w_T,a + n_a dlambda_k|
         per boundary node, binv the inward 1 / gap (dim, Nb); see refresh."""
@@ -310,49 +314,53 @@ class Stepper:
         certified against B at build.
         """
         S = one_sided(self.grid, u) if slopes is None else slopes
-        pW, pE = S
-        pbar = 0.5 * (pW + pE).T
-        diss = 0.5 * (self.sigma[:, None] * (pE - pW)).sum(axis=0)
-        b, bn = self.bidx, self.bn
-        q = S.ravel()[self.q_at]
-        if self.kind == "cn":
-            qn = (q * bn).sum(axis=-1)
-            qt = q - qn[:, None] * bn
-            lam = _ghost_solve_many(self.Bm, self.xb, qt, bn, self.tol, self.forms)
-            pbar[b] = qt + lam[:, None] * bn
+        pbar, q, qn, lam = self._row_slopes(S)
+        diss = 0.5 * (self.sigma[:, None] * (S[1] - S[0])).sum(axis=0)
         if self.H.profile is None:
             hv = np.asarray(self.H(self.grid.nodes, pbar), dtype=float)
         else:
             hv = self.h0 + self.H.profile((pbar ** 2).sum(axis=-1))
         phi = hv - diss
+        b = self.bidx
         phi[b] = self.Bm(self.xb, q) if self.kind == "dbc" else hv[b] - self.sig_n * (lam - qn)
         return phi
 
+    def _row_slopes(self, S: np.ndarray):
+        """(pbar, q, qn, lam) from the one-sided slopes S: the slopes H reads
+        (N, dim), the mean slopes with the ghost gradients q_T + lambda n in
+        the boundary rows under "cn"; the inward gradients q (Nb, dim); and
+        under "cn" q . n and the roots lambda, else None."""
+        pbar = 0.5 * (S[0] + S[1]).T
+        q = S.ravel()[self.q_at]
+        qn = lam = None
+        if self.kind == "cn":
+            bn = self.bn
+            qn = (q * bn).sum(axis=-1)
+            qt = q - qn[:, None] * bn
+            lam = _ghost_solve_many(self.Bm, self.xb, qt, bn, self.tol, self.forms)
+            pbar[self.bidx] = qt + lam[:, None] * bn
+        return pbar, q, qn, lam
+
     # -- Jacobian -------------------------------------------------------------
 
-    def jacobian(self, u: np.ndarray, phi: np.ndarray, shift: float = 0.0) -> sparse.csr_array:
-        """CSR matrix d rhs / du + shift I at u; phi is rhs(u).
+    def jacobian(self, u: np.ndarray, shift: float = 0.0) -> sparse.csr_array:
+        """CSR matrix d rhs / du + shift I at u, with no rhs call.
 
-        A radial catalog H (profile and dprofile set) and a catalog B give
-        it from the model, with no rhs call: each row is d Phi / dS on its
-        one-sided slopes S, chained through S = (u[hi] - u[lo]) / gap
-        (``Grid.slope_ends``). An interior row reads dprofile . pbar_a -+
-        sigma_a / 2 on pE_a and pW_a. A "cn" boundary row reads its inward gradient q through the
-        closed-form root lambda = lambda_k* on its active form k* (argmin):
-        dlambda = -P gamma_k* / (gamma_k* . n) with P = I - n n^T, and d Phi
-        / dq = 2 dprofile (q_T + lambda dlambda) - sigma_n (dlambda - n). A
-        "dbc" row reads gamma of B's active form (argmax), its forms at the
-        boundary nodes read on the first call. At a kink this is one element
-        of the generalized Jacobian, the minimal-norm one for |p| at p = 0,
-        so Newton on it is Howard's policy iteration (Bokanowski, Maroso &
-        Zidani, SIAM J. Numer. Anal. 47, 2009), the semismooth Newton
-        method of Qi & Sun (Math. Program. 58, 1993).
-
-        A custom or non-radial H, or a custom B, carries no derivative: its
-        Jacobian is the forward difference of rhs with absolute step
-        FD_STEP, one rhs call per colour of ``stencil_colouring``. The CSR
-        pattern, and the colouring where it is used, depend on the grid
-        alone and are built on the first call; each call fills the data.
+        Each row is d Phi / dS on its one-sided slopes S, chained through
+        S = (u[hi] - u[lo]) / gap (``Grid.slope_ends``), with a = dH/dp and
+        gamma = dB/dp from ``_grad_p``. An interior row reads (a_i +- sigma_i)
+        / 2 on pW_i and pE_i, a at its mean slope. A "cn" boundary row takes
+        its root lambda as rhs does (``_row_slopes``) and reads its inward
+        gradient q through it: with a and gamma at the ghost gradient,
+        dlambda = -P gamma / (gamma . n), P = I - n n^T, and d Phi / dq =
+        P a + (a . n) dlambda - sigma_n (dlambda - n). A "dbc" row reads
+        gamma at q. At a kink this is one element of the generalized
+        Jacobian (the minimal-norm one for |p| at p = 0, the active form's
+        for a max of forms), so Newton on it is Howard's policy iteration
+        (Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal. 47, 2009), the
+        semismooth Newton method of Qi & Sun (Math. Program. 58, 1993). The
+        CSR pattern depends on the grid alone and is built on the first
+        call; each call fills the data.
         """
         n = self.grid.n_nodes
         if self._pattern is None:
@@ -363,57 +371,47 @@ class Stepper:
             perm = np.flatnonzero(cols >= 0)
             perm = perm[np.lexsort((cols[perm], rows[perm]))]
             indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[perm], minlength=n))])
-            self._pattern = rows, cols, perm, indptr
-        rows, cols, perm, indptr = self._pattern
-        if self.H.profile is not None and self.H.dprofile is not None \
-                and self.Bm.forms is not None:
-            vals = self._model_entries(u)
+            self._pattern = cols, perm, indptr
+        cols, perm, indptr = self._pattern
+        pbar, q, _, _ = self._row_slopes(one_sided(self.grid, u))
+        b, bn = self.bidx, self.bn
+        a = self._grad_p(self.H, self.grid.nodes, pbar)
+        C = 0.5 * a.T + 0.5 * self.sigma[:, None] * np.array([1.0, -1.0])[:, None, None]
+        C[:, :, b] = 0.0
+        if self.kind == "cn":
+            gam = self._grad_p(self.Bm, self.xb, pbar[b])
+            gn = (gam * bn).sum(axis=-1)[:, None]
+            dlam = -(gam - gn * bn) / gn
+            an = (a[b] * bn).sum(axis=-1)[:, None]
+            dq = a[b] + (an - self.sig_n[:, None]) * (dlam - bn)
         else:
-            vals = self._difference_entries(u, phi, rows, cols)
+            dq = self._grad_p(self.Bm, self.xb, q)
+        np.put(C, self.q_at, dq)
+        W = C / self.gap
+        vals = np.concatenate([(W[0] - W[1]).sum(axis=0), -W[0].ravel(), W[1].ravel()])
         vals[:n] += shift
         return sparse.csr_array((vals[perm], cols[perm], indptr), shape=(n, n))
 
-    def _model_entries(self, u: np.ndarray) -> np.ndarray:
-        """d rhs / du from the model, diagonal then the neighbour columns of
-        self.idx in its (side, axis, node) order; see jacobian."""
-        S = one_sided(self.grid, u)
-        pW, pE = S
-        pbar = 0.5 * (pW + pE).T
-        b, bn = self.bidx, self.bn
-        q = S.ravel()[self.q_at]
-        if self.kind == "cn":
-            gam, g, slope = self.forms
-            qt = q - (q * bn).sum(axis=-1)[:, None] * bn
-            lams = (g - (gam * qt[:, None]).sum(axis=-1)) / slope
-            k = (np.arange(b.size), lams.argmin(axis=1))
-            lam, gn = lams[k][:, None], slope[k][:, None]
-            dlam = -(gam[k] - gn * bn) / gn
-            pbar[b] = qt + lam * bn
-        dp = self.H.dprofile((pbar ** 2).sum(axis=-1))
-        C = dp * pbar.T + 0.5 * self.sigma[:, None] * np.array([1.0, -1.0])[:, None, None]
-        C[:, :, b] = 0.0
-        if self.kind == "cn":
-            dq = 2.0 * dp[b, None] * (qt + lam * dlam) - self.sig_n[:, None] * (dlam - bn)
-        else:
-            if self._bforms is None:
-                self._bforms = _forms_at(self.Bm, self.xb)
-            gam, g = self._bforms
-            dq = gam[np.arange(b.size), ((gam * q[:, None]).sum(axis=-1) - g).argmax(axis=1)]
-        np.put(C, self.q_at, dq)
-        W = C / self.gap
-        return np.concatenate([(W[0] - W[1]).sum(axis=0), -W[0].ravel(), W[1].ravel()])
+    def _grad_p(self, F, X: np.ndarray, P: np.ndarray) -> np.ndarray:
+        """dF/dp at the rows (X, P), F the Stepper's H or B; shape of P.
 
-    def _difference_entries(self, u: np.ndarray, phi: np.ndarray, rows, cols) -> np.ndarray:
-        """Forward differences of rhs at the entries (rows, cols) of the
-        pattern, one rhs call per colour; the entries of missing neighbours
-        (col -1) are dropped by the caller."""
-        if self._colours is None:
-            colour = stencil_colouring(self.grid)
-            self._colours = colour == np.arange(int(colour.max()) + 1)[:, None], colour[cols]
-        masks, col_colour = self._colours
-        up = u + FD_STEP
-        dphi = np.stack([self.rhs(np.where(m, up, u)) for m in masks]) - phi
-        return dphi[col_colour, rows] / (up - u)[cols]
+        A radial H gives 2 dprofile(|p|^2) p, and a catalog B the gamma of
+        its active form (the argmax at p) from the forms fixed at build, X
+        being the boundary nodes. Any other model is differenced centrally in
+        p, with one step eps^(1/3) (1 + |P|_inf) for all rows and one call.
+        """
+        if F is self.H and F.dprofile is not None:
+            return 2.0 * F.dprofile((P ** 2).sum(axis=-1))[:, None] * P
+        if F is self.Bm and self.forms is not None:
+            gam, g, _ = self.forms
+            k = ((gam * P[:, None]).sum(axis=-1) - g).argmax(axis=1)
+            return gam[np.arange(P.shape[0]), k]
+        m, d = P.shape
+        step = np.finfo(float).eps ** (1 / 3) * (1.0 + float(np.abs(P).max(initial=0.0)))
+        E = step * np.eye(d)[:, None, :]
+        vals = np.asarray(F(np.tile(X, (2 * d, 1)), np.concatenate([P + E, P - E]).reshape(-1, d)),
+                          dtype=float).reshape(2, d, m)
+        return ((vals[0] - vals[1]) / (2.0 * step)).T
 
     def check_dt(self, dt: float):
         if dt > self.dt_max * (1 + 1e-12):
@@ -430,20 +428,6 @@ def scheme_kind(kind: str) -> str:
     if kind not in SCHEME_KIND:
         raise NumericalError(f"unknown problem kind {kind!r}")
     return SCHEME_KIND[kind]
-
-
-def stencil_colouring(grid: Grid) -> np.ndarray:
-    """Colour of each column of d rhs / du; no row reads two of one colour.
-
-    Row i reads u at i and at its axis neighbours (a boundary row's inward
-    reconstruction picks among them), all lattice neighbours. Two such
-    columns differ by e_a, 2 e_a or e_a +- e_b in lattice coordinates k,
-    so sum_a (a + 1) k_a mod (2 dim + 1) parts them: 3 colours in 1-D,
-    5 in 2-D.
-    """
-    d = grid.dim
-    raw = (grid.lattice_index @ np.arange(1, d + 1)) % (2 * d + 1)
-    return np.unique(raw, return_inverse=True)[1]
 
 
 def one_sided(grid: Grid, u: np.ndarray) -> np.ndarray:
@@ -510,13 +494,12 @@ def evolve(u0: GridField, H: Hamiltonian, Bm: BoundaryOperator, kind: str,
         t += step_dt
         slopes = one_sided(grid, u)
         slope = _steepest(slopes)
-        if slope > st.radius - 1.0:
+        if st.refresh_for(slope):
             refreshes += 1
             if refreshes > MAX_REFRESHES:
                 raise NumericalError(
                     f"discrete slopes keep growing ({slope:.3g} at t={t:g} after "
                     f"{MAX_REFRESHES} dissipation refreshes): the march is unstable")
-            st.refresh(2.0 * slope)
             if dt > st.dt_max:
                 if not chosen:
                     raise CFLError(dt, st.dt_max)

@@ -1,5 +1,6 @@
 """Discounted solves, eigenvalue limits, slope estimator, normalization."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -69,6 +70,38 @@ def test_discounted_solve_refreshes_for_steep_solution(monkeypatch):
     st = P.Stepper(grid, H, Bm, "e2", grad_bound=bounds[-1])
     assert st.radius > P.discrete_lipschitz(grid, u) + 1.0
     assert np.abs(0.1 * u + st.rhs(u)).max() <= 1e-10
+
+
+def test_discounted_solve_one_rhs_call_per_newton_step(monkeypatch):
+    # a profile-less H with a custom B: the Jacobian makes no rhs call, so
+    # each Newton step makes one rhs and one jacobian call
+    grid = G.build_grid(DISC, 0.2)
+    H = dataclasses.replace(M.quadratic(2, "0.3*cos(pi*x)*cos(pi*y)"), profile=None,
+                            dprofile=None)
+    Bm = M.neumann(DISC)
+    counts = {"rhs": 0, "jacobian": 0}
+    for name in counts:
+        def counted(st, *args, name=name, call=getattr(P.Stepper, name), **kw):
+            counts[name] += 1
+            return call(st, *args, **kw)
+        monkeypatch.setattr(P.Stepper, name, counted)
+    E.discounted_solve(H, M.custom_boundary(DISC, Bm.fn, Bm.theta, Bm.lip), 0.1, "e1",
+                       P.constant_field(grid, 0.0))
+    assert counts["rhs"] == counts["jacobian"] >= 2
+
+
+@pytest.mark.parametrize("h", [0.2, 0.1])
+def test_custom_twin_eigenpair_meets_the_catalog(h):
+    # neumann as a custom_boundary, its root bisected to rounding, with H as
+    # given and without its profile: the eigenpair is the catalog one
+    grid = G.build_grid(DISC, h)
+    H, Bm = M.quadratic(2, "0.3*cos(pi*x)*cos(pi*y)"), M.neumann(DISC)
+    ref = E.ergodic_limit(H, Bm, grid)
+    twin = M.custom_boundary(DISC, Bm.fn, Bm.theta, Bm.lip)
+    for Hm in (H, dataclasses.replace(H, profile=None, dprofile=None)):
+        pair = E.ergodic_limit(Hm, twin, grid)
+        assert abs(pair.c - ref.c) <= 1e-12
+        assert np.abs(pair.v.values - ref.v.values).max() <= 1e-12
 
 
 def test_equi_lipschitz_in_eps():

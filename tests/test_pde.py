@@ -597,18 +597,8 @@ def difference_setups(geom, h, custom_b=True):
     return out
 
 
-@pytest.mark.parametrize("geom,h", JACOBIAN_GRIDS)
-def test_jacobian_colouring_parts_every_row(geom, h):
-    # rhs row i reads u at i, its axis neighbours and, on the boundary, its
-    # inward reconstruction nodes; no two of them share a colour
-    stp, _ = jacobian_setups(geom, h)[0]
-    grid = stp.grid
-    colour = P.stencil_colouring(grid)
-    inward = dict(zip(stp.bidx, grid.neighbors.ravel()[stp.q_at]))
-    assert colour.max() + 1 <= 2 * grid.dim + 1
-    for i in range(grid.n_nodes):
-        reads = {i, *grid.neighbors[:, :, i].ravel(), *inward.get(i, [])} - {-1}
-        assert len({int(colour[j]) for j in reads}) == len(reads)
+# absolute step of the reference forward differences of rhs
+FD_STEP = 1e-9
 
 
 def columnwise_differences(stp, u):
@@ -618,28 +608,30 @@ def columnwise_differences(stp, u):
     ref = np.empty((u.size, u.size))
     for j in range(u.size):
         up = u.copy()
-        up[j] += P.FD_STEP
+        up[j] += FD_STEP
         ref[:, j] = (stp.rhs(up) - base) / (up[j] - u[j])
-    return stp.jacobian(u, base).toarray(), ref
+    return stp.jacobian(u).toarray(), ref
 
 
 @pytest.mark.parametrize("geom,h", JACOBIAN_GRIDS)
 def test_jacobian_matches_columnwise_differences(geom, h):
-    # a custom B's bisected root moves rhs by its tolerance, which forward
-    # differences cannot resolve: that path is differenced with a catalog B
-    for stp, u in jacobian_setups(geom, h) + difference_setups(geom, h, custom_b=False):
+    # every model: radial catalog H and catalog B, the same H differenced in
+    # p with the catalog B, and both differenced, B as a custom_boundary
+    # whose root is bisected to rounding
+    setups = jacobian_setups(geom, h) + difference_setups(geom, h, custom_b=False)
+    for stp, u in setups + difference_setups(geom, h):
         J, ref = columnwise_differences(stp, u)
         assert np.abs(J - ref).max() <= 1e-6 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("geom,h", JACOBIAN_GRIDS)
-def test_jacobian_calls_rhs_once_per_colour(geom, h):
-    for stp, u in difference_setups(geom, h):
-        rhs, calls = stp.rhs, []
-        stp.rhs = lambda v: calls.append(1) or rhs(v)
-        n_colours = int(P.stencil_colouring(stp.grid).max()) + 1
-        stp.jacobian(u, rhs(u))
-        assert len(calls) == n_colours
+def test_custom_twin_jacobian_matches_catalog(geom, h):
+    # the same H and B without their derivatives: dH/dp and dB/dp by central
+    # differences in p, and the custom root bisected to rounding, give the
+    # catalog Jacobian to well within the reference differences' error
+    for (cat, u), (twin, _) in zip(jacobian_setups(geom, h), difference_setups(geom, h)):
+        J, Jt = cat.jacobian(u).toarray(), twin.jacobian(u).toarray()
+        assert np.abs(Jt - J).max() <= 1e-8 * np.abs(J).max()
 
 
 def rhs_reference(stp, u):
@@ -771,18 +763,13 @@ def test_shifted_radial_rhs_within_rounding_of_reference():
                     assert np.all(np.abs(got - ref) <= 4 * ulp * scale)
 
 
-def test_jacobian_pattern_fixed_per_stepper(monkeypatch):
-    # the colouring and CSR pattern are built on the first call only, and
-    # the matrix is the one a fresh pattern gives
+def test_jacobian_pattern_fixed_per_stepper():
+    # the CSR pattern is built on the first call only, and the matrix is the
+    # one a fresh pattern gives
     for stp, u in difference_setups(DISC, 0.2):
-        calls, colouring = [], P.stencil_colouring
-        monkeypatch.setattr(P, "stencil_colouring", lambda g: calls.append(1) or colouring(g))
-        phi = stp.rhs(u)
-        first = stp.jacobian(u, phi)
-        again = stp.jacobian(u, phi)
-        monkeypatch.undo()
-        assert len(calls) == 1
-        fresh = P.Stepper(stp.grid, stp.H, stp.Bm, stp.kind, grad_bound=2.0).jacobian(u, phi)
+        first = stp.jacobian(u)
+        again = stp.jacobian(u)
+        fresh = P.Stepper(stp.grid, stp.H, stp.Bm, stp.kind, grad_bound=2.0).jacobian(u)
         for a in (again, fresh):
             assert np.array_equal(first.indptr, a.indptr)
             assert np.array_equal(first.indices, a.indices)
@@ -801,26 +788,27 @@ def test_model_jacobian_matches_columnwise_differences(kind):
 
 
 @pytest.mark.parametrize("kind", ["cn", "dbc"])
-def test_catalog_jacobian_makes_no_rhs_call(monkeypatch, kind):
-    # no rhs call and no colouring for a radial catalog H and a catalog B,
-    # at the seeded fields and at u = 0, the kink of every eikonal row
+def test_catalog_jacobian_makes_no_rhs_call(kind):
+    # no rhs call for any model: the catalog fixtures, their H without its
+    # derivative, and both with B as a custom_boundary, at the seeded fields
+    # and at u = 0, the kink of every eikonal row
     calls = []
-    monkeypatch.setattr(P, "stencil_colouring", lambda g: calls.append("colour"))
     for grid, H, Bm, u in operator_fixtures():
-        stp = P.Stepper(grid, H, Bm, kind, grad_bound=2.0)
-        rhs = stp.rhs
-        stp.rhs = lambda v, slopes=None: calls.append("rhs") or rhs(v, slopes)
-        for w in (u, np.zeros_like(u)):
-            J = stp.jacobian(w, rhs(w))
-            assert np.isfinite(J.data).all()
+        bare = dataclasses.replace(H, profile=None, dprofile=None)
+        twin = M.custom_boundary(Bm.geom, Bm.fn, Bm.theta, Bm.lip)
+        for Hm, Bc in ((H, Bm), (bare, Bm), (bare, twin)):
+            stp = P.Stepper(grid, Hm, Bc, kind, grad_bound=2.0)
+            rhs = stp.rhs
+            stp.rhs = lambda v, slopes=None: calls.append("rhs") or rhs(v, slopes)
+            for w in (u, np.zeros_like(u)):
+                assert np.isfinite(stp.jacobian(w).data).all()
     assert calls == []
 
 
 def test_jacobian_shift_fills_the_diagonal():
-    # shift s adds s I in the cached diagonal slots, on both paths
+    # shift s adds s I in the cached diagonal slots, for every model
     for stp, u in jacobian_setups(DISC, 0.2) + difference_setups(DISC, 0.2):
-        phi = stp.rhs(u)
-        J, Js = stp.jacobian(u, phi), stp.jacobian(u, phi, shift=0.25)
+        J, Js = stp.jacobian(u), stp.jacobian(u, shift=0.25)
         assert np.array_equal(J.indices, Js.indices) and np.array_equal(J.indptr, Js.indptr)
         diff = (Js - J).toarray()
         assert np.abs(diff - 0.25 * np.eye(u.size)).max() <= 1e-13 * np.abs(J.data).max()
@@ -859,5 +847,5 @@ def test_dt_max_keeps_every_diagonal_nonnegative():
             for w in (u, *rng.uniform(-1.0, 1.0, (3, grid.n_nodes))):
                 for lip in (0.5 * stp.grad_bound, stp.grad_bound):
                     w = w * (lip / P.discrete_lipschitz(grid, w))
-                    J = stp.jacobian(w, stp.rhs(w))
+                    J = stp.jacobian(w)
                     assert (1.0 - stp.dt_max * J.diagonal()).min() >= 0.0

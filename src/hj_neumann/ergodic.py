@@ -12,12 +12,13 @@ point of the damped evolution in a handful of solves instead of O(1/eps)
 steps. The dissipation widens by ``Stepper.refresh_for``, the march's rule.
 
 ``ergodic_limit`` solves the discrete eigenproblem Phi(v) = c, v(x0) = 0 by
-Newton's method on (v, c) with the same Jacobian (the generalized Newton
-method of Cacace & Camilli, SIAM J. Sci. Comput. 38, 2016), started from one
-discounted solution. The start selects v where the eigenproblem has several
-solutions, as the vanishing discount does (Davini, Fathi, Iturriaga &
-Zavidovique, Invent. Math. 206, 2016). ``large_time_slope`` is the
-independent estimator used for cross-validation.
+Newton's method on (v, c) (the generalized Newton method of Cacace &
+Camilli, SIAM J. Sci. Comput. 38, 2016), started from one discounted
+solution. Its bordered matrix, the same Jacobian with the unknown c in
+column x0, is ``Stepper.jacobian(v, shift, anchor=x0)``. The start selects
+v where the eigenproblem has several solutions, as the vanishing discount
+does (Davini, Fathi, Iturriaga & Zavidovique, Invent. Math. 206, 2016).
+``large_time_slope`` is the independent estimator used for cross-validation.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
 from .errors import ConvergenceError, NumericalError
@@ -127,47 +127,27 @@ def ergodic_limit(H: Hamiltonian, Bm: BoundaryOperator, grid: Grid,
     The schedule must decrease strictly to at least 1e-4; only its last eps
     is used. One discounted solve from zero at that eps gives the start
     v = u_eps - u_eps(x0), c = -eps*u_eps(x0); Newton steps on (v, c) follow,
-    each a sparse solve with Stepper.jacobian(v) + delta I (EIGEN_SHIFT)
-    whose anchor column (v(x0) is fixed at 0) carries the unknown c
-    instead. x0 is the node nearest the domain centroid. Stops when
-    |Phi(v) - c|_inf <= EIGEN_TOL; after NEWTON_STEPS steps,
-    ConvergenceError carries the residual history.
+    each a sparse solve with the bordered matrix Stepper.jacobian(v, delta,
+    anchor=x0): J + delta I (EIGEN_SHIFT) whose column x0 (v(x0) is fixed
+    at 0) carries the unknown c instead. x0 is the node nearest the domain
+    centroid. Stops when |Phi(v) - c|_inf <= EIGEN_TOL; after NEWTON_STEPS
+    steps, ConvergenceError carries the residual history.
     """
     eps = list(epsilon_schedule)
     if not eps or any(b >= a for a, b in zip(eps, eps[1:])) or eps[-1] < 1e-4:
         raise NumericalError("epsilon schedule must decrease strictly to >= 1e-4")
     x0 = grid.centroid_node()
-    n = grid.n_nodes
-    u = discounted_solve(H, Bm, eps[-1], kind, GridField(grid, np.zeros(n))).values
+    u = discounted_solve(H, Bm, eps[-1], kind, GridField(grid, np.zeros(grid.n_nodes))).values
     m = eps[-1] * float(u[x0])
     v, c = u - u[x0], -m
     st = Stepper(grid, H, Bm, kind, grad_bound=max(discrete_lipschitz(grid, v), 1.0))
-    history, bordered = [], None
+    history = []
     for _ in range(NEWTON_STEPS):
         phi = st.rhs(v)
         history.append(float(np.abs(phi - c).max()))
         if not history[-1] > EIGEN_TOL:     # converged, or a non-finite residual
             break
-        J = st.jacobian(v, shift=EIGEN_SHIFT / st.dt_max)
-        if bordered is None:
-            # J's CSR pattern is fixed per Stepper, so the bordered one is
-            # built once: J's entries off column x0, then column x0 in every
-            # row, sorted into CSR order; take indexes J.data with the -1 of
-            # column x0 appended
-            rows = np.repeat(np.arange(n), np.diff(J.indptr))
-            off = np.flatnonzero(J.indices != x0)
-            r = np.concatenate([rows[off], np.arange(n)])
-            k = np.concatenate([J.indices[off], np.full(n, x0)])
-            order = np.lexsort((k, r))
-            bordered = (np.concatenate([off, np.full(n, J.nnz)])[order], k[order],
-                        np.concatenate([[0], np.cumsum(np.bincount(r, minlength=n))]))
-        take, cols, indptr = bordered
-        A = sparse.csr_array((np.append(J.data, -1.0)[take], cols, indptr), shape=(n, n),
-                             copy=True)
-        # exact zeros, such as the slots a boundary row does not read, would
-        # change SuperLU's column ordering, and with it the rounding
-        A.eliminate_zeros()
-        step = spsolve(A, c - phi)
+        step = spsolve(st.jacobian(v, shift=EIGEN_SHIFT / st.dt_max, anchor=x0), c - phi)
         c += float(step[x0])
         step[x0] = 0.0
         v += step

@@ -30,7 +30,8 @@ every solver that widens the dissipation as slopes grow.
 by one assembly for every model: the chain rule through the one-sided
 slopes and the boundary root, fed with dH/dp and dB/dp in closed form for a
 radial catalog H and a catalog B and by central differences in p for the
-rest. It makes no rhs call.
+rest. It makes no rhs call. Given an anchor node it is the bordered matrix
+of ``ergodic_limit``'s Newton steps, so only this module knows its layout.
 """
 
 from __future__ import annotations
@@ -218,7 +219,7 @@ class Stepper:
         # axis with no neighbour points at a missing side, whose slope is +0.0
         dim, n = grid.dim, grid.n_nodes
         self.q_at = (side[0] * dim * n + np.arange(dim)[:, None] * n + b).T
-        self._pattern = None
+        self._patterns = {}
 
         self.tol = min(1e-12, Bm.theta * grid.h ** 2)
 
@@ -343,7 +344,8 @@ class Stepper:
 
     # -- Jacobian -------------------------------------------------------------
 
-    def jacobian(self, u: np.ndarray, shift: float = 0.0) -> sparse.csr_array:
+    def jacobian(self, u: np.ndarray, shift: float = 0.0,
+                 anchor: int | None = None) -> sparse.csr_array:
         """CSR matrix d rhs / du + shift I at u, with no rhs call.
 
         Each row is d Phi / dS on its one-sided slopes S, chained through
@@ -358,21 +360,29 @@ class Stepper:
         Jacobian (the minimal-norm one for |p| at p = 0, the active form's
         for a max of forms), so Newton on it is Howard's policy iteration
         (Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal. 47, 2009), the
-        semismooth Newton method of Qi & Sun (Math. Program. 58, 1993). The
-        CSR pattern depends on the grid alone and is built on the first
-        call; each call fills the data.
+        semismooth Newton method of Qi & Sun (Math. Program. 58, 1993).
+        With an anchor x0 it is the eigenpair's bordered matrix
+        (``ergodic.ergodic_limit``): column x0, the unknown c, is -1 in
+        every row, and exact zeros (slots a boundary row does not read) are
+        dropped, as they would change SuperLU's column ordering and so the
+        rounding. The CSR pattern depends on the grid and the anchor alone
+        and is built on the first call with that anchor.
         """
         n = self.grid.n_nodes
-        if self._pattern is None:
-            # entries: the diagonal, then the neighbour columns of idx; perm
-            # takes the existing ones in row-major CSR order
-            rows = np.tile(np.arange(n), 1 + self.idx.size // n)
-            cols = np.concatenate([np.arange(n), self.idx.ravel()])
-            perm = np.flatnonzero(cols >= 0)
-            perm = perm[np.lexsort((cols[perm], rows[perm]))]
-            indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[perm], minlength=n))])
-            self._pattern = cols, perm, indptr
-        cols, perm, indptr = self._pattern
+        if anchor not in self._patterns:
+            # entries: the diagonal, the neighbour columns of idx and, with an
+            # anchor, its column in every row in place of J's own entries
+            # there; take puts the kept ones (column >= 0) in CSR order
+            rows = np.tile(np.arange(n), 2 + self.idx.size // n)
+            cols = np.concatenate([np.arange(n), self.idx.ravel(), np.full(n, -1)])
+            if anchor is not None:
+                cols[cols == anchor] = -1
+                cols[-n:] = anchor
+            take = np.flatnonzero(cols >= 0)
+            take = take[np.lexsort((cols[take], rows[take]))]
+            indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[take], minlength=n))])
+            self._patterns[anchor] = take, cols[take], indptr
+        take, cols, indptr = self._patterns[anchor]
         pbar, q, _, _ = self._row_slopes(one_sided(self.grid, u))
         b, bn = self.bidx, self.bn
         a = self._grad_p(self.H, self.grid.nodes, pbar)
@@ -388,9 +398,15 @@ class Stepper:
             dq = self._grad_p(self.Bm, self.xb, q)
         np.put(C, self.q_at, dq)
         W = C / self.gap
-        vals = np.concatenate([(W[0] - W[1]).sum(axis=0), -W[0].ravel(), W[1].ravel()])
+        vals = np.concatenate([(W[0] - W[1]).sum(axis=0), -W[0].ravel(), W[1].ravel(),
+                               np.full(n, -1.0)])
         vals[:n] += shift
-        return sparse.csr_array((vals[perm], cols[perm], indptr), shape=(n, n))
+        # a copy, so that eliminate_zeros (in place) and any caller's edit
+        # leave the cached pattern alone
+        J = sparse.csr_array((vals[take], cols, indptr), shape=(n, n), copy=True)
+        if anchor is not None:
+            J.eliminate_zeros()
+        return J
 
     def _grad_p(self, F, X: np.ndarray, P: np.ndarray) -> np.ndarray:
         """dF/dp at the rows (X, P), F the Stepper's H or B; shape of P.

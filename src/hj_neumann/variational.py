@@ -46,7 +46,7 @@ from .geometry import Grid, project_to_closure
 from .models import (BoundaryOperator, Hamiltonian, ObliqueSelection, _lattice,
                      effective_velocity_bound, lagrangian_batch,
                      oblique_selection)
-from .pde import GridField, SpaceTimeField
+from .pde import GridField, SpaceTimeField, scheme_kind
 from .skorokhod import _pullback_intensity
 
 STAGE_CAP = 1e8
@@ -274,10 +274,10 @@ def value(u0: GridField, H: Hamiltonian, Bm: BoundaryOperator, kind: str,
     The step is dt = T / n for the fewest n steps of at most h / v_max; T = 0
     gives the one slice u0. Monotone and nonexpansive in u0 slice by slice.
     Needs a convex H for the representation to match the PDE solution;
-    `build_tables` raises for any other.
+    `build_tables` raises for any other. kind is "cn" or "e1" (Neumann) or
+    "dbc" or "e2" (dynamical), as for ``pde.evolve``.
     """
-    if kind not in ("cn", "dbc"):
-        raise NumericalError(f"unknown kind {kind!r}")
+    kind = scheme_kind(kind)
     if T < 0:
         raise NumericalError("T must be nonnegative")
     grid = u0.grid

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from hj_neumann import ergodic as E, geometry as G, models as M, pde as P
+from hj_neumann import ergodic as E, geometry as G, models as M, pde as P, variational as V
 from hj_neumann.errors import ConvergenceError, NumericalError
 from hj_neumann.pde import stationary_residual
 
@@ -51,7 +51,7 @@ def test_discounted_solve_calls_h_only_at_build(monkeypatch):
     calls, call = [], M.Hamiltonian.__call__
     monkeypatch.setattr(M.Hamiltonian, "__call__",
                         lambda self, x, p: calls.append(1) or call(self, x, p))
-    monkeypatch.delattr(E.sparse, "eye_array", raising=False)
+    monkeypatch.delattr(P.sparse, "eye_array", raising=False)
     E.discounted_solve(H, M.neumann(DISC), 0.1, "e1", P.constant_field(grid, 0.0))
     assert len(calls) == 1          # the build's h0, which sets the level and min H(x, 0)
 
@@ -272,7 +272,8 @@ def test_schedule_validation():
     lambda grid, kind: E.discounted_solve(M.quadratic(1), BN, 0.1, kind,
                                           P.constant_field(grid, 0.0)),
     lambda grid, kind: E.normalize(M.quadratic(1), BN, 0.5, kind),
-], ids=["stationary_residual", "ergodic_limit", "discounted_solve", "normalize"])
+    lambda grid, kind: V.value(P.constant_field(grid, 0.0), M.quadratic(1), BN, kind, T=0.1),
+], ids=["stationary_residual", "ergodic_limit", "discounted_solve", "normalize", "value"])
 def test_unknown_kind_rejected(solve):
     # "cn"/"e1" select the Neumann scheme and "dbc"/"e2" the dynamical one;
     # any other kind is an error, not the dynamical scheme

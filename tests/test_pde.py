@@ -814,6 +814,30 @@ def test_jacobian_shift_fills_the_diagonal():
         assert np.abs(diff - 0.25 * np.eye(u.size)).max() <= 1e-13 * np.abs(J.data).max()
 
 
+@pytest.mark.parametrize("geom,h", [(IV, 0.05), (DISC, 0.2)])
+def test_anchored_jacobian_is_the_bordered_matrix(geom, h):
+    # anchor x0 gives the eigenpair's bordered matrix: J + shift I with column
+    # x0 set to -1 and no stored zeros; the matrix must not share the cached
+    # pattern that eliminate_zeros would rewrite, so repeated anchored calls,
+    # and anchored calls around a plain one, return the same arrays
+    for stp, u in difference_setups(geom, h):
+        x0 = stp.grid.centroid_node()
+        plain = stp.jacobian(u, shift=0.25)
+        # on the disc, boundary rows store zeros in the slots they do not read
+        assert (plain.data == 0).any() == (stp.grid.dim == 2)
+        ref = plain.toarray()
+        ref[:, x0] = -1.0
+        first = stp.jacobian(u, shift=0.25, anchor=x0)
+        assert np.array_equal(first.toarray(), ref)
+        assert (first.data != 0).all()
+        calls = [stp.jacobian(u, shift=0.25, anchor=x0), stp.jacobian(u, shift=0.25),
+                 stp.jacobian(u, shift=0.25, anchor=x0)]
+        for a, b in ((first, calls[0]), (plain, calls[1]), (first, calls[2])):
+            assert np.array_equal(a.indptr, b.indptr)
+            assert np.array_equal(a.indices, b.indices)
+            assert np.array_equal(a.data, b.data)
+
+
 def dt_max_reference(stp):
     """dt_max with the old boundary rule: a "cn" row took fac sigma_n
     sum_i |n_i| / gap_i, fac 1 in 1-D and 2 in 2-D; a "dbc" row M_B sum_i

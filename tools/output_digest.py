@@ -11,7 +11,13 @@ arrays; callables and strings are skipped. A digest covers dtype, shape
 and bytes, so the sign of zero counts. The package is imported from the
 ``src/`` next to this file, so a copy of the script in another checkout
 digests that checkout; ``diff`` two outputs to compare the outputs of two
-versions bit for bit.
+versions bit for bit. ``--against REV`` does that in one command:
+
+    python3 tools/output_digest.py --seeds 1 2 --against HEAD
+
+digests REV with REV's own copy of this script in a temporary detached
+``git worktree`` (removed afterwards), then this checkout, prints the
+unified diff of the two printouts and exits 1 when a line moved.
 """
 
 from __future__ import annotations
@@ -24,10 +30,13 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import dataclasses  # noqa: E402
+import difflib  # noqa: E402
 import hashlib  # noqa: E402
 import importlib.util  # noqa: E402
 import numbers  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -73,13 +82,12 @@ def walk(obj, path: str, out: list):
             walk(v, f"{path}[{k}]", out)
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
-    args = ap.parse_args()
+def digest_lines(seeds) -> list:
+    """The ``workload@seed path sha1`` lines of this checkout."""
     workloads = load_workloads()
     from hj_neumann.pde import GridField
-    for seed in args.seeds:
+    lines = []
+    for seed in seeds:
         for name, wl in workloads.WORKLOADS.items():
             s = wl.setup()
             u0 = (GridField(s["grid"], wl.family(np.random.default_rng(seed))(s["grid"].nodes))
@@ -87,8 +95,40 @@ def main() -> int:
             out: list = []
             walk(s, "setup", out)
             walk(wl.solve(s, u0), "solve", out)
-            for path, sha in out:
-                print(f"{name}@{seed} {path} {sha}")
+            lines += [f"{name}@{seed} {path} {sha}" for path, sha in out]
+    return lines
+
+
+def against(rev: str, seeds) -> int:
+    """Print the diff of REV's digest lines against this checkout's; 1 when a
+    line moved. REV is digested by its own copy of this script, in a
+    detached worktree that is removed afterwards."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "tree"
+        git = ["git", "-C", str(ROOT), "worktree"]
+        subprocess.run(git + ["add", "--detach", "--quiet", str(tree), rev], check=True)
+        try:
+            theirs = subprocess.run(
+                [sys.executable, str(tree / "tools" / "output_digest.py"), "--seeds",
+                 *map(str, seeds)], stdout=subprocess.PIPE, text=True, check=True).stdout
+        finally:
+            subprocess.run(git + ["remove", "--force", str(tree)], check=True)
+    ours = digest_lines(seeds)
+    diff = list(difflib.unified_diff(theirs.splitlines(), ours, rev, "this checkout",
+                                     lineterm=""))
+    print("\n".join(diff) if diff else f"no line moved against {rev} ({len(ours)} lines)")
+    return 1 if diff else 0
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
+    ap.add_argument("--against", metavar="REV",
+                    help="diff against the digest of git revision REV")
+    args = ap.parse_args()
+    if args.against:
+        return against(args.against, args.seeds)
+    print("\n".join(digest_lines(args.seeds)))
     return 0
 
 

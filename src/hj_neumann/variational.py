@@ -42,14 +42,12 @@ import numpy as np
 from scipy import sparse
 
 from .errors import NumericalError
-from .geometry import Grid, project_to_closure
-from .models import (BoundaryOperator, Hamiltonian, ObliqueSelection, _lattice,
+from .geometry import SNAP_TOL, Grid, project_to_closure
+from .models import (CAP, BoundaryOperator, Hamiltonian, ObliqueSelection, _lattice,
                      effective_velocity_bound, lagrangian_batch,
                      oblique_selection)
 from .pde import GridField, SpaceTimeField, scheme_kind
 from .skorokhod import _pullback_intensity
-
-STAGE_CAP = 1e8
 
 
 @dataclass(frozen=True)
@@ -140,7 +138,7 @@ def _land_and_cost(grid: Grid, sel: ObliqueSelection, pts: np.ndarray,
     geom = grid.geom
     cost = np.zeros(pts.shape[0])
     out = pts.copy()
-    m = np.flatnonzero(np.asarray(geom.rho(pts), dtype=float) > 1e-12)
+    m = np.flatnonzero(np.asarray(geom.rho(pts), dtype=float) > SNAP_TOL)
     if m.size:
         gam, g = sel.at(project_to_closure(geom, pts[m]))
         lc = _pullback_intensity(geom, pts[m], gam, dt)
@@ -191,11 +189,11 @@ def build_tables(grid: Grid, H: Hamiltonian, controls: ControlSet, dt: float,
     """Precompute stages and stencils; reverse=True builds the tables of the
     time-reversed trajectories (stage L(x, +w), reflections entering). A
     stage cost without a closed form comes from the conjugate engine, from
-    the radius max(6, 2 v_max). The boundary enters only through controls:
-    its selection, evaluated at the boundary nodes and in one `_land_and_cost`
-    of all free landing points, and its intensity ladder. H must be convex:
-    the control representation prices paths by L = H*, which only recovers
-    a convex H."""
+    the radius max(6, 2 v_max); a stage at CAP, outside dom L, is +inf.
+    The boundary enters only through controls: its selection, evaluated at
+    the boundary nodes and in one `_land_and_cost` of all free landing
+    points, and its intensity ladder. H must be convex: the control
+    representation prices paths by L = H*, which only recovers a convex H."""
     if not H.convex:
         raise NumericalError("the control representation needs a convex H")
     if dt <= 0:
@@ -217,7 +215,7 @@ def build_tables(grid: Grid, H: Hamiltonian, controls: ControlSet, dt: float,
     pts, corr, outside = _land_and_cost(grid, controls.selection, pts, dt)
     free_op = _interp_weights(grid, pts)
     free_stage = dt * L + corr.reshape(Cv, N)
-    free_stage[L >= STAGE_CAP] = np.inf
+    free_stage[L >= CAP] = np.inf
     dbc_stage = free_stage.copy()
     dbc_stage.flat[outside] = np.inf
     if np.any(~np.isfinite(dbc_stage).any(axis=0)):
@@ -234,7 +232,7 @@ def build_tables(grid: Grid, H: Hamiltonian, controls: ControlSet, dt: float,
     Lp = lagrangian_batch(H, np.repeat(xb, lad.size, axis=0), -refl.reshape(-1, grid.dim),
                           radius=radius).reshape(rows.size, lad.size)
     bnd_stage = dt * (Lp + lad * g_b[:, None])
-    bnd_stage[Lp >= STAGE_CAP] = np.inf
+    bnd_stage[Lp >= CAP] = np.inf
     c0 = int(np.argmin(np.linalg.norm(W, axis=-1)))
     free_stage[c0, rows] = np.minimum(free_stage[c0, rows], bnd_stage.min(axis=1))
     return DPTables(grid, controls, dt, free_stage, free_op, dbc_stage, rows,

@@ -8,17 +8,20 @@ The intrinsic distance d(., y) is the fixed point of the same control
 recursion the value module iterates in time, with d(y) pinned to zero: the
 discrete maximal subsolution vanishing at y. It is solved by Howard's
 policy iteration (Howard, Dynamic Programming and Markov Processes, 1960)
-on that module's DP tables, a batch of sources at once. The controls are
-recast as exit rows, each control held at its node until the state leaves
-it; of the rows that land on one node alone, only the cheapest per landing
-is kept. A policy picks one exit row per node and column, its value comes
-from one sparse LU, and the policy switches only where the DP step improves
-on that value. Policy iteration is a semismooth Newton method (Bokanowski,
-Maroso & Zidani, SIAM J. Numer. Anal. 47, 2009), so it stops after a few
-steps at a fixed point exact up to rounding. A point y belongs to the Aubry
-mask when d(., y) also satisfies the recursion AT y within tolerance, i.e.
-pinning was not an active constraint. The asymptotic profile is the
-two-stage minimization of distance plus initial data over the mask.
+on that module's DP tables, a batch of sources at once, all through
+`distances`; `action_matrix` builds the tables for it. On the tables of
+`distance_tables(..., reverse=True)` the same call returns the rows d(y, .)
+instead of the columns. The controls are recast as exit rows, each control
+held at its node until the state leaves it; of the rows that land on one
+node alone, only the cheapest per landing is kept. A policy picks one exit
+row per node and column, its value comes from one sparse LU, and the policy
+switches only where the DP step improves on that value. Policy iteration is
+a semismooth Newton method (Bokanowski, Maroso & Zidani, SIAM J. Numer.
+Anal. 47, 2009), so it stops after a few steps at a fixed point exact up to
+rounding. A point y belongs to the Aubry mask when d(., y) also satisfies
+the recursion AT y within tolerance, i.e. pinning was not an active
+constraint. The asymptotic profile is the two-stage minimization of
+distance plus initial data over the mask.
 """
 
 from __future__ import annotations
@@ -42,7 +45,10 @@ MAX_POLICY_STEPS = 50
 
 @dataclass
 class ActionMatrix:
-    """d[i, j] = intrinsic distance from node sources[j] evaluated at node i."""
+    """d[i, j] = intrinsic distance from node sources[j] evaluated at node i,
+    d(i, sources[j]). Built on reversed tables (`distance_tables(...,
+    reverse=True)`) it holds the rows instead: d[i, j] = d(sources[j], i),
+    and column(y) is the row d(y, .)."""
 
     grid: Grid
     sources: np.ndarray          # (S,) node ids
@@ -229,11 +235,13 @@ def _evaluate(exit_form: tuple, src: np.ndarray, pol: np.ndarray) -> np.ndarray:
     return d.reshape(N, S)
 
 
-def _distances(tables: DPTables, sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Columns d(., y), y in sources: the fixed point d = T d off the pins
-    with d(y) = 0, T the DP step `dp_step_cn`, by Howard's policy iteration;
-    returns d (N, S) and each column's `dp_residual` at its pin (S,), read
-    off the column's last policy step.
+def distances(tables: DPTables, sources: np.ndarray) -> ActionMatrix:
+    """Columns d(., y), y in sources (node ids in any order, array-like):
+    the fixed point d = T d off the pins with d(y) = 0, T the DP step
+    `dp_step_cn`, by Howard's policy iteration, exact up to rounding. On
+    the tables of `distance_tables(..., reverse=True)` they are the rows
+    d(y, .) instead. Each column's `dp_residual` at its pin, the
+    pin_margin, is read off the column's last policy step.
 
     From the first-arrival policy (`_first_arrival`), each step evaluates
     the policy exactly (`_evaluate`) in the columns whose policy changed.
@@ -248,6 +256,7 @@ def _distances(tables: DPTables, sources: np.ndarray) -> tuple[np.ndarray, np.nd
     source must be a node id in [0, N). ConvergenceError after
     MAX_POLICY_STEPS policy steps, with the largest improvement of each
     step as history."""
+    sources = np.asarray(sources, dtype=np.int64)
     grid = tables.grid
     if sources.size and not (0 <= sources.min() and sources.max() < grid.n_nodes):
         raise NumericalError(f"source node ids must lie in [0, {grid.n_nodes}); "
@@ -290,25 +299,7 @@ def _distances(tables: DPTables, sources: np.ndarray) -> tuple[np.ndarray, np.nd
         else:
             raise ConvergenceError(
                 f"policy iteration did not settle in {MAX_POLICY_STEPS} steps", history)
-    return out, margin
-
-
-def distance_from(grid: Grid, H: Hamiltonian, Bm: BoundaryOperator, y: int,
-                  controls: ControlSet | None = None,
-                  tables: DPTables | None = None) -> GridField:
-    """Distance column d(., y): maximal discrete subsolution vanishing at y,
-    the fixed point of the DP recursion off y, exact up to rounding."""
-    tables = tables if tables is not None else distance_tables(grid, H, Bm, controls)
-    return GridField(grid, _distances(tables, np.array([int(y)]))[0][:, 0])
-
-
-def distance_to(grid: Grid, H: Hamiltonian, Bm: BoundaryOperator, x: int,
-                controls: ControlSet | None = None,
-                tables: DPTables | None = None) -> GridField:
-    """Distance row d(x, .): `distance_from` on the time-reversed tables."""
-    tables = tables if tables is not None else distance_tables(grid, H, Bm, controls,
-                                                               reverse=True)
-    return GridField(grid, _distances(tables, np.array([int(x)]))[0][:, 0])
+    return ActionMatrix(grid, sources, out, tables, margin)
 
 
 def distance_tables(grid: Grid, H: Hamiltonian, Bm: BoundaryOperator,
@@ -324,8 +315,8 @@ def distance_tables(grid: Grid, H: Hamiltonian, Bm: BoundaryOperator,
 def action_matrix(grid: Grid, H: Hamiltonian, Bm: BoundaryOperator,
                   controls: ControlSet | None = None,
                   sources: np.ndarray | None = None) -> ActionMatrix:
-    """Distance columns for every source (all nodes by default), each the
-    fixed point of the DP recursion off its source, exact up to rounding.
+    """`distances` on `distance_tables(grid, H, Bm, controls)`, for every
+    node as a source by default.
 
     The full matrix is only assembled for grids up to 2000 nodes; pass an
     explicit source list beyond that.
@@ -335,10 +326,7 @@ def action_matrix(grid: Grid, H: Hamiltonian, Bm: BoundaryOperator,
             raise NumericalError(
                 "full action matrix needs <= 2000 nodes; pass an explicit source list")
         sources = np.arange(grid.n_nodes)
-    sources = np.asarray(sources, dtype=np.int64)
-    tables = distance_tables(grid, H, Bm, controls)
-    d, margin = _distances(tables, sources)
-    return ActionMatrix(grid, sources, d, tables, margin)
+    return distances(distance_tables(grid, H, Bm, controls), sources)
 
 
 def dp_residual(tables: DPTables, u: np.ndarray) -> np.ndarray:

@@ -1,11 +1,13 @@
 """Outside input that a solver cannot use raises a typed error, not a NaN."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from hj_neumann import ergodic as E, geometry as G, models as M, pde as P
+from hj_neumann import ergodic as E, expressions as X, geometry as G, models as M, pde as P
 from hj_neumann import skorokhod as S, variational as V, weak_kam as W
-from hj_neumann.errors import GeometryError, NumericalError
+from hj_neumann.errors import ConfigError, GeometryError, NumericalError, ObliquenessError
 
 IV = G.interval(0.0, 1.0)
 DISC = G.disc(0.0, 0.0, 1.0)
@@ -66,5 +68,67 @@ CASES = {
 @pytest.mark.parametrize("name", CASES)
 def test_bad_input_raises_a_typed_error(name):
     make, error, message = CASES[name]
+    with pytest.raises(error, match=message):
+        make()
+
+
+def tangent(x):
+    """The unit tangent of the disc: gamma.n = 0 on its boundary."""
+    x = np.asarray(x, dtype=float)
+    return np.stack([-x[..., 1], x[..., 0]], axis=-1) / np.linalg.norm(x, axis=-1, keepdims=True)
+
+
+def flat(value):
+    """A custom domain on [0, 1] with rho = value and grad_rho = 0 everywhere."""
+    return G.custom(1, lambda p: np.full(np.shape(p)[:-1], value),
+                    lambda p: np.zeros(np.shape(p)), ((0.0,), (1.0,)))
+
+
+def tangent_stepper():
+    # a replaced form skips the obliqueness check of the catalog constructors
+    Bm = dataclasses.replace(M.neumann(DISC),
+                             forms=((tangent, lambda x: np.zeros(np.shape(x)[:-1])),))
+    return P.Stepper(G.build_grid(DISC, 0.2), M.quadratic(2), Bm)
+
+
+def tangent_reflection():
+    sel = M.ObliqueSelection(M.neumann(DISC), lambda x: (tangent(x), 0.0))
+    return S.integrate(DISC, M.neumann(DISC), [0.9, 0.0], lambda t: np.array([1.0, 0.0]),
+                       0.5, 0.1, sel)
+
+
+def cost_off_the_domain():
+    # a path reflected along gamma = 3 priced under forms whose hull is [1, 2]
+    Ba = M.affine(IV, gamma=3.0, g=0.1)
+    path = S.integrate(IV, Ba, [0.5], lambda t: np.ones(1), 1.0, 0.05, M.oblique_selection(Ba))
+    return S.cost_track(path, M.max_affine(IV, [(1, 0.2), (2, 0.5)]))
+
+
+def unnormalized_aubry_set():
+    # the cosine well 1/2 p^2 + cos(2 pi x) - 1 has eigenvalue 0; normalized
+    # by c = 1 instead, every loop costs > 0 and every pin is active
+    grid = G.build_grid(IV, 0.05)
+    H, Bm = E.normalize(M.quadratic(1, "cos(2*pi*x) - 1"), M.neumann(IV), 1.0)
+    return W.aubry_set(W.action_matrix(grid, H, Bm))
+
+
+GUARDS = {
+    "expression-syntax": (lambda: X.scalar_field("x +", 1), ConfigError, "bad expression"),
+    "normal-of-flat-rho": (lambda: flat(-1.0).unit_normal(np.array([[0.5]])), GeometryError,
+                           "grad_rho vanishes"),
+    "grid-of-empty-domain": (lambda: G.build_grid(flat(1.0), 0.1), GeometryError,
+                             "no lattice node inside"),
+    "stepper-tangent-form": (tangent_stepper, ObliquenessError, "gamma.n = 0 <= 0"),
+    "skorokhod-tangent-selection": (tangent_reflection, ObliquenessError,
+                                    "fails obliqueness"),
+    "cost-track-off-the-domain": (cost_off_the_domain, NumericalError,
+                                  "outside the effective domain"),
+    "aubry-set-unnormalized": (unnormalized_aubry_set, NumericalError, "empty Aubry mask"),
+}
+
+
+@pytest.mark.parametrize("name", GUARDS)
+def test_guard_raises_its_typed_error(name):
+    make, error, message = GUARDS[name]
     with pytest.raises(error, match=message):
         make()

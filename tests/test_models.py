@@ -552,6 +552,15 @@ def test_audit_anticoercive_fails_a1():
     assert "x" in entry.witness
 
 
+def test_audit_without_samples_skips_a6_and_a7():
+    # H = p^2/2 + 10 > 0 everywhere: no sample reaches the level H = 0
+    rep = M.audit_assumptions(M.quadratic(1, "10.0"), M.neumann(IV), IV)
+    assert rep.entry("A6").passed is None
+    assert rep.entry("A6").detail == "no samples with H(x, q) <= 0 found"
+    assert rep.entry("A7").passed is None
+    assert rep.entry("A7").detail == "no samples near the level set H = 0"
+
+
 def test_effective_velocity_bound_eikonal():
     # the bisection stays inside dom L = {|xi| <= 1}, also under a shift
     # by an eigenvalue of either sign

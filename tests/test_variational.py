@@ -31,6 +31,23 @@ def test_control_set_contains_zero_and_edges():
     assert ctrl.intensities.size == 8
 
 
+def test_even_velocity_count_keeps_zero():
+    grid = G.build_grid(IV, 0.1)
+    ctrl = V.build_control_set(M.quadratic(1), M.neumann(IV), grid, n_velocity=8)
+    assert ctrl.velocities.shape == (9, 1)
+    assert 0.0 in ctrl.velocities[:, 0]
+
+
+def test_stage_costs_below_the_cap_stay_finite():
+    # L(x, w) = w^2/2 + 2e8 is finite everywhere, so from u0 = 0 the value
+    # at T = 0.5 is 1e8 exactly; only a stage at models.CAP is outside dom L
+    grid = G.build_grid(IV, 0.1)
+    H, Bm = M.quadratic(1, "-2e8"), M.neumann(IV)
+    tab = V.value(P.constant_field(grid, 0.0), H, Bm, "cn", T=0.5,
+                  controls=V.build_control_set(H, Bm, grid, v_max=2.0))
+    assert np.all(tab.values[-1] == 1e8)
+
+
 def test_quadratic_zero_data_stays_zero():
     grid = G.build_grid(IV, 0.05)
     u0 = P.constant_field(grid, 0.0)

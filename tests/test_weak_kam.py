@@ -69,8 +69,8 @@ def test_distance_is_discrete_subsolution():
     grid, H, Bm, ctrl = cosine_setup(0.02)
     tables = W.distance_tables(grid, H, Bm, controls=ctrl)
     y = grid.centroid_node()
-    d = W.distance_from(grid, H, Bm, y, tables=tables)
-    resid = W.dp_residual(tables, d.values)
+    d = W.distances(tables, [y]).column(y)
+    resid = W.dp_residual(tables, d)
     off = np.arange(grid.n_nodes) != y
     assert resid[off].max() <= grid.h          # d <= T[d] away from the pin
 
@@ -78,9 +78,9 @@ def test_distance_is_discrete_subsolution():
 def test_cosine_distance_matches_agmon_quadrature():
     grid, H, Bm, ctrl = cosine_setup(0.005, nv=129)
     xstar = int(np.argmin(np.abs(grid.nodes[:, 0] - 0.5)))
-    d = W.distance_from(grid, H, Bm, xstar, controls=ctrl)
+    d = W.distances(W.distance_tables(grid, H, Bm, ctrl), [xstar]).column(xstar)
     oracle = agmon_oracle(grid.nodes[:, 0])
-    rel = np.abs(d.values - oracle).max() / oracle.max()
+    rel = np.abs(d - oracle).max() / oracle.max()
     assert rel <= 0.02
 
 
@@ -96,9 +96,10 @@ def test_cosine_aubry_mask_localizes():
 def test_distance_row_matches_column_for_even_lagrangian():
     grid, H, Bm, ctrl = cosine_setup(0.01, nv=65)
     xstar = int(np.argmin(np.abs(grid.nodes[:, 0] - 0.5)))
-    col = W.distance_from(grid, H, Bm, xstar, controls=ctrl)
-    row = W.distance_to(grid, H, Bm, xstar, controls=ctrl)
-    assert np.abs(col.values - row.values).max() <= 3 * grid.h
+    col = W.distances(W.distance_tables(grid, H, Bm, ctrl), [xstar]).column(xstar)
+    row = W.distances(W.distance_tables(grid, H, Bm, ctrl, reverse=True),
+                      [xstar]).column(xstar)
+    assert np.abs(col - row).max() <= 3 * grid.h
 
 
 def test_asymptotic_profile_solves_stationary_recursion():
@@ -164,12 +165,12 @@ def test_value_iteration_matches_gauss_seidel_reference():
     H = M.quadratic(1, potential=COSINE)
     Bm = M.max_affine(IV, [(1.0, 0.2), (2.0, 0.5)])
     ctrl = V.build_control_set(H, Bm, grid, n_velocity=17, v_max=2.5)
-    for reverse, dist in ((False, W.distance_from), (True, W.distance_to)):
+    for reverse in (False, True):
         tables = W.distance_tables(grid, H, Bm, controls=ctrl, reverse=reverse)
         for y in (0, grid.centroid_node(), grid.n_nodes - 1):
-            d = dist(grid, H, Bm, y, tables=tables)
+            d = W.distances(tables, [y]).column(y)
             ref = gauss_seidel_distance(tables, y, 1e-12)
-            assert np.abs(d.values - ref).max() <= 1e-9
+            assert np.abs(d - ref).max() <= 1e-9
 
 
 def weak_kam_1d_setup():
@@ -224,12 +225,30 @@ def test_distance_columns_solve_the_recursion(name):
     assert np.abs(resid).max() <= 1e-12
 
 
-def test_action_matrix_column_equals_distance_from():
+def test_action_matrix_column_equals_single_source_distances():
     grid, H, Bm, ctrl = weak_kam_1d_setup()
     act = W.action_matrix(grid, H, Bm, controls=ctrl)
     for y in (0, grid.centroid_node(), grid.n_nodes - 1):
-        col = W.distance_from(grid, H, Bm, y, tables=act.tables)
-        assert np.abs(act.column(y) - col.values).max() <= 1e-12
+        col = W.distances(act.tables, [y]).column(y)
+        assert np.abs(act.column(y) - col).max() <= 1e-12
+
+
+@pytest.mark.parametrize("step", [1, 7])
+def test_column_batches_match_one_batch(step, monkeypatch):
+    # the 2-D sizes split the sources into several _chunks batches; their
+    # LUs differ in size, so the columns agree to rounding, not bitwise
+    grid, H, Bm, ctrl = disc_setup()
+    tables = W.distance_tables(grid, H, Bm, controls=ctrl)
+    sources = np.random.default_rng(0).permutation(grid.n_nodes)
+    monkeypatch.setattr(W, "_chunks", lambda tables, S: [slice(0, S)])
+    ref = W.distances(tables, sources)
+    monkeypatch.setattr(W, "_chunks",
+                        lambda tables, S: [slice(s, s + step) for s in range(0, S, step)])
+    act = W.distances(tables, sources)
+    assert np.array_equal(act.sources, sources)
+    assert np.all(np.abs(act.d - ref.d) <= 1e-14 * (1 + np.abs(ref.d)))
+    assert np.all(np.abs(act.pin_margin - ref.pin_margin)
+                  <= 1e-14 * (1 + np.abs(ref.pin_margin)))
 
 
 @pytest.mark.parametrize("name, reverse", [("weak-kam-1d", False), ("weak-kam-1d", True),
@@ -239,7 +258,7 @@ def test_policy_iteration_matches_value_iteration_oracle(name, reverse):
     tables = W.distance_tables(grid, H, Bm, controls=ctrl, reverse=reverse)
     sources = np.arange(grid.n_nodes)
     ref = value_iteration_distance(tables, sources, 1e-12)
-    assert np.abs(W._distances(tables, sources)[0] - ref).max() <= 1e-9
+    assert np.abs(W.distances(tables, sources).d - ref).max() <= 1e-9
 
 
 @pytest.mark.parametrize("name", ["weak-kam-1d", "disc"])
@@ -306,11 +325,11 @@ def test_merged_exit_form_gives_identical_distances(name, reverse, monkeypatch):
     grid, H, Bm, ctrl = SETUPS[name]()
     tables = W.distance_tables(grid, H, Bm, controls=ctrl, reverse=reverse)
     sources = np.arange(grid.n_nodes)
-    d, margin = W._distances(tables, sources)
+    act = W.distances(tables, sources)
     monkeypatch.setattr(W, "_exit_form", unmerged_exit_form)
-    ref_d, ref_margin = W._distances(tables, sources)
-    assert d.tobytes() == ref_d.tobytes()
-    assert margin.tobytes() == ref_margin.tobytes()
+    ref = W.distances(tables, sources)
+    assert act.d.tobytes() == ref.d.tobytes()
+    assert act.pin_margin.tobytes() == ref.pin_margin.tobytes()
 
 
 @pytest.mark.parametrize("name", ["cosine", "weak-kam-1d"])
@@ -448,7 +467,7 @@ def test_sweep_divergence_flags_bad_normalization():
     H = M.quadratic(1, potential="2.0")      # eigenvalue +2, not normalized
     Bm = M.neumann(IV)
     with pytest.raises(NormalizationError):
-        W.distance_from(grid, H, Bm, grid.centroid_node())
+        W.distances(W.distance_tables(grid, H, Bm), [grid.centroid_node()])
 
 
 @pytest.mark.parametrize("call", ["from -1", "from N", "matrix -1"])
@@ -460,7 +479,7 @@ def test_sources_outside_the_grid_rejected(call):
         if call == "matrix -1":
             W.action_matrix(grid, H, Bm, controls=ctrl, sources=np.array([-1, 0]))
         else:
-            W.distance_from(grid, H, Bm, -1 if call == "from -1" else N, controls=ctrl)
+            W.distances(W.distance_tables(grid, H, Bm, ctrl), [-1 if call == "from -1" else N])
 
 
 def test_control_representation_rejects_nonconvex_h():

@@ -85,15 +85,12 @@ class Hamiltonian:
     def __call__(self, x: np.ndarray, p: np.ndarray) -> np.ndarray:
         return self.fn(np.asarray(x, float), np.asarray(p, float))
 
-    def coercivity_radius(self, level: float, points: np.ndarray,
-                          h0: np.ndarray | None = None) -> float:
+    def coercivity_radius(self, level: float, points: np.ndarray, h0: np.ndarray) -> float:
         """Smallest scanned radius r = 0.5 * 1.25^k <= 256 with min over samples
-        of H at |p| = r >= level; a profile gives min H(x, 0) + profile(r * r),
-        with H(x, 0) read from h0 when the caller holds it at the points."""
+        of H at |p| = r >= level; a profile gives min h0 + profile(r * r),
+        h0 = H(x, 0) at the points as the caller holds it."""
         dirs = _directions(self.dim)
-        base = None
-        if self.profile is not None:
-            base = float((self(points, np.zeros(self.dim)) if h0 is None else h0).min())
+        base = None if self.profile is None else float(h0.min())
         r = 0.5
         while r <= 256.0:
             if base is None:

@@ -141,21 +141,16 @@ def _certify_forms(Bm: BoundaryOperator, X, QTs, N, tol: float, forms):
             "the forms do not match B")
 
 
-def _ghost_solve_many(Bm: BoundaryOperator, X, QT, N, tol: float,
-                      forms: tuple | None = None) -> np.ndarray:
+def _ghost_solve_many(Bm: BoundaryOperator, X, QT, N, forms) -> np.ndarray:
     """Roots lambda of B(x, q_T + lambda n) = 0 for the rows of (X, QT, N).
 
-    With forms, lambda is _form_root. Given forms (a Stepper's) were
-    certified where they were built, so no B call is made; without them
-    _form_values(Bm, X, N) is computed here and its roots at QT certified
-    by one call of B. Custom models bisect from the bracket |B(x, q_T)| /
+    forms, the _form_values of a catalog B at X certified against B where
+    they were built (a Stepper's), give lambda as _form_root with no B
+    call. None marks a custom B, bisected from the bracket |B(x, q_T)| /
     theta + 1, expanded geometrically at most 10 times, down to rounding:
     until every bracket is at most 4 eps (1 + max |lambda|) wide.
     """
-    if Bm.forms is not None:
-        if forms is None:
-            forms = _form_values(Bm, X, N)
-            _certify_forms(Bm, X, [QT], N, tol, forms)
+    if forms is not None:
         return _form_root(forms, QT)
 
     def bval(lam):
@@ -221,8 +216,6 @@ class Stepper:
         self.q_at = (side[0] * dim * n + np.arange(dim)[:, None] * n + b).T
         self._patterns = {}
 
-        self.tol = min(1e-12, Bm.theta * grid.h ** 2)
-
         # the dissipation radius is anchored at p = 0 so that every solver
         # (marching, discounted sweeps, slope estimator) shares one discrete
         # operator; data with larger slopes lifts it, and the solvers
@@ -240,7 +233,8 @@ class Stepper:
             # of a max of forms
             tang = np.eye(grid.dim)[:, None, :] - self.bn.T[:, :, None] * self.bn
             probes = [np.zeros_like(self.bn), *(self.radius * tang), *(-self.radius * tang)]
-            _certify_forms(Bm, self.xb, probes, self.bn, self.tol, self.forms)
+            tol = min(1e-12, Bm.theta * grid.h ** 2)
+            _certify_forms(Bm, self.xb, probes, self.bn, tol, self.forms)
 
     def refresh(self, grad_bound: float):
         """Set sigma and the CFL bound dt_max for slopes up to grad_bound.
@@ -338,7 +332,7 @@ class Stepper:
             bn = self.bn
             qn = (q * bn).sum(axis=-1)
             qt = q - qn[:, None] * bn
-            lam = _ghost_solve_many(self.Bm, self.xb, qt, bn, self.tol, self.forms)
+            lam = _ghost_solve_many(self.Bm, self.xb, qt, bn, self.forms)
             pbar[self.bidx] = qt + lam[:, None] * bn
         return pbar, q, qn, lam
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ObliquenessError
-from .geometry import DomainGeometry, _newton_to_boundary, project_to_closure
+from .geometry import SNAP_TOL, DomainGeometry, _newton_to_boundary, project_to_closure
 from .models import CAP, BoundaryOperator, ObliqueSelection, boundary_conjugate
 
 
@@ -68,11 +68,12 @@ def integrate(geom: DomainGeometry, Bm: BoundaryOperator, x0, v_fn,
               T: float, dt: float, selection: ObliqueSelection) -> SkorokhodTriple:
     """March the reflected trajectory from x0 under the control v_fn.
 
-    v_fn maps a time to a velocity vector. Steps whose free move stays in
-    the closure carry l = f = 0 exactly; constrained steps land on the
-    boundary (within projection tolerance) with f = l * g at the contact
-    point. The selection is evaluated once per contact point of the run,
-    keyed to 1e-12 (a pressed path returns to one point step after step).
+    v_fn maps a time to a velocity vector. A step whose free move stays in
+    the closure (rho <= SNAP_TOL, as ``project_to_closure`` reads it) carries
+    l = f = 0 exactly; constrained steps land on the boundary (within
+    projection tolerance) with f = l * g at the contact point. The
+    selection is evaluated once per contact point of the run, keyed to
+    1e-12 (a pressed path returns to one point step after step).
     """
     if dt <= 0 or T <= 0:
         raise NumericalError("need T > 0 and dt > 0")
@@ -93,7 +94,7 @@ def integrate(geom: DomainGeometry, Bm: BoundaryOperator, x0, v_fn,
         v = np.asarray(v_fn(t), dtype=float)
         vs[k] = v
         y = eta[k] + dt * v
-        if float(geom.rho(y)) <= 0.0:
+        if float(geom.rho(y)) <= SNAP_TOL:
             eta[k + 1] = y
             continue
         hat = project_to_closure(geom, y)

@@ -148,9 +148,8 @@ def _first_arrival(exit_form: tuple, src: np.ndarray, N: int) -> np.ndarray:
     Value iteration d <- min(d, T' d) from +inf with d = 0 on the pins, T'
     the DP step in the exit form, reaches an entry at the step where some
     row's landings are all reached (one that lands on an unreached node
-    costs +inf), and the entry takes that step's best row. Each step is one
-    product [op stage] @ [d; 1]: the stage in the operator's last column
-    is added last, so it rounds as stage + op @ d does. In a column where
+    costs +inf), and the entry takes that step's best row, priced as
+    `_stage_plus`(stage, op @ d) as in the policy step. In a column where
     a step reaches no entry so, the unreached entries with some row landing
     on reached nodes are reached, each taking the best such row as if its
     unreached landings cost what the entry does. Either way every entry's
@@ -158,27 +157,24 @@ def _first_arrival(exit_form: tuple, src: np.ndarray, N: int) -> np.ndarray:
     path of the policy ends at a pin. Columns drop out of the iteration
     once reached. NumericalError if an entry cannot reach its pin."""
     stage, op = exit_form
-    R = stage.shape[0]
-    fold = sparse.hstack([op, sparse.csr_matrix(stage.reshape(-1, 1))], format="csr")
-    d = np.full((N + 1, src.size), np.inf)
-    d[N] = 1.0
+    d = np.full((N, src.size), np.inf)
     d[src, np.arange(src.size)] = 0.0
     pol = np.zeros((N, src.size), dtype=np.int64)
     left = np.full(src.size, N - 1)     # unreached entries per column
     while left.any():
         act = np.flatnonzero(left)
         da = d[:, act]
-        ra = np.isfinite(da[:N])
-        q = (fold @ da).reshape(R, N, -1)
+        ra = np.isfinite(da)
+        q = _stage_plus(stage, op @ da)
         Td = q.min(axis=0)
         new = np.isfinite(Td) & ~ra
         stall = ~new.any(axis=0)
         if stall.any():
             r = ra[:, stall]
-            rho = (op @ r.astype(float)).reshape(R, N, -1)
+            rho = (op @ r.astype(float)).reshape(*stage.shape, -1)
             with np.errstate(divide="ignore", invalid="ignore"):
                 q[:, :, stall] = np.where(
-                    rho > 0, _stage_plus(stage, op @ np.where(r, da[:N, stall], 0.0)) / rho,
+                    rho > 0, _stage_plus(stage, op @ np.where(r, da[:, stall], 0.0)) / rho,
                     np.inf)
             Td[:, stall] = np.where(r, np.inf, q[:, :, stall].min(axis=0))
             new[:, stall] = np.isfinite(Td[:, stall])
@@ -188,9 +184,9 @@ def _first_arrival(exit_form: tuple, src: np.ndarray, N: int) -> np.ndarray:
             raise NumericalError("a node cannot reach its source: the "
                                  "distance is +inf")
         pol[x, act[j]] = q[:, x, j].argmin(axis=0)
-        da = np.minimum(da[:N], Td)
+        da = np.minimum(da, Td)
         da[src[act], np.arange(act.size)] = 0.0
-        d[:N, act] = da
+        d[:, act] = da
         left[act] -= count
     return pol
 
@@ -253,11 +249,13 @@ def distances(tables: DPTables, sources: np.ndarray) -> ActionMatrix:
 
     The stay-put stages, the zero velocity's row of the control-major free
     stages with the pressing controls folded in, must be nonnegative. Every
-    source must be a node id in [0, N). ConvergenceError after
+    source must be an integer node id in [0, N). ConvergenceError after
     MAX_POLICY_STEPS policy steps, with the largest improvement of each
     step as history."""
-    sources = np.asarray(sources, dtype=np.int64)
-    grid = tables.grid
+    ids = np.asarray(sources, dtype=np.int64)
+    if not np.array_equal(ids, np.asarray(sources)):
+        raise NumericalError(f"source node ids must be integers; got {sources}")
+    sources, grid = ids, tables.grid
     if sources.size and not (0 <= sources.min() and sources.max() < grid.n_nodes):
         raise NumericalError(f"source node ids must lie in [0, {grid.n_nodes}); "
                              f"got {sources.min()} to {sources.max()}")
@@ -377,7 +375,9 @@ def monotonicity_trace(evolution: SpaceTimeField, v: GridField,
     mu_plus(s), at every recorded stamp s, = min over stamps t >= s and
     over nodes of (u(x,t) - v~(x) + eta (t-s)) / (u(x,s) - v~(x)) with
     v~ = v - shift normalized so the denominator stays >= 1; mu_minus is
-    the max with -eta. Both equal 1 at t = s and approach 1 as s grows.
+    the max with -eta; both are 1 at t = s, to rounding, and approach 1
+    as s grows. Over t >= s the min is (min of gap(t) + eta t, less eta s)
+    / gap(s), gap = u - v~ > 0: one backward running min (max for mu_minus).
     """
     u = evolution.values
     t = evolution.times
@@ -387,11 +387,9 @@ def monotonicity_trace(evolution: SpaceTimeField, v: GridField,
     if gap.min() < 1.0 - 1e-12:
         raise NormalizationError(
             f"normalization failed: min u - (v - shift) = {gap.min():g} < 1")
-    mp = np.empty(t.size)
-    mm = np.empty(t.size)
-    for k, s in enumerate(t):
-        lag = eta_param * (t[k:] - s)[:, None]
-        mp[k] = ((gap[k:] + lag) / gap[k]).min()
-        mm[k] = ((gap[k:] - lag) / gap[k]).max()
+    lag = eta_param * t[:, None]
+    up = np.minimum.accumulate((gap + lag)[::-1], axis=0)[::-1] - lag
+    down = np.maximum.accumulate((gap - lag)[::-1], axis=0)[::-1] + lag
+    mp, mm = (up / gap).min(axis=1), (down / gap).max(axis=1)
     return MonotonicityTrace(t, mp, mm, float(eta_param), float(shift),
                              float(gap.max()))

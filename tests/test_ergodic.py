@@ -390,7 +390,8 @@ def gauss_seidel_discounted(st, eps, u, tol, max_sweeps=5000):
                   for sx in (1, -1) for sy in (1, -1)]
 
     def lam(x, qt, n):
-        return float(P._ghost_solve_many(st.Bm, x[None], qt[None], n[None], 1e-12)[0])
+        forms = P._form_values(st.Bm, x[None], n[None])
+        return float(P._ghost_solve_many(st.Bm, x[None], qt[None], n[None], forms)[0])
 
     def interior(u, i):
         x = nodes[i]

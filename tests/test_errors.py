@@ -7,7 +7,8 @@ import pytest
 
 from hj_neumann import ergodic as E, expressions as X, geometry as G, models as M, pde as P
 from hj_neumann import skorokhod as S, variational as V, weak_kam as W
-from hj_neumann.errors import ConfigError, GeometryError, NumericalError, ObliquenessError
+from hj_neumann.errors import (ConfigError, GeometryError, NumericalError, ObliquenessError,
+                               RadiusError)
 
 IV = G.interval(0.0, 1.0)
 DISC = G.disc(0.0, 0.0, 1.0)
@@ -62,6 +63,9 @@ CASES = {
     "action-matrix-too-large": (lambda: W.action_matrix(G.build_grid(DISC, 0.035),
                                                         M.quadratic(2), M.neumann(DISC)),
                                 NumericalError, "2000 nodes"),
+    "source-not-an-integer": (lambda: W.distances(W.distance_tables(
+        G.build_grid(IV, 0.1), M.quadratic(1, "cos(2*pi*x) - 1"), M.neumann(IV)), [2.7]),
+                              NumericalError, "must be integers"),
 }
 
 
@@ -82,6 +86,21 @@ def flat(value):
     """A custom domain on [0, 1] with rho = value and grad_rho = 0 everywhere."""
     return G.custom(1, lambda p: np.full(np.shape(p)[:-1], value),
                     lambda p: np.zeros(np.shape(p)), ((0.0,), (1.0,)))
+
+
+def flat_gradient_projection():
+    # |x| - 1 on the disc with grad_rho = 0: the first Newton step has no slope
+    geom = G.custom(2, lambda p: np.linalg.norm(p, axis=-1) - 1.0,
+                    lambda p: np.zeros(np.shape(p)), ((-1.0, -1.0), (1.0, 1.0)))
+    return G.project_to_closure(geom, np.array([[1.5, 0.0]]))
+
+
+def cusp_projection():
+    # rho = cbrt(x - 1) on [0, 1]: each Newton step from x = 1.3 lands twice
+    # as far from the boundary, on the other side
+    geom = G.custom(1, lambda p: np.cbrt(p[..., 0] - 1.0),
+                    lambda p: np.abs(p - 1.0) ** (-2.0 / 3.0) / 3.0, ((0.0,), (1.0,)))
+    return G.project_to_closure(geom, np.array([[1.3]]))
 
 
 def tangent_stepper():
@@ -118,6 +137,9 @@ GUARDS = {
                            "grad_rho vanishes"),
     "grid-of-empty-domain": (lambda: G.build_grid(flat(1.0), 0.1), GeometryError,
                              "no lattice node inside"),
+    "projection-flat-gradient": (flat_gradient_projection, GeometryError,
+                                 "grad_rho vanished during projection"),
+    "projection-diverges": (cusp_projection, GeometryError, "projection did not converge"),
     "stepper-tangent-form": (tangent_stepper, ObliquenessError, "gamma.n = 0 <= 0"),
     "skorokhod-tangent-selection": (tangent_reflection, ObliquenessError,
                                     "fails obliqueness"),
@@ -132,3 +154,33 @@ def test_guard_raises_its_typed_error(name):
     make, error, message = GUARDS[name]
     with pytest.raises(error, match=message):
         make()
+
+
+def test_velocity_bound_without_growth_is_zero(monkeypatch):
+    # the flat H of test_lagrangian_without_growth_at_the_edge_raises: L is
+    # CAP at every speed down to 3 / 2^26, and its conjugate raises
+    # RadiusError below, which the bisection reads as L off its domain
+    H = M.Hamiltonian("flat", lambda x, p: -np.minimum(p[..., 0], 4.0)
+                      - 1e-7 * np.maximum(p[..., 0] - 4.0, 0.0), 1, True)
+    raised = []
+    batch = M.lagrangian_batch
+
+    def counted(*args):
+        try:
+            return batch(*args)
+        except RadiusError:
+            raised.append(1)
+            raise
+
+    monkeypatch.setattr(M, "lagrangian_batch", counted)
+    assert M.effective_velocity_bound(H, G.build_grid(IV, 0.1).nodes, 3.0) == 0.0
+    assert raised
+
+
+def test_audit_a7_without_samples_off_the_probe_radius():
+    # H = 1e-3 p^2 - 1e-3 lies near 0 on |p| <= 3, where |dH/dp| <= 6e-3
+    # keeps every |xi.q| below the probe radius 0.5: A7 is not decided
+    entry = M.audit_assumptions(M.quadratic(1, "-0.001", coeff=1e-3), M.neumann(IV),
+                                IV).entry("A7")
+    assert entry.passed is None
+    assert entry.detail == "no samples with |xi.q| above the probe radius"

@@ -117,8 +117,9 @@ def test_closed_forms_match_sampling():
         X = points[H.dim]
         # levels off the ties coeff*r_k^2 + min V = level, where the sampled
         # |r dir|^2 falls an ulp short of r^2 in some directions
+        h0 = H(X, np.zeros(H.dim))
         for level in (0.7, 2.3, 7.3, 41.0, 150.0):
-            assert H.coercivity_radius(level, X) == Hs.coercivity_radius(level, X)
+            assert H.coercivity_radius(level, X, h0) == Hs.coercivity_radius(level, X, h0)
         for r in (1.1, 3.0, 4.77, 12.5):
             lip, ref = H.lip_p(r, X), Hs.lip_p(r, X)
             assert np.all(np.abs(lip - ref) <= 1e-10 * ref)

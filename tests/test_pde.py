@@ -73,11 +73,17 @@ def test_numerical_hamiltonian_monotone_sweep():
         assert dn >= base - 1e-12      # nondecreasing in p-
 
 
-def ghost_root(Bm, x, qt, tol=1e-12):
+def forms_of(Bm, X, N):
+    """The forms _ghost_solve_many takes for B at the rows (X, N): its
+    _form_values for a catalog B, None for a custom one."""
+    return None if Bm.forms is None else P._form_values(Bm, X, N)
+
+
+def ghost_root(Bm, x, qt):
     """Boundary root at one point, along the unit outward normal there."""
     X = np.atleast_2d(np.asarray(x, float))
-    lam = P._ghost_solve_many(Bm, X, np.atleast_2d(qt), Bm.geom.unit_normal(X), tol)
-    return float(lam[0])
+    N = Bm.geom.unit_normal(X)
+    return float(P._ghost_solve_many(Bm, X, np.atleast_2d(qt), N, forms_of(Bm, X, N))[0])
 
 
 def test_ghost_solve_examples():
@@ -127,8 +133,8 @@ def test_closed_form_root_matches_custom_bisection():
         X = grid.nodes[grid.boundary]
         N = grid.normals[grid.boundary]
         QT = rng.uniform(-3, 3, X.shape)
-        np.testing.assert_allclose(P._ghost_solve_many(Bm, X, QT, N, 1e-12),
-                                   P._ghost_solve_many(Bc, X, QT, N, 1e-12),
+        np.testing.assert_allclose(P._ghost_solve_many(Bm, X, QT, N, forms_of(Bm, X, N)),
+                                   P._ghost_solve_many(Bc, X, QT, N, forms_of(Bc, X, N)),
                                    rtol=0, atol=1e-11)
         rhs = P.Stepper(grid, H, Bm, "cn", grad_bound=2.0).rhs(u)
         ref = P.Stepper(grid, H, Bc, "cn", grad_bound=2.0).rhs(u)
@@ -157,7 +163,9 @@ def test_certification_probes_tangential_slopes():
     Bbad = dataclasses.replace(Bn, fn=fn)
     grid = G.build_grid(DISC, 0.25)
     xb, nb = grid.nodes[grid.boundary], grid.normals[grid.boundary]
-    assert np.abs(P._ghost_solve_many(Bbad, xb, np.zeros_like(xb), nb, 1e-12)).max() == 0.0
+    forms = P._form_values(Bbad, xb, nb)
+    P._certify_forms(Bbad, xb, [np.zeros_like(xb)], nb, 1e-12, forms)
+    assert np.abs(P._ghost_solve_many(Bbad, xb, np.zeros_like(xb), nb, forms)).max() == 0.0
     with pytest.raises(NumericalError, match="the forms do not match B"):
         P.Stepper(grid, M.quadratic(2), Bbad, "cn", grad_bound=1.0)
 
@@ -172,10 +180,10 @@ def test_custom_root_beyond_the_bracket_expands_it():
         return M.custom_boundary(DISC, lambda x, p: a * (p * DISC.unit_normal(x)).sum(-1) - 1.0,
                                  1.0, a)
 
-    lam = P._ghost_solve_many(model(0.01), X, np.zeros_like(X), N, 1e-12)
+    lam = P._ghost_solve_many(model(0.01), X, np.zeros_like(X), N, None)
     np.testing.assert_allclose(lam, 100.0, rtol=0, atol=1e-9)
     with pytest.raises(ObliquenessError, match="bracket expansion"):
-        P._ghost_solve_many(model(1e-4), X, np.zeros_like(X), N, 1e-12)
+        P._ghost_solve_many(model(1e-4), X, np.zeros_like(X), N, None)
 
 
 def test_rhs_calls_catalog_boundary_once(monkeypatch):
@@ -210,7 +218,7 @@ def test_closed_form_root_is_the_sign_change(forms, points):
     X = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
     N = DISC.unit_normal(X)
     QT = np.array([s for _, s in points])[:, None] * np.stack([-N[:, 1], N[:, 0]], axis=-1)
-    lam = P._ghost_solve_many(Bm, X, QT, N, 1e-12)
+    lam = P._ghost_solve_many(Bm, X, QT, N, forms_of(Bm, X, N))
     assert np.abs(Bm(X, QT + lam[:, None] * N)).max() <= 1e-12
     delta = 1e-9
     assert np.all(Bm(X, QT + (lam - delta)[:, None] * N) < 0)
@@ -649,7 +657,7 @@ def rhs_reference(stp, u):
         if stp.kind == "cn":
             qn = np.sum(q * bn, axis=-1)
             qt = q - qn[:, None] * bn
-            lam = P._ghost_solve_many(stp.Bm, xb, qt, bn, stp.tol, stp.forms)
+            lam = P._ghost_solve_many(stp.Bm, xb, qt, bn, stp.forms)
             gstar = qt + lam[:, None] * bn
             phi[b] = (np.asarray(stp.H(xb, gstar), dtype=float)
                       - stp.sig_n * (lam - qn))

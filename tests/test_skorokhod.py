@@ -47,6 +47,16 @@ def test_containment_and_complementarity():
         assert S.complementarity_defect(tr) == 0.0
 
 
+def test_free_move_within_the_snap_tolerance_stays_free():
+    # the free trial lands 5e-13 past x = 1, inside the SNAP_TOL band that
+    # project_to_closure reads as the closure: no reflection, l = f = 0
+    Ba = M.affine(IV, g=0.3)
+    tr = make(IV, Ba, [0.5], lambda t: np.array([0.5 + 5e-13]), T=1.0, dt=1.0)
+    assert tr.l[0] == 0.0 and tr.f[0] == 0.0
+    assert np.isnan(tr.gamma_used[0]).all()
+    assert 0.0 < S.containment_defect(tr) <= G.SNAP_TOL
+
+
 def test_bounds_interior_only_run():
     tr = make(IV, M.neumann(IV), [0.5], lambda t: np.array([0.1 * np.sin(t)]))
     rep = S.verify_bounds(tr)
